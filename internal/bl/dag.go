@@ -84,10 +84,27 @@ type DAG struct {
 	// NumPaths[v] is the number of DAG paths from v to Ex.
 	NumPaths []int64
 
-	entryDummies map[cfg.NodeID]*DAGEdge // loop header -> En->h dummy
-	exitDummies  map[cfg.Edge]*DAGEdge   // backedge -> t->Ex dummy
-	isBackedge   map[cfg.Edge]bool
-	realEdge     map[cfg.Edge]*DAGEdge
+	// succ holds, per block, its CFG successors in CFG successor order,
+	// each resolved to the DAG edges that stand for it.
+	succ [][]succEdge
+	// entryDummy holds, per block, the En->h dummy of the loop headed by
+	// it (nil for blocks that head no loop).
+	entryDummy []*DAGEdge
+}
+
+// succEdge is one CFG edge v->to as the Ball-Larus DAG sees it, keyed by
+// its source block so a walker step indexes an array instead of hashing
+// an edge.
+type succEdge struct {
+	to cfg.NodeID
+	// back reports that v->to is a loop backedge.
+	back bool
+	// edge is the real DAG edge, or for a backedge its t->Ex exit dummy.
+	edge *DAGEdge
+	// val is edge.Val; restart is, for a backedge, the Val of its
+	// header's En->h entry dummy (the register value a path starting at
+	// the header begins with).
+	val, restart int64
 }
 
 // MaxPaths bounds the number of BL paths a single procedure may have before
@@ -109,20 +126,13 @@ func Build(g *cfg.Graph) (*DAG, error) {
 	}
 
 	d := &DAG{
-		G:            g,
-		Loops:        loops,
-		Out:          make([][]*DAGEdge, g.Len()),
-		In:           make([][]*DAGEdge, g.Len()),
-		NumPaths:     make([]int64, g.Len()),
-		entryDummies: map[cfg.NodeID]*DAGEdge{},
-		exitDummies:  map[cfg.Edge]*DAGEdge{},
-		isBackedge:   map[cfg.Edge]bool{},
-		realEdge:     map[cfg.Edge]*DAGEdge{},
-	}
-	for _, l := range loops.Loops {
-		for _, be := range l.Backedges {
-			d.isBackedge[be] = true
-		}
+		G:          g,
+		Loops:      loops,
+		Out:        make([][]*DAGEdge, g.Len()),
+		In:         make([][]*DAGEdge, g.Len()),
+		NumPaths:   make([]int64, g.Len()),
+		succ:       make([][]succEdge, g.Len()),
+		entryDummy: make([]*DAGEdge, g.Len()),
 	}
 
 	add := func(e *DAGEdge) *DAGEdge {
@@ -133,14 +143,17 @@ func Build(g *cfg.Graph) (*DAG, error) {
 		return e
 	}
 
-	// Real edges, in deterministic node/successor order.
+	// Real edges, in deterministic node/successor order. Every CFG edge
+	// gets its successor-table slot; backedges get their DAG edge with the
+	// exit dummies below, and their values once numbering is done.
 	for v := cfg.NodeID(0); int(v) < g.Len(); v++ {
 		for _, s := range g.Succs(v) {
-			e := cfg.Edge{From: v, To: s}
-			if d.isBackedge[e] {
-				continue
+			l := loops.ByHead(s)
+			se := succEdge{to: s, back: l != nil && l.IsBackedge(cfg.Edge{From: v, To: s})}
+			if !se.back {
+				se.edge = add(&DAGEdge{From: v, To: s, Kind: Real})
 			}
-			d.realEdge[e] = add(&DAGEdge{From: v, To: s, Kind: Real})
+			d.succ[v] = append(d.succ[v], se)
 		}
 	}
 	// Entry dummies: one per loop header, sorted by header id.
@@ -150,7 +163,7 @@ func Build(g *cfg.Graph) (*DAG, error) {
 	}
 	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
 	for _, h := range heads {
-		d.entryDummies[h] = add(&DAGEdge{
+		d.entryDummy[h] = add(&DAGEdge{
 			From: g.Entry(), To: h, Kind: EntryDummy,
 			Backedge: cfg.Edge{From: cfg.None, To: h},
 		})
@@ -158,7 +171,7 @@ func Build(g *cfg.Graph) (*DAG, error) {
 	// Exit dummies: one per backedge, in loop/backedge order.
 	for _, l := range loops.Loops {
 		for _, be := range l.Backedges {
-			d.exitDummies[be] = add(&DAGEdge{
+			d.lookup(be).edge = add(&DAGEdge{
 				From: be.From, To: g.Exit(), Kind: ExitDummy,
 				Backedge: be,
 			})
@@ -167,6 +180,14 @@ func Build(g *cfg.Graph) (*DAG, error) {
 
 	if err := d.number(); err != nil {
 		return nil, err
+	}
+	for _, ss := range d.succ {
+		for i := range ss {
+			ss[i].val = ss[i].edge.Val
+			if ss[i].back {
+				ss[i].restart = d.entryDummy[ss[i].to].Val
+			}
+		}
 	}
 	return d, nil
 }
@@ -233,25 +254,61 @@ func (d *DAG) topo() ([]cfg.NodeID, error) {
 // Total returns the number of BL paths of the procedure.
 func (d *DAG) Total() int64 { return d.NumPaths[d.G.Entry()] }
 
+// lookup returns the successor-table entry of CFG edge e, or nil if e is
+// not an edge of the procedure.
+func (d *DAG) lookup(e cfg.Edge) *succEdge {
+	if e.From < 0 || int(e.From) >= len(d.succ) {
+		return nil
+	}
+	ss := d.succ[e.From]
+	for i := range ss {
+		if ss[i].to == e.To {
+			return &ss[i]
+		}
+	}
+	return nil
+}
+
 // EntryDummy returns the En->h dummy edge for loop header h, or nil.
-func (d *DAG) EntryDummy(h cfg.NodeID) *DAGEdge { return d.entryDummies[h] }
+func (d *DAG) EntryDummy(h cfg.NodeID) *DAGEdge {
+	if h < 0 || int(h) >= len(d.entryDummy) {
+		return nil
+	}
+	return d.entryDummy[h]
+}
 
 // ExitDummy returns the t->Ex dummy edge for backedge be, or nil.
-func (d *DAG) ExitDummy(be cfg.Edge) *DAGEdge { return d.exitDummies[be] }
+func (d *DAG) ExitDummy(be cfg.Edge) *DAGEdge {
+	if se := d.lookup(be); se != nil && se.back {
+		return se.edge
+	}
+	return nil
+}
 
 // RealEdge returns the DAG edge for real CFG edge e, or nil (nil in
 // particular for backedges, which have no real DAG edge).
-func (d *DAG) RealEdge(e cfg.Edge) *DAGEdge { return d.realEdge[e] }
+func (d *DAG) RealEdge(e cfg.Edge) *DAGEdge {
+	if se := d.lookup(e); se != nil && !se.back {
+		return se.edge
+	}
+	return nil
+}
 
 // IsBackedge reports whether e is a loop backedge of the procedure.
-func (d *DAG) IsBackedge(e cfg.Edge) bool { return d.isBackedge[e] }
+func (d *DAG) IsBackedge(e cfg.Edge) bool {
+	se := d.lookup(e)
+	return se != nil && se.back
+}
 
 // IsBackedgeSource reports whether some backedge leaves v — i.e. v is the
 // "terminating block" of a loop iteration, which the overlapping-path
 // machinery treats as a predicate block per the paper.
 func (d *DAG) IsBackedgeSource(v cfg.NodeID) bool {
-	for _, s := range d.G.Succs(v) {
-		if d.isBackedge[cfg.Edge{From: v, To: s}] {
+	if v < 0 || int(v) >= len(d.succ) {
+		return false
+	}
+	for _, se := range d.succ[v] {
+		if se.back {
 			return true
 		}
 	}

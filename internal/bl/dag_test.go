@@ -1,7 +1,9 @@
 package bl
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +245,34 @@ func TestDummyEdgeLookups(t *testing.T) {
 	}
 	if d.RealEdge(cfg.Edge{From: g.Entry(), To: p1}) == nil {
 		t.Fatal("real edge En->P1 missing")
+	}
+}
+
+// TestSeqKeyFormat pins the key strings: loop-path indexes and the
+// estimators' region keys are built from them, so they must not change.
+func TestSeqKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		blocks []cfg.NodeID
+		want   string
+	}{
+		{[]cfg.NodeID{0, 12, 7}, "0,12,7"},
+		{nil, ""},
+		{[]cfg.NodeID{}, ""},
+		{[]cfg.NodeID{5}, "5"},
+		{[]cfg.NodeID{cfg.None, 1234567}, "-1,1234567"},
+	} {
+		if got := SeqKey(tc.blocks); got != tc.want {
+			t.Errorf("SeqKey(%v) = %q, want %q", tc.blocks, got, tc.want)
+		}
+	}
+	// Past the 64-byte stack buffer.
+	long := make([]cfg.NodeID, 40)
+	parts := make([]string, len(long))
+	for i := range long {
+		long[i] = cfg.NodeID(1000 + i)
+		parts[i] = fmt.Sprint(1000 + i)
+	}
+	if got, want := SeqKey(long), strings.Join(parts, ","); got != want {
+		t.Errorf("SeqKey(40 blocks) = %q, want %q", got, want)
 	}
 }

@@ -27,6 +27,16 @@ func (lp *LoopPaths) Index(key string) int {
 	return -1
 }
 
+// seqIndex returns the index of block sequence seq, or -1, without
+// building its key string.
+func (lp *LoopPaths) seqIndex(seq []cfg.NodeID) int {
+	var buf [64]byte
+	if i, ok := lp.index[string(appendSeqKey(buf[:0], seq))]; ok {
+		return i
+	}
+	return -1
+}
+
 // Count returns the number of loop paths.
 func (lp *LoopPaths) Count() int { return len(lp.Seqs) }
 
@@ -56,11 +66,11 @@ func (d *DAG) LoopSeqs(l *cfg.Loop, limit int) (*LoopPaths, error) {
 			lp.index[SeqKey(s)] = len(lp.Seqs)
 			lp.Seqs = append(lp.Seqs, s)
 		}
-		for _, s := range d.G.Succs(v) {
-			if !l.Contains(s) || d.isBackedge[cfg.Edge{From: v, To: s}] {
+		for _, se := range d.succ[v] {
+			if !l.Contains(se.to) || se.back {
 				continue
 			}
-			if err := walk(s); err != nil {
+			if err := walk(se.to); err != nil {
 				return err
 			}
 		}
@@ -148,7 +158,7 @@ func AnalyzeLoop(p *Path, lp *LoopPaths, d *DAG) (Occurrence, bool) {
 				if l.IsBackedge(be) {
 					occ.Full = true
 					occ.EndsAtBackedge = true
-					occ.SeqIndex = lp.Index(SeqKey(p.Blocks[idx : j+1]))
+					occ.SeqIndex = lp.seqIndex(p.Blocks[idx : j+1])
 				}
 				// Else: ended at an inner (or other) loop's
 				// backedge mid-body: partial.
@@ -160,7 +170,7 @@ func AnalyzeLoop(p *Path, lp *LoopPaths, d *DAG) (Occurrence, bool) {
 			if isTail(p.Blocks[j]) {
 				occ.Full = true
 				occ.Last = true
-				occ.SeqIndex = lp.Index(SeqKey(p.Blocks[idx : j+1]))
+				occ.SeqIndex = lp.seqIndex(p.Blocks[idx : j+1])
 			}
 			return occ, true
 		}

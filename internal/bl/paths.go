@@ -2,6 +2,7 @@ package bl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathprof/internal/cfg"
@@ -196,16 +197,23 @@ func (p *Path) AccumAt(site cfg.NodeID) (int64, bool) {
 	return 0, false
 }
 
-// SeqKey builds a hashable key for a block sequence.
+// SeqKey builds a hashable key for a block sequence: the decimal block
+// ids joined by commas ("0,12,7"; "" for an empty sequence).
 func SeqKey(blocks []cfg.NodeID) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(appendSeqKey(buf[:0], blocks))
+}
+
+// appendSeqKey appends SeqKey(blocks) to dst, so map lookups can key on a
+// stack buffer without building a string.
+func appendSeqKey(dst []byte, blocks []cfg.NodeID) []byte {
 	for i, n := range blocks {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", n)
+		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // FormatSeq renders a block sequence with labels.

@@ -40,7 +40,19 @@ type Walker struct {
 // NewWalker starts a walker for one activation of d's procedure; the entry
 // block is implicitly the first block executed.
 func NewWalker(d *DAG) *Walker {
-	return &Walker{d: d, cur: d.G.Entry(), startHeader: cfg.None}
+	w := &Walker{}
+	w.Reset(d)
+	return w
+}
+
+// Reset restarts w for a new activation of d's procedure, keeping the
+// route's backing array so a recycled walker steps without allocating.
+func (w *Walker) Reset(d *DAG) {
+	w.d = d
+	w.cur = d.G.Entry()
+	w.id = 0
+	w.startHeader = cfg.None
+	w.route = w.route[:0]
 }
 
 // Cur returns the block the walker currently stands on.
@@ -72,46 +84,46 @@ func (w *Walker) PartialBlocks() []cfg.NodeID {
 
 // Step advances the walker to block next, which must be a CFG successor of
 // the current block. If the edge is a backedge, the current path instance
-// completes and is returned, and a new path begins at the loop header.
-func (w *Walker) Step(next cfg.NodeID) (*Instance, error) {
-	e := cfg.Edge{From: w.cur, To: next}
-	if w.d.isBackedge[e] {
-		xd := w.d.exitDummies[e]
-		inst := &Instance{
-			PathID:      w.id + xd.Val,
-			StartHeader: w.startHeader,
-			EndBackedge: e,
+// completes and is returned with done set, and a new path begins at the
+// loop header.
+func (w *Walker) Step(next cfg.NodeID) (inst Instance, done bool, err error) {
+	for _, se := range w.d.succ[w.cur] {
+		if se.to != next {
+			continue
 		}
-		ed := w.d.entryDummies[e.To]
-		w.id = ed.Val
-		w.startHeader = e.To
+		if se.back {
+			inst = Instance{
+				PathID:      w.id + se.val,
+				StartHeader: w.startHeader,
+				EndBackedge: cfg.Edge{From: w.cur, To: next},
+			}
+			w.id = se.restart
+			w.startHeader = next
+			w.cur = next
+			w.route = w.route[:0]
+			return inst, true, nil
+		}
+		w.id += se.val
 		w.cur = next
-		w.route = w.route[:0]
-		return inst, nil
+		w.route = append(w.route, next)
+		return Instance{}, false, nil
 	}
-	re := w.d.realEdge[e]
-	if re == nil {
-		return nil, fmt.Errorf("bl: step along nonexistent edge %s->%s in %s",
-			w.d.G.Label(w.cur), w.d.G.Label(next), w.d.G.Name)
-	}
-	w.id += re.Val
-	w.cur = next
-	w.route = append(w.route, next)
-	return nil, nil
+	return Instance{}, false, fmt.Errorf("bl: step along nonexistent edge %s->%s in %s",
+		w.d.G.Label(w.cur), w.d.G.Label(next), w.d.G.Name)
 }
 
 // Finish completes the activation; the walker must be standing on the
 // procedure's exit block.
-func (w *Walker) Finish() (*Instance, error) {
+func (w *Walker) Finish() (Instance, error) {
 	if w.cur != w.d.G.Exit() {
-		return nil, fmt.Errorf("bl: Finish at %s, not at exit %s",
+		return Instance{}, fmt.Errorf("bl: Finish at %s, not at exit %s",
 			w.d.G.Label(w.cur), w.d.G.Label(w.d.G.Exit()))
 	}
-	return &Instance{PathID: w.id, StartHeader: w.startHeader, AtExit: true}, nil
+	return Instance{PathID: w.id, StartHeader: w.startHeader, AtExit: true}, nil
 }
 
 // CountProfile folds a sequence of instances into an id → frequency map.
-func CountProfile(instances []*Instance) map[int64]uint64 {
+func CountProfile(instances []Instance) map[int64]uint64 {
 	m := make(map[int64]uint64)
 	for _, in := range instances {
 		m[in.PathID]++

@@ -21,16 +21,16 @@ func findNode(t *testing.T, g *cfg.Graph, label string) cfg.NodeID {
 
 // runHistory drives a walker through a block-label sequence (excluding the
 // entry block, which is implicit) and returns the completed instances.
-func runHistory(t *testing.T, d *DAG, labels []string) []*Instance {
+func runHistory(t *testing.T, d *DAG, labels []string) []Instance {
 	t.Helper()
 	w := NewWalker(d)
-	var out []*Instance
+	var out []Instance
 	for _, l := range labels {
-		inst, err := w.Step(findNode(t, d.G, l))
+		inst, done, err := w.Step(findNode(t, d.G, l))
 		if err != nil {
 			t.Fatalf("Step(%s): %v", l, err)
 		}
-		if inst != nil {
+		if done {
 			out = append(out, inst)
 		}
 	}
@@ -46,11 +46,11 @@ func runHistory(t *testing.T, d *DAG, labels []string) []*Instance {
 // 250 trips run 2!2!3, where the loop paths are
 //
 //	1: P1=>B1=>P3   2: P1=>P2=>B2=>P3   3: P1=>P2=>B3=>P3.
-func paperHistory(t *testing.T, d *DAG) []*Instance {
+func paperHistory(t *testing.T, d *DAG) []Instance {
 	t.Helper()
 	trip133 := []string{"P1", "B1", "P3", "P1", "B1", "P3", "P1", "P2", "B3", "P3", "Ex"}
 	trip223 := []string{"P1", "P2", "B2", "P3", "P1", "P2", "B2", "P3", "P1", "P2", "B3", "P3", "Ex"}
-	var all []*Instance
+	var all []Instance
 	for i := 0; i < 250; i++ {
 		all = append(all, runHistory(t, d, trip133)...)
 		all = append(all, runHistory(t, d, trip223)...)
@@ -128,7 +128,7 @@ func TestLoopFlowMatchesPaperExample(t *testing.T) {
 func TestWalkerRejectsNonEdges(t *testing.T) {
 	d := mustDAG(t, cfg.PaperLoopCFG())
 	w := NewWalker(d)
-	if _, err := w.Step(findNode(t, d.G, "P3")); err == nil {
+	if _, _, err := w.Step(findNode(t, d.G, "P3")); err == nil {
 		t.Fatal("Step along nonexistent edge En->P3 succeeded")
 	}
 }
@@ -136,7 +136,7 @@ func TestWalkerRejectsNonEdges(t *testing.T) {
 func TestWalkerFinishRequiresExit(t *testing.T) {
 	d := mustDAG(t, cfg.PaperLoopCFG())
 	w := NewWalker(d)
-	if _, err := w.Step(findNode(t, d.G, "P1")); err != nil {
+	if _, _, err := w.Step(findNode(t, d.G, "P1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Finish(); err == nil {
@@ -149,7 +149,7 @@ func TestWalkerPartialBlocks(t *testing.T) {
 	d := mustDAG(t, g)
 	w := NewWalker(d)
 	for _, l := range []string{"P1", "B1", "P3"} {
-		if _, err := w.Step(findNode(t, g, l)); err != nil {
+		if _, _, err := w.Step(findNode(t, g, l)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestWalkerPartialBlocks(t *testing.T) {
 		t.Fatalf("PartialBlocks = %s", got)
 	}
 	// Cross the backedge; partial restarts at the header.
-	if _, err := w.Step(findNode(t, g, "P1")); err != nil {
+	if _, _, err := w.Step(findNode(t, g, "P1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := FormatSeq(g, w.PartialBlocks()); got != "P1" {
@@ -184,11 +184,11 @@ func TestWalkerMatchesReconstruction(t *testing.T) {
 		for cur != g.Exit() && steps < 300 {
 			succs := g.Succs(cur)
 			next := succs[r.Intn(len(succs))]
-			inst, err := w.Step(next)
+			inst, done, err := w.Step(next)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if inst != nil {
+			if done {
 				p, err := d.PathForID(inst.PathID)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)

@@ -23,18 +23,21 @@ type Loop struct {
 	// Children are loops immediately nested inside this one.
 	Children []*Loop
 
-	inBody map[NodeID]bool
+	// inBody is the dense body membership, indexed by node id.
+	inBody []bool
 }
 
 // Contains reports whether v is in the loop body.
-func (l *Loop) Contains(v NodeID) bool { return l.inBody[v] }
+func (l *Loop) Contains(v NodeID) bool {
+	return v >= 0 && int(v) < len(l.inBody) && l.inBody[v]
+}
 
 // ExitEdges returns the edges leaving the loop body, in deterministic order.
 func (l *Loop) ExitEdges(g *Graph) []Edge {
 	var out []Edge
 	for _, v := range l.Body {
 		for _, s := range g.Succs(v) {
-			if !l.inBody[s] {
+			if !l.Contains(s) {
 				out = append(out, Edge{v, s})
 			}
 		}
@@ -46,7 +49,7 @@ func (l *Loop) ExitEdges(g *Graph) []Edge {
 func (l *Loop) EntryEdges(g *Graph) []Edge {
 	var out []Edge
 	for _, p := range g.Preds(l.Head) {
-		if !l.inBody[p] {
+		if !l.Contains(p) {
 			out = append(out, Edge{p, l.Head})
 		}
 	}
@@ -107,7 +110,8 @@ func FindLoops(g *Graph) (*LoopForest, error) {
 		}
 		l := f.byHead[e.To]
 		if l == nil {
-			l = &Loop{Head: e.To, inBody: map[NodeID]bool{e.To: true}}
+			l = &Loop{Head: e.To, inBody: make([]bool, g.Len())}
+			l.inBody[e.To] = true
 			f.byHead[e.To] = l
 			f.Loops = append(f.Loops, l)
 		}
@@ -117,11 +121,11 @@ func FindLoops(g *Graph) (*LoopForest, error) {
 
 	sort.Slice(f.Loops, func(i, j int) bool { return f.Loops[i].Head < f.Loops[j].Head })
 	for _, l := range f.Loops {
-		l.Body = l.Body[:0]
-		for v := range l.inBody {
-			l.Body = append(l.Body, v)
+		for v, in := range l.inBody {
+			if in {
+				l.Body = append(l.Body, NodeID(v))
+			}
 		}
-		sort.Slice(l.Body, func(i, j int) bool { return l.Body[i] < l.Body[j] })
 	}
 
 	f.buildNesting()
@@ -159,7 +163,7 @@ func (f *LoopForest) buildNesting() {
 			if a == b || b.Head == a.Head || !b.inBody[a.Head] {
 				continue
 			}
-			if best == nil || len(b.inBody) < len(best.inBody) {
+			if best == nil || len(b.Body) < len(best.Body) {
 				best = b
 			}
 		}
@@ -171,9 +175,9 @@ func (f *LoopForest) buildNesting() {
 
 	// innermost: for each node pick the smallest loop containing it.
 	for _, l := range f.Loops {
-		for v := range l.inBody {
+		for _, v := range l.Body {
 			cur := f.innermost[v]
-			if cur == nil || len(l.inBody) < len(cur.inBody) {
+			if cur == nil || len(l.Body) < len(cur.Body) {
 				f.innermost[v] = l
 			}
 		}

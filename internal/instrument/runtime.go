@@ -328,12 +328,12 @@ func (rt *Runtime) OnEdge(fr *interp.Frame, from, to int) {
 		}
 	}
 
-	inst, err := ps.w.Step(cfg.NodeID(to))
+	inst, done, err := ps.w.Step(cfg.NodeID(to))
 	if err != nil {
 		rt.setErr(err)
 		return
 	}
-	if inst != nil {
+	if done {
 		rt.completed(ps, inst)
 		// A backedge both completes a path and activates the loop's
 		// extension with the completed path as base.
@@ -466,7 +466,7 @@ func (rt *Runtime) extStep(tr *olpath.Tracker, e cfg.Edge, ops *int64) {
 }
 
 // completed handles a finished BL path instance.
-func (rt *Runtime) completed(ps *frProbe, inst *bl.Instance) {
+func (rt *Runtime) completed(ps *frProbe, inst bl.Instance) {
 	fi := ps.plan.fi
 	rt.store.IncBL(fi.Index, inst.PathID)
 	rt.BLOps += overhead.CounterOp

@@ -450,11 +450,14 @@ func (p *Pipeline) CachedPlans() int {
 	return len(p.plans)
 }
 
-// CachedCodes reports how many compiled bytecode programs the cache holds.
+// CachedCodes reports how many compiled programs the cache holds, counting
+// one per configuration for each engine that compiles — bytecode,
+// register and PGO-layout register code alike (the tree engine compiles
+// nothing).
 func (p *Pipeline) CachedCodes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.codes)
+	return len(p.codes) + len(p.regCodes) + len(p.pgoCodes)
 }
 
 // Run is the outcome of one instrumented execution.

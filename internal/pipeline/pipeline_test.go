@@ -120,6 +120,42 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestCachedCodesCountsEveryEngine: CachedCodes counts compiled code of
+// every compiling engine, so one run on the default register engine
+// caches exactly one program, a second run at the same configuration
+// reuses it, a self-trained PGO run caches its training run's register
+// code next to its layout code, and the tree engine caches none.
+func TestCachedCodesCountsEveryEngine(t *testing.T) {
+	b := workload.ByName("181.mcf")
+	prog, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := instrument.Config{K: 1, Loops: true, Interproc: true}
+	for _, tc := range []struct {
+		engine pipeline.Engine
+		want   int
+	}{
+		{pipeline.EngineReg, 1},
+		{pipeline.EngineVM, 1},
+		{pipeline.EnginePGO, 2},
+		{pipeline.EngineTree, 0},
+	} {
+		p, err := pipeline.New(prog, pipeline.Options{Engine: tc.engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			if _, err := p.Execute(cfg, b.Seed, nil); err != nil {
+				t.Fatalf("%s: %v", tc.engine, err)
+			}
+			if got := p.CachedCodes(); got != tc.want {
+				t.Fatalf("%s run %d: CachedCodes() = %d, want %d", tc.engine, run+1, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestParallelSweepDeterminism: every degree profiled concurrently through
 // one pipeline must match its sequentially profiled twin.
 func TestParallelSweepDeterminism(t *testing.T) {

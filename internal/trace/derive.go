@@ -27,18 +27,15 @@ func (t *Tracer) LoopPairs() (map[LoopPairKey]uint64, error) {
 	out := map[LoopPairKey]uint64{}
 	for adj, n := range t.LoopAdj {
 		fi := t.Info.Funcs[adj.Func]
-		li := fi.Loops[adj.Loop]
-		pa := t.path(fi, adj.A)
-		pb := t.path(fi, adj.B)
-		if pa == nil || pb == nil {
+		i := t.fullSeq(fi, t.factsOf(fi, adj.A), adj.Loop)
+		j := t.fullSeq(fi, t.factsOf(fi, adj.B), adj.Loop)
+		if t.Err != nil {
 			return nil, t.Err
 		}
-		occA, okA := bl.AnalyzeLoop(pa, li.LP, fi.DAG)
-		occB, okB := bl.AnalyzeLoop(pb, li.LP, fi.DAG)
-		if !okA || !okB || !occA.Full || !occB.Full || occA.SeqIndex < 0 || occB.SeqIndex < 0 {
+		if i < 0 || j < 0 {
 			continue
 		}
-		out[LoopPairKey{adj.Func, adj.Loop, occA.SeqIndex, occB.SeqIndex}] += n
+		out[LoopPairKey{adj.Func, adj.Loop, i, j}] += n
 	}
 	return out, nil
 }

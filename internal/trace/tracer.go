@@ -113,9 +113,38 @@ type Tracer struct {
 	// block trace as a SEQUITUR grammar.
 	WPP *Grammar
 
-	idx          int
-	pendingEnter *pendT1
-	pathCache    []map[int64]*bl.Path
+	// pending is the Type I crossing of the call in flight, consumed by
+	// the callee's OnEnter when havePending is set.
+	pending     pendT1
+	havePending bool
+	pathCache   []map[int64]*bl.Path
+	// facts caches, per function, each distinct completed path's facts.
+	facts []funcFacts
+	// frames holds per-activation state indexed by call depth; an entry
+	// is reused by the next activation at its depth, so steady calls
+	// allocate nothing.
+	frames []*frState
+}
+
+// funcFacts caches what the tracer needs of each distinct BL path of one
+// function, computed on the path's first completion, so an instance costs
+// a lookup instead of a path reconstruction and a loop analysis.
+type funcFacts struct {
+	byID map[int64]pathFacts
+	// seq holds one row of len(FuncInfo.Loops) entries per cached path:
+	// the index in the loop's LoopPaths of the full iteration sequence
+	// the path holds (bl.AnalyzeLoop's Full && SeqIndex >= 0), or -1.
+	seq []int32
+}
+
+// pathFacts locates one path's row in funcFacts.seq and names the loop
+// whose backedge ends the path.
+type pathFacts struct {
+	// endLoop is the index of the loop whose backedge ends the path, or
+	// -1 when the path runs to the procedure exit.
+	endLoop int32
+	// row is the offset of the path's row in funcFacts.seq.
+	row int32
 }
 
 type instRec struct {
@@ -132,10 +161,15 @@ type pendT2 struct {
 	q            int64
 }
 
+// pendLoop is an instance that ended at a backedge of loop, awaiting its
+// successor for loop pairing.
 type pendLoop struct {
-	li  *profile.LoopInfo
-	id  int64
-	rec *instRec
+	loop int
+	id   int64
+	// full reports that the instance holds a full iteration sequence of
+	// loop — the first half of an interesting pair.
+	full bool
+	rec  instRec
 }
 
 // chainWin is one open multi-iteration window of the tracer, mirroring the
@@ -167,16 +201,20 @@ type loopTraceState struct {
 	pendExit bool
 }
 
+// frState is the tracer's state for one activation. Records are held by
+// value and slices keep their backing arrays across reuse.
 type frState struct {
 	fi  *profile.FuncInfo
-	w   *bl.Walker
-	cur *instRec
-	// pendBase is the instance that ended at a backedge, awaiting its
-	// successor for loop pairing.
-	pendBase *pendLoop
-	// first is the Type I pending record, consumed when the frame's
-	// first BL path completes.
-	first *pendT1
+	w   bl.Walker
+	cur instRec
+	// pendBase is the instance that ended at a backedge (valid when
+	// haveBase is set).
+	pendBase pendLoop
+	haveBase bool
+	// first is the Type I pending record (valid when haveFirst is set),
+	// consumed when the frame's first BL path completes.
+	first     pendT1
+	haveFirst bool
 	// pendII are Type II crossings awaiting the enclosing path's
 	// completion.
 	pendII []pendT2
@@ -184,6 +222,25 @@ type frState struct {
 	loopSt []loopTraceState
 	// lastID is the id of the frame's final (exit) instance.
 	lastID int64
+}
+
+// reset readies fs for a new activation of fi.
+func (fs *frState) reset(fi *profile.FuncInfo) {
+	fs.fi = fi
+	fs.w.Reset(fi.DAG)
+	fs.cur = instRec{}
+	fs.haveBase, fs.haveFirst = false, false
+	fs.pendII = fs.pendII[:0]
+	n := len(fi.Loops)
+	if cap(fs.loopSt) < n {
+		fs.loopSt = make([]loopTraceState, n)
+	}
+	fs.loopSt = fs.loopSt[:n]
+	for i := range fs.loopSt {
+		st := &fs.loopSt[i]
+		*st = loopTraceState{open: st.open[:0]}
+	}
+	fs.lastID = 0
 }
 
 // NewTracer creates a tracer and registers it on m.
@@ -197,12 +254,14 @@ func NewTracer(info *profile.Info, m *interp.Machine) *Tracer {
 		T2:        map[T2AdjKey]uint64{},
 		Calls:     map[profile.CallKey]uint64{},
 		pathCache: make([]map[int64]*bl.Path, len(info.Funcs)),
+		facts:     make([]funcFacts, len(info.Funcs)),
 	}
 	for i := range t.BL {
 		t.BL[i] = map[int64]uint64{}
 		t.pathCache[i] = map[int64]*bl.Path{}
+		t.facts[i].byID = map[int64]pathFacts{}
 	}
-	t.idx = m.AddListener(t)
+	m.AddListener(t)
 	return t
 }
 
@@ -230,25 +289,53 @@ func (t *Tracer) path(fi *profile.FuncInfo, id int64) *bl.Path {
 	return p
 }
 
-func (t *Tracer) state(fr *interp.Frame) *frState {
-	fs, _ := fr.Data[t.idx].(*frState)
-	return fs
+// factsOf returns the cached facts of path id of fi, computing them on
+// first use: one path reconstruction and one bl.AnalyzeLoop per loop.
+func (t *Tracer) factsOf(fi *profile.FuncInfo, id int64) pathFacts {
+	ff := &t.facts[fi.Index]
+	if pf, ok := ff.byID[id]; ok {
+		return pf
+	}
+	pf := pathFacts{endLoop: -1, row: int32(len(ff.seq))}
+	if len(fi.Loops) > 0 {
+		p := t.path(fi, id)
+		for _, li := range fi.Loops {
+			seq := int32(-1)
+			if p != nil {
+				if occ, ok := bl.AnalyzeLoop(p, li.LP, fi.DAG); ok && occ.Full && occ.SeqIndex >= 0 {
+					seq = int32(occ.SeqIndex)
+				}
+			}
+			ff.seq = append(ff.seq, seq)
+		}
+		if p != nil {
+			if be, ok := p.EndBackedge(); ok {
+				if li := fi.LoopOfBackedge[be]; li != nil {
+					pf.endLoop = int32(li.Index)
+				}
+			}
+		}
+	}
+	ff.byID[id] = pf
+	return pf
+}
+
+// fullSeq returns the index of loop's full iteration sequence held by the
+// path with facts pf, or -1 if it holds none.
+func (t *Tracer) fullSeq(fi *profile.FuncInfo, pf pathFacts, loop int) int {
+	return int(t.facts[fi.Index].seq[int(pf.row)+loop])
 }
 
 // OnEnter implements interp.Listener.
 func (t *Tracer) OnEnter(fr *interp.Frame) {
 	fi := t.Info.OfFunc(fr.Fn)
-	fs := &frState{
-		fi:    fi,
-		w:     bl.NewWalker(fi.DAG),
-		cur:   &instRec{},
-		first: t.pendingEnter,
+	for len(t.frames) <= fr.Depth {
+		t.frames = append(t.frames, &frState{})
 	}
-	if len(fi.Loops) > 0 {
-		fs.loopSt = make([]loopTraceState, len(fi.Loops))
-	}
-	t.pendingEnter = nil
-	fr.Data[t.idx] = fs
+	fs := t.frames[fr.Depth]
+	fs.reset(fi)
+	fs.first, fs.haveFirst = t.pending, t.havePending
+	t.havePending = false
 	if t.WPP != nil {
 		t.WPP.Append(t.wppSymbol(fi, int(fi.G.Entry())))
 	}
@@ -256,17 +343,17 @@ func (t *Tracer) OnEnter(fr *interp.Frame) {
 
 // OnEdge implements interp.Listener.
 func (t *Tracer) OnEdge(fr *interp.Frame, from, to int) {
-	fs := t.state(fr)
+	fs := t.frames[fr.Depth]
 	// Loop exit edges flush the runtime's windows before the walker
 	// consumes the edge; the chains close with the crossing's descriptor —
 	// already captured, or pending until the in-flight path completes.
 	for i := range fs.loopSt {
-		li := fs.fi.Loops[i]
-		if !li.Loop.Contains(cfg.NodeID(from)) || li.Loop.Contains(cfg.NodeID(to)) {
-			continue
-		}
 		st := &fs.loopSt[i]
 		if !st.awaiting {
+			continue
+		}
+		l := fs.fi.Loops[i].Loop
+		if !l.Contains(cfg.NodeID(from)) || l.Contains(cfg.NodeID(to)) {
 			continue
 		}
 		if st.haveDesc {
@@ -276,7 +363,7 @@ func (t *Tracer) OnEdge(fr *interp.Frame, from, to int) {
 		}
 		st.awaiting, st.haveDesc = false, false
 	}
-	inst, err := fs.w.Step(cfg.NodeID(to))
+	inst, done, err := fs.w.Step(cfg.NodeID(to))
 	if err != nil {
 		t.setErr(err)
 		return
@@ -284,15 +371,15 @@ func (t *Tracer) OnEdge(fr *interp.Frame, from, to int) {
 	if t.WPP != nil {
 		t.WPP.Append(t.wppSymbol(fs.fi, to))
 	}
-	if inst != nil {
+	if done {
 		t.completed(fs, inst)
-		fs.cur = &instRec{}
+		fs.cur = instRec{}
 	}
 }
 
 // OnCall implements interp.Listener.
 func (t *Tracer) OnCall(caller *interp.Frame, site int, calleeFr *interp.Frame) {
-	fs := t.state(caller)
+	fs := t.frames[caller.Depth]
 	cs := fs.fi.CallSiteOfBlock[cfg.NodeID(site)]
 	if cs == nil {
 		t.setErr(errNoSite(fs.fi, site))
@@ -303,12 +390,13 @@ func (t *Tracer) OnCall(caller *interp.Frame, site int, calleeFr *interp.Frame) 
 	// The caller's in-flight path participates in a Type I pair (it will
 	// form when the callee's first path completes).
 	fs.cur.proc = true
-	t.pendingEnter = &pendT1{caller: fs.fi.Index, site: cs.Index, prefix: fs.w.PartialID()}
+	t.pending = pendT1{caller: fs.fi.Index, site: cs.Index, prefix: fs.w.PartialID()}
+	t.havePending = true
 }
 
 // OnExit implements interp.Listener.
 func (t *Tracer) OnExit(fr *interp.Frame) {
-	fs := t.state(fr)
+	fs := t.frames[fr.Depth]
 	inst, err := fs.w.Finish()
 	if err != nil {
 		t.setErr(err)
@@ -318,14 +406,14 @@ func (t *Tracer) OnExit(fr *interp.Frame) {
 	t.completed(fs, inst)
 	if fr.Depth == 0 {
 		// main's final path: no Type II crossing can mark it anymore.
-		t.tally(fs.cur)
+		t.tally(&fs.cur)
 	}
 }
 
 // OnReturn implements interp.Listener.
 func (t *Tracer) OnReturn(calleeFr, callerFr *interp.Frame, site int) {
-	calleeFS := t.state(calleeFr)
-	callerFS := t.state(callerFr)
+	calleeFS := t.frames[calleeFr.Depth]
+	callerFS := t.frames[callerFr.Depth]
 	cs := callerFS.fi.CallSiteOfBlock[cfg.NodeID(site)]
 	if cs == nil {
 		t.setErr(errNoSite(callerFS.fi, site))
@@ -333,7 +421,7 @@ func (t *Tracer) OnReturn(calleeFr, callerFr *interp.Frame, site int) {
 	}
 	// The callee's exit path is the first component of a Type II pair.
 	calleeFS.cur.proc = true
-	t.tally(calleeFS.cur)
+	t.tally(&calleeFS.cur)
 	// The caller's resumed path is the second component.
 	callerFS.cur.proc = true
 	callerFS.pendII = append(callerFS.pendII, pendT2{
@@ -344,19 +432,20 @@ func (t *Tracer) OnReturn(calleeFr, callerFr *interp.Frame, site int) {
 }
 
 // completed processes one finished BL path instance of frame state fs.
-func (t *Tracer) completed(fs *frState, inst *bl.Instance) {
+func (t *Tracer) completed(fs *frState, inst bl.Instance) {
 	fi := fs.fi
 	t.BL[fi.Index][inst.PathID]++
+	pf := t.factsOf(fi, inst.PathID)
 
 	// Type I: the frame's first completed path closes the pending
 	// crossing.
-	if fs.first != nil {
+	if fs.haveFirst {
 		t.T1[T1AdjKey{
 			Caller: fs.first.caller, Site: fs.first.site,
 			Callee: fi.Index, Prefix: fs.first.prefix, Q: inst.PathID,
 		}]++
 		fs.cur.proc = true
-		fs.first = nil
+		fs.haveFirst = false
 	}
 
 	// Type II: the enclosing path of earlier returns has completed.
@@ -373,9 +462,9 @@ func (t *Tracer) completed(fs *frState, inst *bl.Instance) {
 	// own backedge closes that loop's in-progress crossing and opens a new
 	// window; and for every other loop awaiting a descriptor, this path —
 	// the first to complete since activation — is it.
-	var beLoop *profile.LoopInfo
-	if !inst.AtExit && len(fs.loopSt) > 0 {
-		beLoop = fi.LoopOfBackedge[inst.EndBackedge]
+	beLoop := -1
+	if !inst.AtExit {
+		beLoop = int(pf.endLoop)
 	}
 	for i := range fs.loopSt {
 		st := &fs.loopSt[i]
@@ -384,7 +473,7 @@ func (t *Tracer) completed(fs *frState, inst *bl.Instance) {
 			st.pendExit = false
 		}
 		switch {
-		case beLoop != nil && beLoop.Index == i:
+		case i == beLoop:
 			if st.awaiting {
 				d := inst.PathID
 				if st.haveDesc {
@@ -399,23 +488,31 @@ func (t *Tracer) completed(fs *frState, inst *bl.Instance) {
 		}
 	}
 
-	// Loop pairing with the previous backedge-terminated instance.
-	if pb := fs.pendBase; pb != nil {
-		t.LoopAdj[LoopAdjKey{Func: fi.Index, Loop: pb.li.Index, A: pb.id, B: inst.PathID}]++
-		if t.pairForms(fi, pb, inst.PathID) {
+	// Loop pairing with the previous backedge-terminated instance: an
+	// interesting pair when both hold full iteration sequences of the
+	// loop.
+	if fs.haveBase {
+		pb := &fs.pendBase
+		t.LoopAdj[LoopAdjKey{Func: fi.Index, Loop: pb.loop, A: pb.id, B: inst.PathID}]++
+		if pb.full && t.fullSeq(fi, pf, pb.loop) >= 0 {
 			pb.rec.loop = true
 			fs.cur.loop = true
 		}
-		t.tally(pb.rec)
-		fs.pendBase = nil
+		t.tally(&pb.rec)
+		fs.haveBase = false
 	}
 	if !inst.AtExit {
-		li := fi.LoopOfBackedge[inst.EndBackedge]
-		if li == nil {
+		if beLoop < 0 {
 			t.setErr(errNoLoop(fi, inst.EndBackedge))
 			return
 		}
-		fs.pendBase = &pendLoop{li: li, id: inst.PathID, rec: fs.cur}
+		fs.pendBase = pendLoop{
+			loop: beLoop,
+			id:   inst.PathID,
+			full: t.fullSeq(fi, pf, beLoop) >= 0,
+			rec:  fs.cur,
+		}
+		fs.haveBase = true
 	}
 	// Exit instances are tallied by OnExit (main) or OnReturn (callees).
 }
@@ -447,21 +544,6 @@ func (t *Tracer) advanceChains(fs *frState, loop int, st *loopTraceState, d int6
 		}
 	}
 	st.open = kept
-}
-
-// pairForms reports whether the adjacency (pb.id ! next) constitutes an
-// interesting loop pair: both components must contain full iteration
-// sequences of the loop.
-func (t *Tracer) pairForms(fi *profile.FuncInfo, pb *pendLoop, next int64) bool {
-	pa := t.path(fi, pb.id)
-	pc := t.path(fi, next)
-	if pa == nil || pc == nil {
-		return false
-	}
-	occA, okA := bl.AnalyzeLoop(pa, pb.li.LP, fi.DAG)
-	occB, okB := bl.AnalyzeLoop(pc, pb.li.LP, fi.DAG)
-	return okA && okB && occA.Full && occA.SeqIndex >= 0 &&
-		occB.Full && occB.SeqIndex >= 0
 }
 
 func (t *Tracer) tally(r *instRec) {

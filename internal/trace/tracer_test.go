@@ -6,6 +6,7 @@ import (
 	"pathprof/internal/interp"
 	"pathprof/internal/lang"
 	"pathprof/internal/profile"
+	"pathprof/internal/workload"
 )
 
 func runTraced(t *testing.T, src string, seed uint64, wpp bool) (*profile.Info, *Tracer, *interp.Machine) {
@@ -238,5 +239,44 @@ func TestExpectedCountersConsistentAcrossDegrees(t *testing.T) {
 	}
 	if len(c2) < len(c0) {
 		t.Fatalf("higher degree has fewer counter keys (%d < %d)", len(c2), len(c0))
+	}
+}
+
+// TestTracerAllocsBelowInstances is the tracer's allocation guard: one
+// traced run of each bundled program must allocate fewer objects than it
+// completes BL path instances. Activation state is recycled by call depth
+// and per-instance records are held by value, so what remains grows with
+// distinct paths and keys, not with the instances themselves.
+func TestTracerAllocsBelowInstances(t *testing.T) {
+	for _, wb := range workload.All() {
+		prog, err := wb.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := profile.Analyze(prog, profile.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr *Tracer
+		var runErr error
+		allocs := testing.AllocsPerRun(3, func() {
+			m := interp.New(prog, wb.Seed)
+			tr = NewTracer(info, m)
+			if err := m.Run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%s: %v", wb.Name, runErr)
+		}
+		if tr.Err != nil {
+			t.Fatalf("%s: tracer: %v", wb.Name, tr.Err)
+		}
+		instances := tr.Attr.Total
+		t.Logf("%s: %.0f allocs for %d instances", wb.Name, allocs, instances)
+		if allocs >= float64(instances) {
+			t.Errorf("%s: %.0f allocs per traced run, want fewer than its %d BL path instances",
+				wb.Name, allocs, instances)
+		}
 	}
 }
