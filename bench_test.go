@@ -450,6 +450,40 @@ func BenchmarkEngineRunSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionProfileOL is a warm run as library users make it: one
+// default-option core.Session per bundled program, warmed once, then every
+// program profiled at its chosen degree (experiments.BenchRun.KChosen) per
+// iteration, with the counters materialized into each Run as callers
+// receive them.
+func BenchmarkSessionProfileOL(b *testing.B) {
+	type warm struct {
+		s    *core.Session
+		seed uint64
+		k    int
+	}
+	var ws []warm
+	for _, wb := range workload.All() {
+		s, err := core.Open(wb.Source)
+		if err != nil {
+			b.Fatalf("%s: %v", wb.Name, err)
+		}
+		w := warm{s: s, seed: wb.Seed, k: (&experiments.BenchRun{MaxK: s.MaxDegree()}).KChosen()}
+		if _, err := s.ProfileOL(w.seed, w.k); err != nil {
+			b.Fatalf("%s: %v", wb.Name, err)
+		}
+		ws = append(ws, w)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			if _, err := w.s.ProfileOL(w.seed, w.k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSweepTreeVsVM measures one benchmark's full degree sweep
 // (compile, analyze, trace, then every degree -1..max) per engine on a
 // one-slot pool — the end-to-end number the issue's speedup target is

@@ -5,7 +5,7 @@
 //
 //	experiments [-exp all|table1|table8|table9|fig5|fig6|fig7|fig8|fig9]
 //	            [-mode paper|extended] [-bench NAME]
-//	            [-parallel N] [-store flat|nested|arena] [-engine regvm|vm|tree]
+//	            [-parallel N] [-store arena|nested|flat] [-engine regvm|vm|tree]
 //	            [-bench-json FILE] [-bench-n N]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -50,7 +50,7 @@ func run() error {
 		benchName = flag.String("bench", "", "restrict to one benchmark (default: all nine)")
 		plot      = flag.Bool("plot", false, "render figures as ASCII bar charts instead of series lists")
 		parallel  = flag.Int("parallel", 0, "worker-pool size for the collection sweep (0 = GOMAXPROCS)")
-		storeName = flag.String("store", "flat", "counter store layout: flat, nested, or arena")
+		storeName = flag.String("store", "arena", "counter store layout: arena, nested, or flat")
 		engName   = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), vm (bytecode, fused probes), or tree (reference interpreter)")
 		benchJSON = flag.String("bench-json", "", "run pipeline microbenchmarks and write results to FILE as JSON")
 		benchN    = flag.Int("bench-n", 0, "iterations per microbenchmark cell (0 = default)")

@@ -210,7 +210,7 @@ func run() error {
 		pgoPath  = flag.String("pgo", "", "recompile with profile-guided layout derived from the counters in FILE (forces -engine pgo)")
 		dotFunc  = flag.String("dot", "", "print the named function's CFG as DOT")
 		echo     = flag.Bool("run", false, "echo the program's print output")
-		storeNm  = flag.String("store", "nested", "counter store layout: nested, flat, or arena")
+		storeNm  = flag.String("store", "arena", "counter store layout: arena, nested, or flat")
 		engNm    = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), vm (bytecode, fused probes), or tree (reference interpreter)")
 		mergeOut = flag.String("merge", "", "fold the profile FILEs given as arguments into OUT and exit")
 		doTrace  = flag.Bool("trace", false, "render a span tree of the run's stages to stderr")

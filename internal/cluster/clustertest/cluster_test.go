@@ -188,6 +188,26 @@ func TestCluster429Storm(t *testing.T) {
 	checkFleetDifferential(t, rig.Client, control)
 }
 
+// TestClusterEvictedSubJobs: one of two workers answers 404 for every
+// sub-job it accepted, as a worker does once its retention bound has
+// evicted them. Each attempt on it is a failed attempt, the chunk re-runs
+// the same seeds on the other worker, and the sweep completes with bytes
+// identical to control.
+func TestClusterEvictedSubJobs(t *testing.T) {
+	rig := NewRig(t, 2, Options{})
+	control := NewControl(t)
+	rig.Workers[0].Proxy.Set(FaultEvicted)
+
+	specs := sweepSpecs()
+	got := rig.Client.RunSweep(specs)
+	want := control.RunSweep(specs)
+	checkJobDifferential(t, specs, got, want)
+	checkFleetDifferential(t, rig.Client, control)
+	if m := metricsOf(t, rig.Client); m.ChunkRetries == 0 {
+		t.Error("no chunk retries: no attempt met the evicting worker")
+	}
+}
+
 // TestClusterSlowWorkerTimeout hangs one of two workers (every response
 // delayed far past the attempt budget). Attempts on it burn one timeout each
 // and re-dispatch to the healthy worker; the sweep completes with retries

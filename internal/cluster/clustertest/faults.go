@@ -28,6 +28,11 @@ const (
 	// job-profile responses: a worker answering from the wrong profiling
 	// cell. Decodes fine; must die in the fold with ErrIncompatible.
 	FaultTamperHeader
+	// FaultEvicted answers every job read with 404 "no such job": a worker
+	// whose retention bound has evicted the sub-jobs it accepted, or one
+	// that restarted and forgot them. Submissions still land, so every
+	// attempt on it fails after the submit and must be retried elsewhere.
+	FaultEvicted
 )
 
 // FaultProxy wraps a worker's HTTP handler and injects one fault class at a
@@ -84,6 +89,13 @@ func (p *FaultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
 			w.Write([]byte(`{"error":"injected backpressure storm"}`)) //nolint:errcheck
+			return
+		}
+	case FaultEvicted:
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusNotFound)
+			w.Write([]byte(`{"error":"no such job"}`)) //nolint:errcheck
 			return
 		}
 	case FaultSlow:

@@ -219,9 +219,10 @@ type Coordinator struct {
 	workersMu sync.RWMutex
 	workers   map[string]*workerClient
 
-	jobsMu sync.RWMutex
-	jobs   map[string]*cjob
-	nextID int
+	jobsMu  sync.RWMutex
+	jobs    map[string]*cjob
+	settled server.SettledJobs
+	nextID  int
 
 	pipesMu sync.Mutex
 	pipes   map[string]*pipeEntry
@@ -301,14 +302,25 @@ func (c *Coordinator) Start() {
 			for {
 				select {
 				case j := <-c.queue:
-					c.runJob(j)
-					c.jobWG.Done()
+					c.process(j)
 				case <-c.runCtx.Done():
 					return
 				}
 			}
 		}()
 	}
+}
+
+// process runs one dequeued job to completion and settles it, forgetting
+// the oldest settled job beyond server.MaxSettledJobs.
+func (c *Coordinator) process(j *cjob) {
+	c.runJob(j)
+	c.jobsMu.Lock()
+	if old, ok := c.settled.Settle(j.id); ok {
+		delete(c.jobs, old)
+	}
+	c.jobsMu.Unlock()
+	c.jobWG.Done()
 }
 
 // Drain stops accepting new jobs and waits until every accepted job has

@@ -20,9 +20,10 @@ import (
 )
 
 // DefaultStore is the counter-store layout benchmark collection uses (the
-// dense/flat store; the cross-validation tests prove it identical to the
-// nested-map store). CLIs may override it before collection starts.
-var DefaultStore = profile.StoreFlat
+// paged arena, the zero value; the cross-validation tests prove it
+// identical to the nested-map store). CLIs may override it before
+// collection starts.
+var DefaultStore profile.StoreKind
 
 // DefaultEngine is the execution engine benchmark collection uses (the
 // register machine with superinstruction fusion; the oracle battery proves

@@ -296,6 +296,11 @@ func (c *checker) ground() error {
 func (c *checker) run(cl cell) (*profile.Counters, []byte, error) {
 	cfg := instrument.Config{K: cl.k, Loops: true, Interproc: true, Iters: cl.iters}
 	store := profile.NewStore(cl.kind, c.p.Info, cfg.EffIters())
+	if cl.kind == profile.StoreArena {
+		// Sized for the cell's degree, as Pipeline.Execute sizes the
+		// default store.
+		store = profile.NewArenaStoreK(c.p.Info, cl.k, cfg.EffIters())
+	}
 	r, err := c.p.ExecuteStore(cl.eng, cfg, c.seed, nil, store, c.cfg.MaxRunSteps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("oracle: run k=%d iters=%d store=%s engine=%s: %w",

@@ -82,9 +82,11 @@ type Options struct {
 	// Limits bound the static enumerations (zero value = defaults).
 	Limits profile.Limits
 	// Store selects the counter-store layout runs write through (zero
-	// value = nested maps; StoreFlat is the dense layout, StoreArena the
-	// dense-arena layout).
+	// value = the paged arena; StoreNested and StoreFlat stay selectable).
 	Store profile.StoreKind
+	// MaxSteps is the step limit Execute applies to every run (0 = the
+	// engine default).
+	MaxSteps int64
 	// Engine selects the execution engine (zero value = the register
 	// machine).
 	Engine Engine
@@ -134,11 +136,14 @@ func keyOf(cfg instrument.Config) planKey {
 }
 
 // planEntry is a singleflight-style slot: the first caller builds, every
-// concurrent and later caller waits and shares the result.
+// concurrent and later caller waits and shares the result. Beside the plan
+// it pools the configuration's arena stores: a store is sized from the
+// plan's degree, so every run of the configuration can reuse it.
 type planEntry struct {
-	once sync.Once
-	plan *instrument.Plan
-	err  error
+	once   sync.Once
+	plan   *instrument.Plan
+	err    error
+	stores sync.Pool
 }
 
 // codeEntry caches one configuration's compiled bytecode the same way,
@@ -229,6 +234,12 @@ func (p *Pipeline) NewStore(iters int) profile.CounterStore {
 // Plan returns the instrumentation plan for cfg, building it at most once
 // per configuration even under concurrent callers.
 func (p *Pipeline) Plan(cfg instrument.Config) (*instrument.Plan, error) {
+	e := p.planSlot(cfg)
+	return e.plan, e.err
+}
+
+// planSlot returns cfg's plan cache slot with the plan built.
+func (p *Pipeline) planSlot(cfg instrument.Config) *planEntry {
 	key := keyOf(cfg)
 	p.mu.Lock()
 	e := p.plans[key]
@@ -246,7 +257,7 @@ func (p *Pipeline) Plan(cfg instrument.Config) (*instrument.Plan, error) {
 				"elapsed_ms", time.Since(start).Milliseconds(), "err", errString(e.err))
 		}
 	})
-	return e.plan, e.err
+	return e
 }
 
 // errString renders an error for a log attr without panicking on nil.
@@ -481,12 +492,33 @@ type Run struct {
 
 // Execute performs one instrumented run of the program at cfg with the
 // given seed, through the cached plan (and, on the register and bytecode
-// engines, the cached compiled code and a pooled machine). out, when
-// non-nil, receives the program's print output. Safe for concurrent
-// callers: the plan and static artifacts are shared, machine and counter
-// store are per-run (machines check out of a per-code pool).
+// engines, the cached compiled code and a pooled machine), under
+// Options.MaxSteps. out, when non-nil, receives the program's print
+// output. Safe for concurrent callers: the plan and static artifacts are
+// shared, machine and counter store are per-run. On the default arena
+// layout the store is sized from cfg's degree and checks out of a pool
+// beside the plan; Run.Counters is materialized before the store is reset
+// and returned, so no result aliases a pooled store.
 func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*Run, error) {
-	return p.ExecuteStore(p.opts.Engine, cfg, seed, out, p.NewStore(cfg.EffIters()), 0)
+	if p.opts.Store != profile.StoreArena {
+		return p.ExecuteStore(p.opts.Engine, cfg, seed, out, p.NewStore(cfg.EffIters()), p.opts.MaxSteps)
+	}
+	e := p.planSlot(cfg)
+	if e.err != nil {
+		return nil, e.err
+	}
+	store, _ := e.stores.Get().(*profile.ArenaStore)
+	if store == nil {
+		k := cfg.K
+		if !cfg.Loops && !cfg.Interproc {
+			k = -1
+		}
+		store = profile.NewArenaStoreK(p.Info, k, cfg.EffIters())
+	}
+	run, err := p.ExecuteStore(p.opts.Engine, cfg, seed, out, store, p.opts.MaxSteps)
+	store.Reset()
+	e.stores.Put(store)
+	return run, err
 }
 
 // ExecuteStore is Execute with the engine, counter store, and step limit

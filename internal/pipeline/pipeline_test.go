@@ -232,3 +232,65 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("observed %d concurrent tasks, bound is %d", got, bound)
 	}
 }
+
+// TestConcurrentExecuteMatchesSequential: Execute calls on one
+// configuration from 8 goroutines, sharing the configuration's pooled
+// arena stores, collect exactly what sequential runs collect — and no
+// earlier Run's counters change while later runs reuse its store.
+func TestConcurrentExecuteMatchesSequential(t *testing.T) {
+	b := workload.ByName("300.twolf")
+	prog, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(prog, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := instrument.Config{K: (p.Info.MaxDegree() + 2) / 3, Loops: true, Interproc: true}
+	const workers, perWorker = 8, 3
+	runs := make([]*pipeline.Run, workers*perWorker)
+	want := make([][]byte, len(runs))
+	for i := range runs {
+		run, err := p.Execute(cfg, b.Seed+uint64(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i], want[i] = run, serialize(t, run.Counters)
+	}
+	ref, err := p.ExecuteStore(pipeline.EngineReg, cfg, b.Seed, nil, profile.NewNestedStore(len(p.Info.Funcs)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want[0], serialize(t, ref.Counters)) {
+		t.Fatal("pooled arena run diverges from a nested-store run")
+	}
+
+	got := make([][]byte, len(runs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < perWorker; r++ {
+				// Interleave seeds so no goroutine replays a sequential order.
+				i := r*workers + (w+r)%workers
+				run, err := p.Execute(cfg, b.Seed+uint64(i), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = serialize(t, run.Counters)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range runs {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("seed %d: concurrent run diverges from sequential run", b.Seed+uint64(i))
+		}
+		if !bytes.Equal(serialize(t, runs[i].Counters), want[i]) {
+			t.Errorf("seed %d: sequential run's counters changed after later runs reused its store", b.Seed+uint64(i))
+		}
+	}
+}

@@ -2,31 +2,90 @@ package profile
 
 import "pathprof/internal/olpath"
 
-// ArenaStore is the dense-arena counter store backing the fused-probe
-// engine: per overlap region (loop, Type I entry, Type II suffix) it
-// precomputes a contiguous counter slice indexed by a perfect (base, route)
-// slot mapping, so the hot increment path is one multiply-add and one array
-// bump instead of a tuple-keyed map operation.
+// ArenaStore is the default counter store: per overlap region (loop,
+// Type I entry, Type II suffix) it lays the region's counters out behind a
+// perfect (base, route) slot mapping, so the hot increment path is one
+// multiply-add and one array bump instead of a tuple-keyed map operation —
+// the paper's count[callee][callsite][r][ro] arrays indexed by the path
+// registers.
+//
+// Slots live in pages of pageSize counters, each allocated on its first
+// write (pagedSlots), so a region's memory follows the counters a run
+// touches rather than its static cardinality: a region of 2^16 slots of
+// which a run reaches one costs its page table and one page.
 //
 // Sizing rests on a monotonicity property of the extension regions: the
 // kept-edge set of a degree-k region only grows with k (an edge is kept iff
 // the minimum predicate depth of its source is <= k, and depth does not
-// depend on k), so the route count Routes(k) is monotone in k and every
-// degree's route encoding is strictly below Routes(MaxDeg). Sizing each
-// arena's route dimension by the region's maximum useful degree therefore
-// bounds the encodings of *all* degrees, which is what lets one store serve
-// any instrument.Config without knowing its K.
+// depend on k), so the route count Routes(k) is monotone in k. A store
+// sized from the degree-k regions (NewArenaStoreK) therefore accepts every
+// key a degree-k run produces, and one sized by each region's maximum
+// useful degree (NewArenaStore) accepts the keys of any instrument.Config.
 //
 // Regions whose slot product exceeds ArenaSlotLimit, regions whose
-// max-degree extension cannot be built, indirect call sites (no static
-// callee dimension), and any out-of-range key fall back to tuple-keyed
-// overflow maps, so the store is total: it accepts exactly the increments
-// the other stores accept and materializes an identical *Counters.
+// extension cannot be built, indirect call sites (no static callee
+// dimension), and any out-of-range key fall back to tuple-keyed overflow
+// maps, so the store is total: it accepts exactly the increments the other
+// stores accept and materializes an identical *Counters.
 
 // ArenaSlotLimit bounds the dense slot count of one arena region; regions
 // with a larger static cardinality fall back to a map so pathological route
-// counts cannot blow up memory.
+// counts cannot blow up a region's page table.
 const ArenaSlotLimit = 1 << 16
+
+// pageBits sets the arena page size: pages hold 1<<pageBits counters.
+const pageBits = 6
+
+// pageSize is the number of counters in one arena page.
+const pageSize = 1 << pageBits
+
+// page is one lazily allocated block of counters.
+type page [pageSize]uint64
+
+// pagedSlots is a dense counter vector stored as a page table: slot s lives
+// at [s>>pageBits][s%pageSize], and a nil entry is a page no write has
+// touched yet.
+type pagedSlots []*page
+
+// newPagedSlots returns an all-zero vector of n slots with no page
+// allocated.
+func newPagedSlots(n int64) pagedSlots {
+	return make(pagedSlots, (n+pageSize-1)>>pageBits)
+}
+
+// at returns slot's counter, allocating its page on first use. slot must
+// lie within the page table.
+func (p pagedSlots) at(slot int64) *uint64 {
+	pg := p[slot>>pageBits]
+	if pg == nil {
+		pg = new(page)
+		p[slot>>pageBits] = pg
+	}
+	return &pg[slot&(pageSize-1)]
+}
+
+// each calls fn for every non-zero counter, in slot order.
+func (p pagedSlots) each(fn func(slot int64, n uint64)) {
+	for i, pg := range p {
+		if pg == nil {
+			continue
+		}
+		for j, n := range pg {
+			if n != 0 {
+				fn(int64(i)<<pageBits|int64(j), n)
+			}
+		}
+	}
+}
+
+// reset zeroes every allocated page, keeping it allocated for reuse.
+func (p pagedSlots) reset() {
+	for _, pg := range p {
+		if pg != nil {
+			*pg = page{}
+		}
+	}
+}
 
 // loopArena is the dense counter block of one (func, loop) region. At
 // iters = n a full-width key carries m = n-1 crossings and maps to
@@ -40,8 +99,8 @@ const ArenaSlotLimit = 1 << 16
 type loopArena struct {
 	iters  int   // window width the slot layout is built for
 	total  int64 // base-path dimension (caller's BL path count)
-	routes int64 // route dimension (max-degree extension routes)
-	slots  []uint64
+	routes int64 // route dimension (the sizing degree's extension routes)
+	slots  pagedSlots
 }
 
 // slot maps a full-width key into the arena's dense index; ok is false when
@@ -90,17 +149,25 @@ func (a *loopArena) key(fn, loop int, slot int64) LoopKey {
 type tupleArena struct {
 	callee int
 	dimA   int64 // Type I: caller prefix ids; Type II: callee path ids
-	dimB   int64 // route dimension of the region's max-degree extension
-	slots  []uint64
+	dimB   int64 // route dimension of the region's extension
+	slots  pagedSlots
 }
 
-// ArenaStore implements CounterStore with dense per-region arenas and map
+// slot maps (a, b) into the arena's dense index; ok is false for another
+// callee or out-of-range coordinates.
+func (t *tupleArena) slot(callee int, a, b int64) (int64, bool) {
+	if t == nil || t.callee != callee || a < 0 || a >= t.dimA || b < 0 || b >= t.dimB {
+		return 0, false
+	}
+	return a*t.dimB + b, true
+}
+
+// ArenaStore implements CounterStore with paged per-region arenas and map
 // overflow.
 type ArenaStore struct {
-	info *Info
-
-	// Ball-Larus: dense per function with sparse overlay (as FlatStore).
-	dense  [][]uint64
+	// Ball-Larus: a paged vector per function with a sparse overlay for
+	// functions above DenseBLLimit and out-of-range ids.
+	dense  []pagedSlots
 	sparse []map[int64]uint64
 
 	loops  [][]*loopArena  // [func][loop], nil entries = overflow
@@ -116,21 +183,23 @@ type ArenaStore struct {
 	cached *Counters
 }
 
-// NewArenaStore sizes every region arena from info's static census for a
-// run profiling iters-iteration windows (iters outside [2, olpath.MaxIters]
-// is clamped). It never fails: a region that cannot be densely sized simply
-// starts in overflow.
+// NewArenaStore sizes every region by its maximum useful degree, so the
+// store accepts the keys of any configuration profiling iters-iteration
+// windows (iters outside [2, olpath.MaxIters] is clamped). It never fails:
+// a region that cannot be densely sized simply starts in overflow.
 func NewArenaStore(info *Info, iters int) *ArenaStore {
-	if iters < 2 {
-		iters = 2
-	}
-	if iters > olpath.MaxIters {
-		iters = olpath.MaxIters
-	}
+	return NewArenaStoreK(info, info.MaxDegree(), iters)
+}
+
+// NewArenaStoreK sizes the store for degree-k runs from the same cached
+// extension regions a degree-k instrumentation plan uses (k < 0: only
+// Ball-Larus and call counters are dense). Keys of a larger degree still
+// land, in overflow.
+func NewArenaStoreK(info *Info, k, iters int) *ArenaStore {
+	iters = min(max(iters, 2), olpath.MaxIters)
 	n := len(info.Funcs)
 	s := &ArenaStore{
-		info:     info,
-		dense:    make([][]uint64, n),
+		dense:    make([]pagedSlots, n),
 		sparse:   make([]map[int64]uint64, n),
 		loops:    make([][]*loopArena, n),
 		typeI:    make([][]*tupleArena, n),
@@ -144,13 +213,23 @@ func NewArenaStore(info *Info, iters int) *ArenaStore {
 	for f, fi := range info.Funcs {
 		total := fi.DAG.Total()
 		if total > 0 && total <= DenseBLLimit {
-			s.dense[f] = make([]uint64, total)
+			s.dense[f] = newPagedSlots(total)
 		}
 
 		s.loops[f] = make([]*loopArena, len(fi.Loops))
+		s.typeI[f] = make([]*tupleArena, len(fi.CallSites))
+		s.typeII[f] = make([]*tupleArena, len(fi.CallSites))
+		s.calls[f] = make([][]uint64, len(fi.CallSites))
+		for c := range fi.CallSites {
+			s.calls[f][c] = make([]uint64, n)
+		}
+		if k < 0 {
+			continue
+		}
+
 		m := iters - 1
 		for l, li := range fi.Loops {
-			x, err := li.Ext(li.MaxDeg)
+			x, err := li.Ext(li.EffectiveK(k))
 			if err != nil {
 				continue
 			}
@@ -172,70 +251,151 @@ func NewArenaStore(info *Info, iters int) *ArenaStore {
 			}
 			s.loops[f][l] = &loopArena{
 				iters: iters, total: total, routes: routes,
-				slots: make([]uint64, slots<<m),
+				slots: newPagedSlots(slots << m),
 			}
 		}
 
-		s.typeI[f] = make([]*tupleArena, len(fi.CallSites))
-		s.typeII[f] = make([]*tupleArena, len(fi.CallSites))
-		s.calls[f] = make([][]uint64, len(fi.CallSites))
 		for c, cs := range fi.CallSites {
-			s.calls[f][c] = make([]uint64, n)
 			if cs.Indirect || cs.Callee < 0 || cs.Callee >= n {
 				continue
 			}
 			callee := info.Funcs[cs.Callee]
 			// Type I: (caller prefix id) x (callee entry routes).
-			if x, err := callee.EntryExt(callee.MaxDegEntry); err == nil {
-				if r := x.Routes(); total > 0 && r > 0 && total*r <= ArenaSlotLimit {
-					s.typeI[f][c] = &tupleArena{
-						callee: cs.Callee, dimA: total, dimB: r,
-						slots: make([]uint64, total*r),
-					}
-				}
+			if x, err := callee.EntryExt(callee.EffectiveKEntry(k)); err == nil {
+				s.typeI[f][c] = newTupleArena(cs.Callee, total, x.Routes())
 			}
 			// Type II: (callee path id) x (caller suffix routes).
-			calleeTotal := callee.DAG.Total()
-			if x, err := cs.SuffixExt(cs.MaxDegSuffix); err == nil {
-				if r := x.Routes(); calleeTotal > 0 && r > 0 && calleeTotal*r <= ArenaSlotLimit {
-					s.typeII[f][c] = &tupleArena{
-						callee: cs.Callee, dimA: calleeTotal, dimB: r,
-						slots: make([]uint64, calleeTotal*r),
-					}
-				}
+			if x, err := cs.SuffixExt(cs.EffectiveKSuffix(k)); err == nil {
+				s.typeII[f][c] = newTupleArena(cs.Callee, callee.DAG.Total(), x.Routes())
 			}
 		}
 	}
 	return s
 }
 
-// IncBL counts one completion of fn's Ball-Larus path, dense when the
-// function has an array, the sparse overflow map otherwise.
-func (s *ArenaStore) IncBL(fn int, path int64) {
-	s.cached = nil
-	if d := s.dense[fn]; d != nil && path >= 0 && path < int64(len(d)) {
-		d[path]++
-		return
+// newTupleArena returns a call-site arena of dimA x dimB slots, or nil when
+// the product is empty or exceeds ArenaSlotLimit.
+func newTupleArena(callee int, dimA, dimB int64) *tupleArena {
+	if dimA <= 0 || dimB <= 0 || dimA > ArenaSlotLimit || dimB > ArenaSlotLimit || dimA*dimB > ArenaSlotLimit {
+		return nil
 	}
+	return &tupleArena{callee: callee, dimA: dimA, dimB: dimB, slots: newPagedSlots(dimA * dimB)}
+}
+
+// Reset zeroes every counter for reuse by another run of the same
+// configuration: allocated pages are zeroed in place and the overflow maps
+// cleared, both keeping their capacity. A *Counters materialized before
+// the reset is unaffected.
+func (s *ArenaStore) Reset() {
+	s.cached = nil
+	for f := range s.dense {
+		s.dense[f].reset()
+		clear(s.sparse[f])
+		for _, a := range s.loops[f] {
+			if a != nil {
+				a.slots.reset()
+			}
+		}
+		for c := range s.calls[f] {
+			if a := s.typeI[f][c]; a != nil {
+				a.slots.reset()
+			}
+			if a := s.typeII[f][c]; a != nil {
+				a.slots.reset()
+			}
+			clear(s.calls[f][c])
+		}
+	}
+	clear(s.loopOv)
+	clear(s.typeIOv)
+	clear(s.typeIIOv)
+	clear(s.callsOv)
+}
+
+// blCounter returns the dense counter of fn's Ball-Larus path, nil when the
+// id takes the sparse overlay.
+func (s *ArenaStore) blCounter(fn int, path int64) *uint64 {
+	if d := s.dense[fn]; path >= 0 && path < int64(len(d))<<pageBits {
+		return d.at(path)
+	}
+	return nil
+}
+
+// sparseBL returns fn's sparse overlay, allocating it on first use.
+func (s *ArenaStore) sparseBL(fn int) map[int64]uint64 {
 	m := s.sparse[fn]
 	if m == nil {
 		m = map[int64]uint64{}
 		s.sparse[fn] = m
 	}
-	m[path]++
+	return m
+}
+
+// loopCounter returns the dense counter of a loop key, nil when the key
+// takes the overflow map.
+func (s *ArenaStore) loopCounter(k LoopKey) *uint64 {
+	if k.Func >= 0 && k.Func < len(s.loops) && k.Loop >= 0 && k.Loop < len(s.loops[k.Func]) {
+		if a := s.loops[k.Func][k.Loop]; a != nil {
+			if slot, ok := a.slot(k); ok {
+				return a.slots.at(slot)
+			}
+		}
+	}
+	return nil
+}
+
+// typeICounter returns the dense counter of a Type I key, nil when the key
+// takes the overflow map.
+func (s *ArenaStore) typeICounter(k TypeIKey) *uint64 {
+	if k.Caller >= 0 && k.Caller < len(s.typeI) && k.Site >= 0 && k.Site < len(s.typeI[k.Caller]) {
+		a := s.typeI[k.Caller][k.Site]
+		if slot, ok := a.slot(k.Callee, k.Prefix, k.Ext); ok {
+			return a.slots.at(slot)
+		}
+	}
+	return nil
+}
+
+// typeIICounter returns the dense counter of a Type II key, nil when the
+// key takes the overflow map.
+func (s *ArenaStore) typeIICounter(k TypeIIKey) *uint64 {
+	if k.Caller >= 0 && k.Caller < len(s.typeII) && k.Site >= 0 && k.Site < len(s.typeII[k.Caller]) {
+		a := s.typeII[k.Caller][k.Site]
+		if slot, ok := a.slot(k.Callee, k.Path, k.Ext); ok {
+			return a.slots.at(slot)
+		}
+	}
+	return nil
+}
+
+// callCounter returns the dense counter of a call key, nil when the key
+// takes the overflow map.
+func (s *ArenaStore) callCounter(k CallKey) *uint64 {
+	if k.Caller >= 0 && k.Caller < len(s.calls) && k.Site >= 0 && k.Site < len(s.calls[k.Caller]) &&
+		k.Callee >= 0 && k.Callee < len(s.calls[k.Caller][k.Site]) {
+		return &s.calls[k.Caller][k.Site][k.Callee]
+	}
+	return nil
+}
+
+// IncBL counts one completion of fn's Ball-Larus path, dense when the
+// function has a vector, the sparse overlay otherwise.
+func (s *ArenaStore) IncBL(fn int, path int64) {
+	s.cached = nil
+	if c := s.blCounter(fn, path); c != nil {
+		*c++
+		return
+	}
+	s.sparseBL(fn)[path]++
 }
 
 // IncLoop counts one loop-crossing path, in the loop's perfect slot
 // mapping when the key is in range, the overflow map otherwise.
 func (s *ArenaStore) IncLoop(k LoopKey) {
 	s.cached = nil
-	if k.Func >= 0 && k.Func < len(s.loops) && k.Loop >= 0 && k.Loop < len(s.loops[k.Func]) {
-		if a := s.loops[k.Func][k.Loop]; a != nil {
-			if slot, ok := a.slot(k); ok {
-				a.slots[slot]++
-				return
-			}
-		}
+	if c := s.loopCounter(k); c != nil {
+		*c++
+		return
 	}
 	s.loopOv[k]++
 }
@@ -244,12 +404,9 @@ func (s *ArenaStore) IncLoop(k LoopKey) {
 // is in range, the overflow map otherwise.
 func (s *ArenaStore) IncTypeI(k TypeIKey) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.typeI) && k.Site >= 0 && k.Site < len(s.typeI[k.Caller]) {
-		if a := s.typeI[k.Caller][k.Site]; a != nil && a.callee == k.Callee &&
-			k.Prefix >= 0 && k.Prefix < a.dimA && k.Ext >= 0 && k.Ext < a.dimB {
-			a.slots[k.Prefix*a.dimB+k.Ext]++
-			return
-		}
+	if c := s.typeICounter(k); c != nil {
+		*c++
+		return
 	}
 	s.typeIOv[k]++
 }
@@ -258,12 +415,9 @@ func (s *ArenaStore) IncTypeI(k TypeIKey) {
 // key is in range, the overflow map otherwise.
 func (s *ArenaStore) IncTypeII(k TypeIIKey) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.typeII) && k.Site >= 0 && k.Site < len(s.typeII[k.Caller]) {
-		if a := s.typeII[k.Caller][k.Site]; a != nil && a.callee == k.Callee &&
-			k.Path >= 0 && k.Path < a.dimA && k.Ext >= 0 && k.Ext < a.dimB {
-			a.slots[k.Path*a.dimB+k.Ext]++
-			return
-		}
+	if c := s.typeIICounter(k); c != nil {
+		*c++
+		return
 	}
 	s.typeIIOv[k]++
 }
@@ -271,9 +425,8 @@ func (s *ArenaStore) IncTypeII(k TypeIIKey) {
 // IncCall counts one call-site transition, dense when in range.
 func (s *ArenaStore) IncCall(k CallKey) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.calls) && k.Site >= 0 && k.Site < len(s.calls[k.Caller]) &&
-		k.Callee >= 0 && k.Callee < len(s.calls[k.Caller][k.Site]) {
-		s.calls[k.Caller][k.Site][k.Callee]++
+	if c := s.callCounter(k); c != nil {
+		*c++
 		return
 	}
 	s.callsOv[k]++
@@ -282,28 +435,20 @@ func (s *ArenaStore) IncCall(k CallKey) {
 // AddBL folds n completions of fn's Ball-Larus path in, saturating.
 func (s *ArenaStore) AddBL(fn int, path int64, n uint64) {
 	s.cached = nil
-	if d := s.dense[fn]; d != nil && path >= 0 && path < int64(len(d)) {
-		d[path] = SatAdd(d[path], n)
+	if c := s.blCounter(fn, path); c != nil {
+		*c = SatAdd(*c, n)
 		return
 	}
-	m := s.sparse[fn]
-	if m == nil {
-		m = map[int64]uint64{}
-		s.sparse[fn] = m
-	}
+	m := s.sparseBL(fn)
 	m[path] = SatAdd(m[path], n)
 }
 
 // AddLoop folds n loop-path completions in, saturating.
 func (s *ArenaStore) AddLoop(k LoopKey, n uint64) {
 	s.cached = nil
-	if k.Func >= 0 && k.Func < len(s.loops) && k.Loop >= 0 && k.Loop < len(s.loops[k.Func]) {
-		if a := s.loops[k.Func][k.Loop]; a != nil {
-			if slot, ok := a.slot(k); ok {
-				a.slots[slot] = SatAdd(a.slots[slot], n)
-				return
-			}
-		}
+	if c := s.loopCounter(k); c != nil {
+		*c = SatAdd(*c, n)
+		return
 	}
 	s.loopOv[k] = SatAdd(s.loopOv[k], n)
 }
@@ -311,13 +456,9 @@ func (s *ArenaStore) AddLoop(k LoopKey, n uint64) {
 // AddTypeI folds n Type I path completions in, saturating.
 func (s *ArenaStore) AddTypeI(k TypeIKey, n uint64) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.typeI) && k.Site >= 0 && k.Site < len(s.typeI[k.Caller]) {
-		if a := s.typeI[k.Caller][k.Site]; a != nil && a.callee == k.Callee &&
-			k.Prefix >= 0 && k.Prefix < a.dimA && k.Ext >= 0 && k.Ext < a.dimB {
-			slot := k.Prefix*a.dimB + k.Ext
-			a.slots[slot] = SatAdd(a.slots[slot], n)
-			return
-		}
+	if c := s.typeICounter(k); c != nil {
+		*c = SatAdd(*c, n)
+		return
 	}
 	s.typeIOv[k] = SatAdd(s.typeIOv[k], n)
 }
@@ -325,13 +466,9 @@ func (s *ArenaStore) AddTypeI(k TypeIKey, n uint64) {
 // AddTypeII folds n Type II path completions in, saturating.
 func (s *ArenaStore) AddTypeII(k TypeIIKey, n uint64) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.typeII) && k.Site >= 0 && k.Site < len(s.typeII[k.Caller]) {
-		if a := s.typeII[k.Caller][k.Site]; a != nil && a.callee == k.Callee &&
-			k.Path >= 0 && k.Path < a.dimA && k.Ext >= 0 && k.Ext < a.dimB {
-			slot := k.Path*a.dimB + k.Ext
-			a.slots[slot] = SatAdd(a.slots[slot], n)
-			return
-		}
+	if c := s.typeIICounter(k); c != nil {
+		*c = SatAdd(*c, n)
+		return
 	}
 	s.typeIIOv[k] = SatAdd(s.typeIIOv[k], n)
 }
@@ -339,9 +476,7 @@ func (s *ArenaStore) AddTypeII(k TypeIIKey, n uint64) {
 // AddCall folds n call-site transitions in, saturating.
 func (s *ArenaStore) AddCall(k CallKey, n uint64) {
 	s.cached = nil
-	if k.Caller >= 0 && k.Caller < len(s.calls) && k.Site >= 0 && k.Site < len(s.calls[k.Caller]) &&
-		k.Callee >= 0 && k.Callee < len(s.calls[k.Caller][k.Site]) {
-		c := &s.calls[k.Caller][k.Site][k.Callee]
+	if c := s.callCounter(k); c != nil {
 		*c = SatAdd(*c, n)
 		return
 	}
@@ -349,20 +484,18 @@ func (s *ArenaStore) AddCall(k CallKey, n uint64) {
 }
 
 // Counters materializes (and memoizes) the canonical nested-map form,
-// decoding arena slots back into keys; only non-zero counters appear.
+// decoding arena slots back into keys; only non-zero counters appear. The
+// result is a fresh table: later increments and Reset leave it untouched.
 func (s *ArenaStore) Counters() *Counters {
 	if s.cached != nil {
 		return s.cached
 	}
 	c := NewCounters(len(s.dense))
 	for f, d := range s.dense {
-		for id, n := range d {
-			if n != 0 {
-				c.BL[f][int64(id)] = n
-			}
-		}
+		bl := c.BL[f]
+		d.each(func(id int64, n uint64) { bl[id] = n })
 		for id, n := range s.sparse[f] {
-			c.BL[f][id] = SatAdd(c.BL[f][id], n)
+			bl[id] = SatAdd(bl[id], n)
 		}
 	}
 	for f, las := range s.loops {
@@ -370,13 +503,10 @@ func (s *ArenaStore) Counters() *Counters {
 			if a == nil {
 				continue
 			}
-			for slot, n := range a.slots {
-				if n == 0 {
-					continue
-				}
-				k := a.key(f, l, int64(slot))
+			a.slots.each(func(slot int64, n uint64) {
+				k := a.key(f, l, slot)
 				c.Loop[k] = SatAdd(c.Loop[k], n)
-			}
+			})
 		}
 	}
 	for f, tas := range s.typeI {
@@ -384,15 +514,12 @@ func (s *ArenaStore) Counters() *Counters {
 			if a == nil {
 				continue
 			}
-			for slot, n := range a.slots {
-				if n == 0 {
-					continue
-				}
+			a.slots.each(func(slot int64, n uint64) {
 				c.TypeI[TypeIKey{
 					Caller: f, Site: site, Callee: a.callee,
-					Prefix: int64(slot) / a.dimB, Ext: int64(slot) % a.dimB,
+					Prefix: slot / a.dimB, Ext: slot % a.dimB,
 				}] += n
-			}
+			})
 		}
 	}
 	for f, tas := range s.typeII {
@@ -400,15 +527,12 @@ func (s *ArenaStore) Counters() *Counters {
 			if a == nil {
 				continue
 			}
-			for slot, n := range a.slots {
-				if n == 0 {
-					continue
-				}
+			a.slots.each(func(slot int64, n uint64) {
 				c.TypeII[TypeIIKey{
 					Caller: f, Site: site, Callee: a.callee,
-					Path: int64(slot) / a.dimB, Ext: int64(slot) % a.dimB,
+					Path: slot / a.dimB, Ext: slot % a.dimB,
 				}] += n
-			}
+			})
 		}
 	}
 	for f, sites := range s.calls {

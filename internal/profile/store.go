@@ -2,39 +2,40 @@ package profile
 
 // This file defines the CounterStore abstraction: the write interface the
 // instrumented runtime increments through, decoupled from the storage
-// layout. Two layouts are provided. NestedStore is the paper's own
-// structure — hash maps keyed by the counter tuples (the four-tuple
-// count[callee][callsite][r][ro] as a struct-keyed map). FlatStore trades
-// memory for speed: per-function Ball-Larus counters live in a dense slice
-// indexed by path id (BL ids are contiguous in [0, NumPaths)), and the
-// tuple-keyed families keep struct-keyed maps with preallocated capacity so
-// the first thousands of increments never rehash. Both materialize into the
-// canonical *Counters form that serialization and estimation consume, and
-// they are proven increment-for-increment identical by the cross-validation
-// tests.
+// layout. Three layouts are provided. ArenaStore (arena.go), the default,
+// indexes paged per-region arrays by the path registers, as the paper's
+// count[callee][callsite][r][ro] arrays do. NestedStore is the canonical
+// materialization — hash maps keyed by the counter tuples. FlatStore keeps
+// per-function Ball-Larus counters in a dense slice indexed by path id (BL
+// ids are contiguous in [0, NumPaths)) and the tuple-keyed families in
+// struct-keyed maps with preallocated capacity. All three materialize into
+// the canonical *Counters form that serialization and estimation consume,
+// and they are proven increment-for-increment identical by the
+// cross-validation tests.
 
 // StoreKind selects a CounterStore layout.
 type StoreKind int
 
 const (
-	// StoreNested is the nested-map layout (the zero value).
-	StoreNested StoreKind = iota
+	// StoreArena is the paged dense-arena layout (per-region perfect slot
+	// mappings with map overflow; see arena.go) and the zero value, so
+	// every zero-valued option defaults to it.
+	StoreArena StoreKind = iota
+	// StoreNested is the nested-map layout.
+	StoreNested
 	// StoreFlat is the dense/flat layout.
 	StoreFlat
-	// StoreArena is the dense-arena layout (per-region perfect slot
-	// mappings with map overflow; see arena.go).
-	StoreArena
 )
 
 // String implements flag-friendly rendering.
 func (k StoreKind) String() string {
 	switch k {
+	case StoreNested:
+		return "nested"
 	case StoreFlat:
 		return "flat"
-	case StoreArena:
-		return "arena"
 	default:
-		return "nested"
+		return "arena"
 	}
 }
 
@@ -48,7 +49,7 @@ func ParseStoreKind(s string) (StoreKind, bool) {
 	case "arena":
 		return StoreArena, true
 	}
-	return StoreNested, false
+	return StoreArena, false
 }
 
 // CounterStore receives the increments of one profiled run. Implementations
@@ -93,15 +94,17 @@ type BulkStore interface {
 // setting; values below 2 are treated as 2). Only the arena layout is
 // sensitive to iters — its dense loop slots are sized for full-width
 // multi-iteration keys — but every caller threads the axis through so a
-// store always matches the run it collects.
+// store always matches the run it collects. An arena built here is sized
+// for any degree (NewArenaStore); runs of one known degree size theirs
+// with NewArenaStoreK.
 func NewStore(kind StoreKind, info *Info, iters int) CounterStore {
 	switch kind {
+	case StoreNested:
+		return NewNestedStore(len(info.Funcs))
 	case StoreFlat:
 		return NewFlatStore(info)
-	case StoreArena:
-		return NewArenaStore(info, iters)
 	default:
-		return NewNestedStore(len(info.Funcs))
+		return NewArenaStore(info, iters)
 	}
 }
 

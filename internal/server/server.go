@@ -1,6 +1,6 @@
 // Package server implements the pathprofd profile-aggregation daemon: a
 // long-running HTTP service that accepts profiling jobs, fans each job's
-// shards out across the shared pipeline worker pool on the bytecode VM
+// shards out across the shared pipeline worker pool on the register
 // engine, folds the shard snapshots into one profile with internal/merge,
 // and serves per-job results, flow estimates, and merged fleet-wide profiles
 // per benchmark.
@@ -23,7 +23,9 @@
 // Backpressure is explicit: the job queue is bounded, an enqueue that would
 // block is rejected with 429 immediately, and SIGTERM handling (in
 // cmd/pathprofd) flips the server into draining mode — new jobs get 503,
-// every accepted job still completes — before the process exits.
+// every accepted job still completes — before the process exits. Memory is
+// bounded the same way: only the newest MaxSettledJobs settled jobs stay
+// addressable, and an older id answers 404 on every /v1/jobs/{id} route.
 package server
 
 import (
@@ -67,7 +69,7 @@ type Config struct {
 	// MaxShards caps the per-job shard count (default 64).
 	MaxShards int
 	// Store selects the counter-store layout shard runs write through
-	// (default the dense/flat store).
+	// (zero value = the paged arena).
 	Store profile.StoreKind
 	// MaxSteps is the per-shard VM step limit (0 = the engine default);
 	// runaway programs fail their shard instead of wedging a runner.
@@ -107,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 64
-	}
-	if c.Store == profile.StoreNested {
-		c.Store = profile.StoreFlat
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute
@@ -240,9 +239,10 @@ type Server struct {
 	metrics Metrics
 	log     *slog.Logger
 
-	jobsMu sync.RWMutex
-	jobs   map[string]*job
-	nextID int
+	jobsMu  sync.RWMutex
+	jobs    map[string]*job
+	settled SettledJobs
+	nextID  int
 
 	pipesMu sync.Mutex
 	pipes   map[string]*pipeEntry
@@ -315,14 +315,25 @@ func (s *Server) Start() {
 			for {
 				select {
 				case j := <-s.queue:
-					s.runJob(j)
-					s.jobWG.Done()
+					s.process(j)
 				case <-s.runCtx.Done():
 					return
 				}
 			}
 		}()
 	}
+}
+
+// process runs one dequeued job to completion and settles it, forgetting
+// the oldest settled job beyond MaxSettledJobs.
+func (s *Server) process(j *job) {
+	s.runJob(j)
+	s.jobsMu.Lock()
+	if old, ok := s.settled.Settle(j.id); ok {
+		delete(s.jobs, old)
+	}
+	s.jobsMu.Unlock()
+	s.jobWG.Done()
 }
 
 // Drain stops accepting new jobs and waits until every accepted job —
@@ -643,7 +654,7 @@ func (s *Server) pipelineFor(req JobRequest) (*pipeline.Pipeline, error) {
 	}
 	s.pipesMu.Unlock()
 	e.once.Do(func() {
-		opts := pipeline.Options{Store: s.cfg.Store, Engine: pipeline.EngineReg, Pool: s.pool()}
+		opts := pipeline.Options{Store: s.cfg.Store, Engine: pipeline.EngineReg, MaxSteps: s.cfg.MaxSteps, Pool: s.pool()}
 		if req.Benchmark != "" {
 			b := workload.ByName(req.Benchmark)
 			prog, err := b.Compile()
@@ -733,8 +744,7 @@ func (s *Server) runJob(j *job) {
 			defer shardSpan.End()
 			perr := s.pool().DoCtx(ctx, func() {
 				execSpan := shardSpan.Child(StageExecute)
-				run, rerr := p.ExecuteStore(pipeline.EngineReg, cfg, j.req.Seed+uint64(i), nil,
-					profile.NewStore(s.cfg.Store, p.Info, iters), s.cfg.MaxSteps)
+				run, rerr := p.Execute(cfg, j.req.Seed+uint64(i), nil)
 				execSpan.End()
 				s.metrics.shardExecuteMs.Observe(float64(execSpan.Duration()) / float64(time.Millisecond))
 				s.metrics.shardsRun.Add(1)
