@@ -134,7 +134,7 @@ func main() {
 			Store:     store,
 			MaxSteps:  *maxSteps,
 			// A worker's fleet cells are installed by its coordinator;
-			// self-folding sub-job results would double-count them.
+			// self-folding job results would add mass it never folded.
 			FleetIngestOnly: *mode == "worker",
 			JobTimeout:      *jobTimeout,
 			Logger:          lg,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pathprof/internal/merge"
+	"pathprof/internal/obs"
 	"pathprof/internal/server"
 )
 
@@ -102,93 +103,103 @@ func (w *workerClient) sleep(ctx context.Context, n int, base, cap time.Duration
 	}
 }
 
-// submit POSTs a sub-job, retrying 429 backpressure bounces with jittered
-// backoff until accepted or ctx expires. Any other non-202 status is an
-// immediate error (the chunk may still be retried on another worker by the
-// dispatcher above).
-func (w *workerClient) submit(ctx context.Context, req server.JobRequest) (string, error) {
+// maxAnswerBytes bounds how much of a chunk answer the coordinator reads,
+// as a worker bounds the body of a fleet install.
+const maxAnswerBytes = 64 << 20
+
+// chunk runs one sub-job on the worker with a single blocking
+// POST /v1/chunks call, retrying 429 backpressure bounces with jittered
+// backoff until accepted or ctx expires. The worker's span tree from the
+// answer is grafted under span. A failed sub-job is an error carrying the
+// worker-side shard errors, so the blame chain reads coordinator chunk ->
+// worker shard. Any other status is a lost answer: an immediate error, which
+// the dispatcher above may retry on another worker.
+func (w *workerClient) chunk(ctx context.Context, req server.JobRequest, span *obs.Span) (*merge.Snapshot, int64, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return "", err
+		return nil, 0, err
 	}
 	for attempt := 0; ; attempt++ {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/jobs", bytes.NewReader(body))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/chunks", bytes.NewReader(body))
 		if err != nil {
-			return "", err
+			return nil, 0, err
 		}
 		hreq.Header.Set("Content-Type", "application/json")
 		resp, err := w.cli.Do(hreq)
 		if err != nil {
-			return "", err
+			return nil, 0, err
 		}
-		var out map[string]string
-		json.NewDecoder(resp.Body).Decode(&out) //nolint:errcheck // error bodies may be empty
+		arrived := time.Now()
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
 		resp.Body.Close()
+		if err != nil {
+			return nil, 0, fmt.Errorf("chunk: reading answer: %w", err)
+		}
+		if len(raw) > maxAnswerBytes {
+			return nil, 0, fmt.Errorf("chunk: answer exceeds %d bytes", maxAnswerBytes)
+		}
 		switch resp.StatusCode {
-		case http.StatusAccepted:
-			if out["id"] == "" {
-				return "", fmt.Errorf("submit: 202 without a job id")
-			}
-			return out["id"], nil
+		case http.StatusOK:
+			return decodeAnswer(raw, arrived, span)
 		case http.StatusTooManyRequests:
 			if err := w.sleep(ctx, attempt, 2*time.Millisecond, 100*time.Millisecond); err != nil {
-				return "", fmt.Errorf("submit: %w after %d backpressure bounces", err, attempt+1)
+				return nil, 0, fmt.Errorf("chunk: %w after %d backpressure bounces", err, attempt+1)
 			}
 		default:
-			return "", fmt.Errorf("submit: status %d: %s", resp.StatusCode, out["error"])
+			var out map[string]string
+			json.Unmarshal(raw, &out) //nolint:errcheck // error bodies may be empty
+			return nil, 0, fmt.Errorf("chunk: status %d: %s", resp.StatusCode, out["error"])
 		}
 	}
 }
 
-// poll waits for the sub-job to settle and returns its final status. A
-// failed sub-job is an error carrying the worker-side shard errors, so the
-// blame chain reads coordinator chunk -> worker shard.
-func (w *workerClient) poll(ctx context.Context, id string) (*server.JobStatus, error) {
-	for {
-		raw, err := w.get(ctx, "/v1/jobs/"+id)
-		if err != nil {
-			return nil, fmt.Errorf("poll %s: %w", id, err)
-		}
-		var st server.JobStatus
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return nil, fmt.Errorf("poll %s: %w", id, err)
-		}
-		switch st.State {
-		case "done":
-			return &st, nil
-		case "failed":
-			return nil, fmt.Errorf("sub-job %s failed: %v", id, st.Errors)
-		}
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+// decodeAnswer splits a chunk answer into its status line and snapshot,
+// grafting the status line's span tree under span. A truncated or corrupted
+// snapshot fails the decode here — the dispatcher wraps the error with
+// worker+shard blame; nothing is silently skipped.
+func decodeAnswer(raw []byte, arrived time.Time, span *obs.Span) (*merge.Snapshot, int64, error) {
+	line, rest, _ := bytes.Cut(raw, []byte{'\n'})
+	var st server.ChunkStatus
+	if err := json.Unmarshal(line, &st); err != nil {
+		return nil, 0, fmt.Errorf("chunk: status line: %w", err)
 	}
-}
-
-// fetchProfile GETs and decodes a sub-job's merged snapshot. A truncated or
-// corrupted response fails the decode here — the dispatcher wraps the error
-// with worker+shard blame; nothing is silently skipped.
-func (w *workerClient) fetchProfile(ctx context.Context, id string) (*merge.Snapshot, error) {
-	raw, err := w.get(ctx, "/v1/jobs/"+id+"/profile")
+	if st.Trace != nil {
+		span.Graft(st.Trace, arrived)
+	}
+	if st.State != "done" {
+		return nil, 0, fmt.Errorf("chunk failed: %v", st.Errors)
+	}
+	snap, err := merge.Decode(bytes.NewReader(rest))
 	if err != nil {
-		return nil, fmt.Errorf("fetch profile %s: %w", id, err)
+		return nil, 0, fmt.Errorf("decode profile: %w", err)
 	}
-	snap, err := merge.Decode(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("decode profile %s: %w", id, err)
-	}
-	return snap, nil
+	return snap, st.Steps, nil
 }
 
 // fetchFleet GETs one fleet cell's encoded bytes from the worker.
 func (w *workerClient) fetchFleet(ctx context.Context, bench string, k, iters int) ([]byte, error) {
-	return w.get(ctx, fmt.Sprintf("/v1/profiles/%s?k=%d&iters=%d", bench, k, iters))
+	path := fmt.Sprintf("/v1/profiles/%s?k=%d&iters=%d", bench, k, iters)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := w.cli.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+	}
+	return raw, nil
 }
 
 // installFleet PUTs a fleet cell onto the worker (replace semantics on the
-// worker side), retrying 429 like submit.
+// worker side), retrying 429 like chunk.
 func (w *workerClient) installFleet(ctx context.Context, bench string, snap *merge.Snapshot) error {
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
@@ -236,25 +247,4 @@ func (w *workerClient) deleteFleet(ctx context.Context, bench string, k, iters i
 		return fmt.Errorf("delete fleet %s: status %d", bench, resp.StatusCode)
 	}
 	return nil
-}
-
-// get issues a GET and returns the body on 200, an error otherwise.
-func (w *workerClient) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.cli.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return raw, nil
 }

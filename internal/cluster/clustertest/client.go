@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pathprof/internal/obs"
 	"pathprof/internal/server"
 )
 
@@ -107,6 +108,20 @@ func (c *Client) JobProfile(id string) []byte {
 		c.t.Fatalf("job %s profile: status %d: %s", id, code, raw)
 	}
 	return raw
+}
+
+// Trace fetches a job's span tree.
+func (c *Client) Trace(id string) *obs.SpanNode {
+	c.t.Helper()
+	code, raw := c.Get("/v1/jobs/" + id + "/trace")
+	if code != http.StatusOK {
+		c.t.Fatalf("job %s trace: status %d: %s", id, code, raw)
+	}
+	var tr server.JobTrace
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		c.t.Fatal(err)
+	}
+	return tr.Root
 }
 
 // FleetProfile fetches one fleet cell's snapshot bytes.

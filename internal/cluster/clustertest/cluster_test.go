@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"pathprof/internal/cluster"
+	"pathprof/internal/obs"
+	"pathprof/internal/server"
 )
 
 // sweepSpecs is the canonical differential workload: two benchmarks, mixed
@@ -188,11 +191,10 @@ func TestCluster429Storm(t *testing.T) {
 	checkFleetDifferential(t, rig.Client, control)
 }
 
-// TestClusterEvictedSubJobs: one of two workers answers 404 for every
-// sub-job it accepted, as a worker does once its retention bound has
-// evicted them. Each attempt on it is a failed attempt, the chunk re-runs
-// the same seeds on the other worker, and the sweep completes with bytes
-// identical to control.
+// TestClusterEvictedSubJobs: one of two workers runs every chunk it is sent,
+// but each answer is lost on the way back (404 "no such job"). Each attempt
+// on it is a failed attempt, the chunk re-runs the same seeds on the other
+// worker, and the sweep completes with bytes identical to control.
 func TestClusterEvictedSubJobs(t *testing.T) {
 	rig := NewRig(t, 2, Options{})
 	control := NewControl(t)
@@ -205,6 +207,119 @@ func TestClusterEvictedSubJobs(t *testing.T) {
 	checkFleetDifferential(t, rig.Client, control)
 	if m := metricsOf(t, rig.Client); m.ChunkRetries == 0 {
 		t.Error("no chunk retries: no attempt met the evicting worker")
+	}
+}
+
+// TestClusterAttemptSpansNameTheirChunk: with one of two workers losing
+// every answer, chunks retry, and every attempt span must name the chunk it
+// served — its shard attribute equals the shard of one of the job's chunk
+// spans — so a retried chunk's attempts can be told apart from its
+// neighbours'.
+func TestClusterAttemptSpansNameTheirChunk(t *testing.T) {
+	rig := NewRig(t, 2, Options{})
+	rig.Workers[0].Proxy.Set(FaultEvicted)
+	specs := sweepSpecs()
+	rig.Client.RunSweep(specs)
+
+	retried := false
+	// A fresh coordinator numbers its jobs c-1, c-2, ... in accept order.
+	for i := range specs {
+		id := fmt.Sprintf("c-%d", i+1)
+		root := rig.Client.Trace(id)
+		chunks := map[string]bool{}
+		attempts := map[string]int{}
+		for _, ch := range root.Children {
+			switch ch.Name {
+			case cluster.StageChunk:
+				chunks[ch.Attrs["shard"]] = true
+			case cluster.StageAttempt:
+				attempts[ch.Attrs["shard"]]++
+			}
+		}
+		for shard, n := range attempts {
+			if !chunks[shard] {
+				t.Errorf("job %s: %d attempt(s) name shard %q, which no chunk span has (chunks %v)",
+					id, n, shard, chunks)
+			}
+			if n > 1 {
+				retried = true
+			}
+		}
+	}
+	if !retried {
+		t.Error("no chunk shows more than one attempt: no attempt met the answer-losing worker")
+	}
+}
+
+// shape renders a span tree's names, nesting and attributes in a canonical
+// order, leaving out timings and the worker and job_id attributes, so two
+// traces of one job compare equal whatever the topology or scheduling.
+func shape(n *obs.SpanNode) string {
+	var attrs []string
+	for k, v := range n.Attrs {
+		if k != "worker" && k != "job_id" {
+			attrs = append(attrs, k+"="+v)
+		}
+	}
+	sort.Strings(attrs)
+	kids := make([]string, len(n.Children))
+	for i, c := range n.Children {
+		kids[i] = shape(c)
+	}
+	sort.Strings(kids)
+	return n.Name + "{" + strings.Join(attrs, ",") + "}(" + strings.Join(kids, " ") + ")"
+}
+
+// TestClusterStitchedTraces: for N in {1, 2, 4}, a job's coordinator trace
+// has the same span names and nesting, and every attempt holds the worker's
+// span tree for its chunk — fan-out and merge, no estimate — re-based to lie
+// inside the attempt.
+func TestClusterStitchedTraces(t *testing.T) {
+	spec := JobSpec{Benchmark: "181.mcf", Seed: 11, K: 1, Shards: 4}
+	var want string
+	for _, n := range []int{1, 2, 4} {
+		rig := NewRig(t, n, Options{})
+		st := rig.Client.Await(rig.Client.MustSubmit(spec.Request()))
+		if st.State != "done" {
+			t.Fatalf("workers=%d: job ended %q: %v", n, st.State, st.Errors)
+		}
+		root := rig.Client.Trace(st.ID)
+		got := shape(root)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d: trace shape differs from workers=1:\n got %s\nwant %s", n, got, want)
+		}
+
+		attempts := 0
+		for _, a := range root.Children {
+			if a.Name != cluster.StageAttempt {
+				continue
+			}
+			attempts++
+			if len(a.Children) != 1 || a.Children[0].Name != server.StageJob {
+				t.Fatalf("workers=%d: attempt holds %d children, want one grafted %q tree", n, len(a.Children), server.StageJob)
+			}
+			g := a.Children[0]
+			if g.StartNs < a.StartNs || g.StartNs+g.DurationNs > a.StartNs+a.DurationNs {
+				t.Errorf("workers=%d: grafted tree [%d,+%d] lies outside its attempt [%d,+%d]",
+					n, g.StartNs, g.DurationNs, a.StartNs, a.DurationNs)
+			}
+			census := map[string]int{}
+			for _, c := range g.Children {
+				census[c.Name]++
+				if c.Name == server.StageShard && (len(c.Children) != 1 || c.Children[0].Name != server.StageExecute) {
+					t.Errorf("workers=%d: grafted shard span holds %+v, want one execute", n, c.Children)
+				}
+			}
+			wantStages := map[string]int{server.StageQueue: 1, server.StageResolve: 1, server.StageShard: 1, server.StageMerge: 1}
+			if fmt.Sprint(census) != fmt.Sprint(wantStages) {
+				t.Errorf("workers=%d: grafted tree stages %v, want %v (no estimate)", n, census, wantStages)
+			}
+		}
+		if attempts != spec.Shards {
+			t.Errorf("workers=%d: %d attempts for %d one-shard chunks", n, attempts, spec.Shards)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package clustertest
 import (
 	"bytes"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 )
@@ -14,24 +13,26 @@ type Fault int
 const (
 	// FaultNone passes traffic through untouched.
 	FaultNone Fault = iota
-	// Fault429Storm rejects every job submission with 429 — a worker
-	// drowning in backpressure. Reads still work, so the storm exercises
-	// exactly the submit-retry path.
+	// Fault429Storm rejects every chunk call with 429 — a worker drowning
+	// in backpressure. Other routes still work, so the storm exercises
+	// exactly the chunk call's backpressure-retry path.
 	Fault429Storm
 	// FaultSlow delays every response by the proxy's Delay — long enough
 	// past the coordinator's attempt timeout, this is a hung worker.
 	FaultSlow
-	// FaultTamperTruncate serves job-profile responses cut off mid-stream:
-	// a crashed or buggy worker flushing half a snapshot.
+	// FaultTamperTruncate cuts the snapshot of every chunk answer off
+	// mid-stream, leaving its status line intact: a crashed or buggy worker
+	// flushing half a snapshot.
 	FaultTamperTruncate
-	// FaultTamperHeader rewrites the snapshot header's degree on
-	// job-profile responses: a worker answering from the wrong profiling
-	// cell. Decodes fine; must die in the fold with ErrIncompatible.
+	// FaultTamperHeader rewrites the snapshot header's degree in every
+	// chunk answer, leaving its status line intact: a worker answering
+	// from the wrong profiling cell. Decodes fine; must die in the fold
+	// with ErrIncompatible.
 	FaultTamperHeader
-	// FaultEvicted answers every job read with 404 "no such job": a worker
-	// whose retention bound has evicted the sub-jobs it accepted, or one
-	// that restarted and forgot them. Submissions still land, so every
-	// attempt on it fails after the submit and must be retried elsewhere.
+	// FaultEvicted loses every chunk answer: the worker runs the chunk to
+	// completion, but the coordinator reads 404 "no such job", as from a
+	// worker that restarted and forgot the chunk. Every attempt on it
+	// fails after the work is done and must be retried elsewhere.
 	FaultEvicted
 )
 
@@ -73,71 +74,69 @@ func (p *FaultProxy) state() (Fault, time.Duration) {
 	return p.fault, p.delay
 }
 
-// isJobProfile reports whether the request fetches a sub-job's merged
-// snapshot — the response the tamper faults mangle.
-func isJobProfile(r *http.Request) bool {
-	return r.Method == http.MethodGet &&
-		strings.HasPrefix(r.URL.Path, "/v1/jobs/") &&
-		strings.HasSuffix(r.URL.Path, "/profile")
+// isChunk reports whether the request is a coordinator's chunk call — the
+// call every fault but FaultSlow aims at.
+func isChunk(r *http.Request) bool {
+	return r.Method == http.MethodPost && r.URL.Path == "/v1/chunks"
 }
 
 func (p *FaultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fault, delay := p.state()
-	switch fault {
-	case Fault429Storm:
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":"injected backpressure storm"}`)) //nolint:errcheck
-			return
-		}
-	case FaultEvicted:
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusNotFound)
-			w.Write([]byte(`{"error":"no such job"}`)) //nolint:errcheck
-			return
-		}
-	case FaultSlow:
+	if fault == FaultSlow {
 		select {
 		case <-time.After(delay):
 		case <-r.Context().Done():
 			return
 		}
-	case FaultTamperTruncate, FaultTamperHeader:
-		if isJobProfile(r) {
-			rec := &recordingWriter{header: http.Header{}}
-			p.next.ServeHTTP(rec, r)
-			body := rec.body.Bytes()
-			if fault == FaultTamperTruncate {
-				// Cut at a line boundary when possible: the nastier
-				// truncation, because the record stream still parses and
-				// only the integrity envelope can notice.
-				if i := bytes.LastIndexByte(body[:len(body)/2], '\n'); i > 0 {
-					body = body[:i+1]
-				} else {
-					body = body[:len(body)/2]
-				}
+	}
+	if fault == FaultNone || fault == FaultSlow || !isChunk(r) {
+		p.next.ServeHTTP(w, r)
+		return
+	}
+	if fault == Fault429Storm {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"error":"injected backpressure storm"}`)) //nolint:errcheck
+		return
+	}
+	rec := &recordingWriter{header: http.Header{}}
+	p.next.ServeHTTP(rec, r)
+	if fault == FaultEvicted {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		w.Write([]byte(`{"error":"no such job"}`)) //nolint:errcheck
+		return
+	}
+	// Tamper with the snapshot lines only: the status line before them
+	// arrives intact, so only the snapshot's own checks can notice.
+	body := rec.body.Bytes()
+	if i := bytes.IndexByte(body, '\n'); i >= 0 {
+		status, snap := body[:i+1], body[i+1:]
+		if fault == FaultTamperTruncate {
+			// Cut at a line boundary when possible: the nastier
+			// truncation, because the record stream still parses and
+			// only the integrity envelope can notice.
+			if j := bytes.LastIndexByte(snap[:len(snap)/2], '\n'); j > 0 {
+				snap = snap[:j+1]
 			} else {
-				// Rewrite the snapshot header's degree: k=N -> k=N+7.
-				if i := bytes.Index(body, []byte(`"k":`)); i >= 0 {
-					body = append(append(append([]byte{}, body[:i]...), []byte(`"k":7`)...), body[i+4:]...)
-				}
+				snap = snap[:len(snap)/2]
 			}
-			for k, vs := range rec.header {
-				if k == "Content-Length" {
-					continue
-				}
-				for _, v := range vs {
-					w.Header().Add(k, v)
-				}
-			}
-			w.WriteHeader(rec.status())
-			w.Write(body) //nolint:errcheck
-			return
+		} else if j := bytes.Index(snap, []byte(`"k":`)); j >= 0 {
+			// Rewrite the snapshot header's degree: "k":N becomes "k":7N.
+			snap = append(append(append([]byte{}, snap[:j]...), []byte(`"k":7`)...), snap[j+4:]...)
+		}
+		body = append(append([]byte{}, status...), snap...)
+	}
+	for k, vs := range rec.header {
+		if k == "Content-Length" {
+			continue
+		}
+		for _, v := range vs {
+			w.Header().Add(k, v)
 		}
 	}
-	p.next.ServeHTTP(w, r)
+	w.WriteHeader(rec.status())
+	w.Write(body) //nolint:errcheck
 }
 
 // recordingWriter buffers a response so the tamper faults can mangle it

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -32,7 +33,9 @@ import (
 //	├── cqueue             accepted → picked up by a runner
 //	├── cplan              local pipeline resolve (degree clamp + estimate)
 //	├── chunk (×M)         one per dispatched shard chunk; all attempts
-//	│   └── attempt (×A)   one submit/poll/fetch round on one worker
+//	├── attempt (×A)       one chunk call on one worker; a root child, named
+//	│   │                  by its chunk's shard attr
+//	│   └── job            the worker's span tree from the answer, grafted
 //	├── cfold              streaming fold of chunk snapshots
 //	├── cestimate          flow estimation over the folded profile
 //	└── fleetpush          installing the fleet cell on its ring owner
@@ -84,8 +87,9 @@ type Config struct {
 	// MaxAttempts bounds how many workers a chunk may be tried on before
 	// the job fails (default 4).
 	MaxAttempts int
-	// AttemptTimeout bounds one dispatch attempt, submit-to-fetched
-	// (default 30s) — a hung worker costs one attempt, not the job.
+	// AttemptTimeout bounds one dispatch attempt, the whole chunk call
+	// (default 30s) — a hung worker costs one attempt, not the job. Keep it
+	// at or below the workers' request timeout, which also cuts the call.
 	AttemptTimeout time.Duration
 	// JobTimeout bounds one job's wall clock (default 2m).
 	JobTimeout time.Duration
@@ -484,14 +488,14 @@ func (c *Coordinator) chunks(shards int) []chunkSpec {
 	return out
 }
 
-// dispatchChunk pushes one chunk through a worker: submit (with 429
-// retries), poll to completion, fetch and decode the merged sub-profile.
-// Failed attempts move to another worker with jittered backoff, up to
+// dispatchChunk pushes one chunk through a worker in one blocking call
+// (with 429 retries) that returns the merged sub-profile. Failed attempts
+// move to another worker with jittered backoff, up to
 // MaxAttempts; every terminal error is a *ShardError blaming the worker and
 // the chunk's first shard index.
 func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) (*merge.Snapshot, int64, string, error) {
 	span := j.span.Child(StageChunk)
-	span.SetAttr("shard", fmt.Sprint(ck.start))
+	span.SetAttr("shard", strconv.Itoa(ck.start))
 	defer span.End()
 
 	sub := server.JobRequest{
@@ -533,11 +537,13 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) 
 		Err: fmt.Errorf("%w: %w", ErrAttemptsExhausted, lastErr)}
 }
 
-// attemptChunk is one submit/poll/fetch round on one worker under the
-// per-attempt timeout.
+// attemptChunk is one blocking chunk call on one worker under the
+// per-attempt timeout. The attempt span names the chunk it serves (attr
+// shard) and holds the worker's span tree from the answer.
 func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient,
 	sub server.JobRequest, ck chunkSpec) (*merge.Snapshot, int64, error) {
 	span := j.span.Child(StageAttempt)
+	span.SetAttr("shard", strconv.Itoa(ck.start))
 	span.SetAttr("worker", w.base)
 	defer span.End()
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
@@ -545,21 +551,9 @@ func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient
 	w.addLoad(1)
 	defer w.addLoad(-1)
 
-	id, err := w.submit(actx, sub)
+	snap, steps, err := w.chunk(actx, sub, span)
 	if err != nil {
 		return nil, 0, &ShardError{Worker: w.base, Shard: ck.start, Err: err}
-	}
-	st, err := w.poll(actx, id)
-	if err != nil {
-		return nil, 0, &ShardError{Worker: w.base, Shard: ck.start, Err: err}
-	}
-	snap, err := w.fetchProfile(actx, id)
-	if err != nil {
-		return nil, 0, &ShardError{Worker: w.base, Shard: ck.start, Err: err}
-	}
-	var steps int64
-	if st.Result != nil {
-		steps = st.Result.Steps
 	}
 	c.metrics.chunkMs.Observe(float64(span.Duration()) / float64(time.Millisecond))
 	return snap, steps, nil

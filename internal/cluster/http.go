@@ -13,9 +13,10 @@ import (
 	"pathprof/internal/server"
 )
 
-// Endpoints lists every HTTP route the coordinator serves — the worker API
-// surface plus the cluster-membership extension. DESIGN.md §14 documents
-// each one and internal/tools/docscheck keeps the two lists in sync.
+// Endpoints lists every HTTP route the coordinator serves — the
+// client-facing part of server.Endpoints (no chunk call, install or delete)
+// plus the cluster-membership extension. DESIGN.md §14 documents each one
+// and internal/tools/docscheck keeps the two lists in sync.
 var Endpoints = []string{
 	"POST /v1/jobs",
 	"GET /v1/jobs/{id}",

@@ -120,8 +120,8 @@ type ClusterMetrics struct {
 	Joins  int64 `json:"joins"`
 	Leaves int64 `json:"leaves"`
 
-	// ChunkMs is the per-chunk dispatch latency distribution
-	// (submit-to-fetched, successful attempts), ms.
+	// ChunkMs is the per-chunk dispatch latency distribution (the whole
+	// chunk call, successful attempts), ms.
 	ChunkMs obs.HistogramSnapshot `json:"chunk_ms"`
 	// FoldMs is the per-job streaming-fold latency distribution, ms.
 	FoldMs obs.HistogramSnapshot `json:"fold_ms"`

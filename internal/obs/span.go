@@ -14,7 +14,7 @@ import (
 // holding the parent. Spans are created with NewSpan (a root) or
 // Span.Child, and snapshotted as a SpanNode tree with Tree — the shape the
 // server serves on GET /v1/jobs/{id}/trace and the CLIs render behind
-// -trace.
+// -trace. A span can also hold trees recorded by another process (Graft).
 type Span struct {
 	name  string
 	start time.Time
@@ -23,6 +23,14 @@ type Span struct {
 	end      time.Time
 	attrs    map[string]string
 	children []*Span
+	grafts   []graft
+}
+
+// graft is a span tree recorded by another process, placed on this
+// process's clock: its root starts at start.
+type graft struct {
+	tree  *SpanNode
+	start time.Time
 }
 
 // NewSpan starts a new root span named name.
@@ -47,6 +55,21 @@ func (s *Span) SetAttr(key, value string) {
 		s.attrs = map[string]string{}
 	}
 	s.attrs[key] = value
+	s.mu.Unlock()
+}
+
+// Graft hangs tree, a span tree recorded by another process, under s — how
+// a coordinator keeps the worker's trace that came back in a chunk answer.
+// The two processes' clocks are not comparable, so the tree is re-based: its
+// root is placed to end at arrived, the local time its answer arrived, and
+// never to start before s. The tree must not be mutated afterwards.
+func (s *Span) Graft(tree *SpanNode, arrived time.Time) {
+	start := arrived.Add(-time.Duration(tree.DurationNs))
+	if start.Before(s.start) {
+		start = s.start
+	}
+	s.mu.Lock()
+	s.grafts = append(s.grafts, graft{tree: tree, start: start})
 	s.mu.Unlock()
 }
 
@@ -123,14 +146,29 @@ func (s *Span) tree(root time.Time) *SpanNode {
 		}
 	}
 	children := append([]*Span(nil), s.children...)
+	grafts := append([]graft(nil), s.grafts...)
 	s.mu.Unlock()
 	for _, c := range children {
 		n.Children = append(n.Children, c.tree(root))
+	}
+	for _, g := range grafts {
+		n.Children = append(n.Children, g.tree.shifted(g.start.Sub(root).Nanoseconds()-g.tree.StartNs))
 	}
 	sort.SliceStable(n.Children, func(i, j int) bool {
 		return n.Children[i].StartNs < n.Children[j].StartNs
 	})
 	return n
+}
+
+// shifted deep-copies n with every start offset moved by off nanoseconds.
+func (n *SpanNode) shifted(off int64) *SpanNode {
+	c := *n
+	c.StartNs += off
+	c.Children = nil
+	for _, ch := range n.Children {
+		c.Children = append(c.Children, ch.shifted(off))
+	}
+	return &c
 }
 
 // Render formats a span tree as indented text, one line per span with its

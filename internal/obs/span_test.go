@@ -102,3 +102,68 @@ func TestSpanOpenAndRender(t *testing.T) {
 		t.Fatalf("render not indented by depth:\n%s", text)
 	}
 }
+
+// TestGraftRebasesRemoteTree: a grafted tree keeps its shape and relative
+// offsets, is re-based so its root ends when its answer arrived, never
+// starts before the span it hangs under, and is not mutated by snapshots.
+func TestGraftRebasesRemoteTree(t *testing.T) {
+	remote := &SpanNode{Name: "job", DurationNs: int64(3 * time.Millisecond), Children: []*SpanNode{
+		{Name: "queue", DurationNs: int64(time.Millisecond)},
+		{Name: "merge", StartNs: int64(2 * time.Millisecond), DurationNs: int64(time.Millisecond)},
+	}}
+	root := NewSpan("cjob")
+	attempt := root.Child("attempt")
+	time.Sleep(5 * time.Millisecond)
+	arrived := time.Now()
+	attempt.Graft(remote, arrived)
+	attempt.End()
+	root.End()
+
+	n := root.Tree()
+	a := n.Children[0]
+	if len(a.Children) != 1 || a.Children[0].Name != "job" {
+		t.Fatalf("attempt children: %+v", a.Children)
+	}
+	g := a.Children[0]
+	wantStart := arrived.Add(-3 * time.Millisecond).Sub(root.Start()).Nanoseconds()
+	if g.StartNs != wantStart {
+		t.Fatalf("grafted root starts at %d, want %d (ending at arrival)", g.StartNs, wantStart)
+	}
+	if g.StartNs < a.StartNs || g.StartNs+g.DurationNs > a.StartNs+a.DurationNs {
+		t.Fatalf("grafted root [%d,+%d] outside its attempt [%d,+%d]",
+			g.StartNs, g.DurationNs, a.StartNs, a.DurationNs)
+	}
+	if len(g.Children) != 2 || g.Children[1].StartNs-g.StartNs != int64(2*time.Millisecond) {
+		t.Fatalf("grafted children lost their relative offsets: %+v", g.Children)
+	}
+	if remote.StartNs != 0 || remote.Children[1].StartNs != int64(2*time.Millisecond) {
+		t.Fatalf("Tree mutated the grafted tree: %+v", remote)
+	}
+
+	// Grafts race with snapshots: a coordinator serves a job's trace while
+	// its attempts are still grafting answers.
+	busy := NewSpan("attempt")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			busy.Graft(remote, time.Now())
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		busy.Tree()
+	}
+	wg.Wait()
+	if got := len(busy.Tree().Children); got != 4 {
+		t.Fatalf("concurrent grafts: %d children, want 4", got)
+	}
+
+	// A tree longer than the time since its parent started is clamped to
+	// the parent's start instead of starting before it.
+	late := NewSpan("attempt")
+	late.Graft(&SpanNode{Name: "job", DurationNs: int64(time.Hour)}, time.Now())
+	if got := late.Tree().Children[0].StartNs; got != 0 {
+		t.Fatalf("overlong graft starts at %d, want clamped to 0", got)
+	}
+}

@@ -7,18 +7,25 @@
 //
 // API:
 //
-//	POST /v1/jobs                  submit {benchmark|source, seed, k, iters,
-//	                               shards}; 202 {id} | 429 when the queue is
-//	                               full | 503 while draining
-//	GET  /v1/jobs/{id}             job status, shard errors, result + estimate
-//	GET  /v1/jobs/{id}/profile     the job's merged counter snapshot
-//	GET  /v1/profiles/{benchmark}  the fleet-wide merged snapshot (?k=N,
-//	                               ?iters=N when several cells exist)
-//	GET  /v1/pgo/{benchmark}       the same cell exported in pathprof's
-//	                               saved-run format, ready for -pgo
-//	                               profile-guided layout
-//	GET  /metrics                  expvar-style counters (see MetricsSnapshot)
-//	GET  /healthz                  "ok", or "draining" during shutdown
+//	POST   /v1/jobs                  submit {benchmark|source, seed, k, iters,
+//	                                 shards}; 202 {id} | 429 when the queue is
+//	                                 full | 503 while draining
+//	POST   /v1/chunks                run the same body as one cluster chunk and
+//	                                 block until it settles; 200 with a status
+//	                                 line (state, errors, steps, span tree) and,
+//	                                 when done, the merged snapshot | 429 | 503
+//	GET    /v1/jobs/{id}             job status, shard errors, result + estimate
+//	GET    /v1/jobs/{id}/profile     the job's merged counter snapshot
+//	GET    /v1/jobs/{id}/trace       the job's span tree
+//	GET    /v1/profiles/{benchmark}  the fleet-wide merged snapshot (?k=N,
+//	                                 ?iters=N when several cells exist)
+//	GET    /v1/pgo/{benchmark}       the same cell exported in pathprof's
+//	                                 saved-run format, ready for -pgo
+//	                                 profile-guided layout
+//	PUT    /v1/profiles/{benchmark}  install (replace) a fleet cell
+//	DELETE /v1/profiles/{benchmark}  drop a fleet cell (?k=N, ?iters=N)
+//	GET    /metrics                  expvar-style counters (see MetricsSnapshot)
+//	GET    /healthz                  "ok", or "draining" during shutdown
 //
 // Backpressure is explicit: the job queue is bounded, an enqueue that would
 // block is rejected with 429 immediately, and SIGTERM handling (in
@@ -26,6 +33,8 @@
 // every accepted job still completes — before the process exits. Memory is
 // bounded the same way: only the newest MaxSettledJobs settled jobs stay
 // addressable, and an older id answers 404 on every /v1/jobs/{id} route.
+// Chunks share the queue but are never kept: their answer is their only
+// consumer.
 package server
 
 import (
@@ -41,6 +50,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pathprof/internal/core"
@@ -87,8 +97,9 @@ type Config struct {
 	// FleetIngestOnly switches the daemon into cluster-worker mode: job
 	// results are NOT self-folded into fleet profiles, which accumulate
 	// solely through PUT /v1/profiles/{benchmark} installs from a
-	// coordinator. Without it a worker running chunked sub-jobs would hold
-	// partial fleet fragments that double-count after a handoff install.
+	// coordinator. Chunks never fold in any mode; without it a job sent
+	// straight to a worker would fold into a cell its coordinator owns, and
+	// reads would serve mass the authoritative fold never saw.
 	FleetIngestOnly bool
 	// Persist, when set, makes the fleet fold durable: New primes the fleet
 	// map from the store's replayed cells, every benchmark job's merged
@@ -181,10 +192,27 @@ type JobStatus struct {
 	Result     *JobResult   `json:"result,omitempty"`
 }
 
-// job is the server-side job record.
+// ChunkStatus is the status line of a POST /v1/chunks answer: one JSON line,
+// followed — when State is done — by the chunk's merged snapshot in the
+// snapshot encoding (merge.Snapshot.Encode, docs/FORMAT.md).
+type ChunkStatus struct {
+	State  string       `json:"state"` // done | failed
+	Errors []ShardError `json:"errors,omitempty"`
+	// Steps totals executed blocks across the chunk's shards.
+	Steps int64 `json:"steps"`
+	// Trace is the chunk's span tree on the worker: a job root with queue,
+	// resolve, shard/execute and merge, and no estimate.
+	Trace *obs.SpanNode `json:"trace"`
+}
+
+// job is the server-side record of one queued unit of work: a job admitted
+// by POST /v1/jobs, or a chunk admitted by POST /v1/chunks.
 type job struct {
 	id  string
 	req JobRequest
+	// run is the admitting route's entry point, called by the runner that
+	// dequeues the job: Server.runJob or Server.runChunk.
+	run func(*job)
 	// span is the root of the job's trace tree (stage taxonomy in
 	// trace.go); queueSpan is its queue child, open from accept until a
 	// runner dequeues the job.
@@ -243,6 +271,8 @@ type Server struct {
 	jobs    map[string]*job
 	settled SettledJobs
 	nextID  int
+	// chunkSeq numbers chunks, which never enter the job table.
+	chunkSeq atomic.Int64
 
 	pipesMu sync.Mutex
 	pipes   map[string]*pipeEntry
@@ -290,18 +320,41 @@ func New(cfg Config) *Server {
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/profile", s.handleJobProfile)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("GET /v1/profiles/{benchmark}", s.handleFleetProfile)
-	s.mux.HandleFunc("GET /v1/pgo/{benchmark}", s.handlePGOExport)
-	s.mux.HandleFunc("PUT /v1/profiles/{benchmark}", s.handleFleetInstall)
-	s.mux.HandleFunc("DELETE /v1/profiles/{benchmark}", s.handleFleetDelete)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	return s
 }
+
+// routes is the daemon's HTTP surface, the same in every role: each route
+// pattern and its handler.
+var routes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/jobs", (*Server).handleSubmit},
+	{"POST /v1/chunks", (*Server).handleChunk},
+	{"GET /v1/jobs/{id}", (*Server).handleJobStatus},
+	{"GET /v1/jobs/{id}/profile", (*Server).handleJobProfile},
+	{"GET /v1/jobs/{id}/trace", (*Server).handleJobTrace},
+	{"GET /v1/profiles/{benchmark}", (*Server).handleFleetProfile},
+	{"GET /v1/pgo/{benchmark}", (*Server).handlePGOExport},
+	{"PUT /v1/profiles/{benchmark}", (*Server).handleFleetInstall},
+	{"DELETE /v1/profiles/{benchmark}", (*Server).handleFleetDelete},
+	{"GET /metrics", (*Server).handleMetrics},
+	{"GET /healthz", (*Server).handleHealthz},
+}
+
+// Endpoints lists every route New registers, in registration order.
+// DESIGN.md §11 documents each one and internal/tools/docscheck keeps the
+// two lists in sync.
+var Endpoints = func() []string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.pattern
+	}
+	return out
+}()
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -324,21 +377,18 @@ func (s *Server) Start() {
 	}
 }
 
-// process runs one dequeued job to completion and settles it, forgetting
-// the oldest settled job beyond MaxSettledJobs.
+// process runs one dequeued job or chunk to completion through the entry
+// point of the route that admitted it.
 func (s *Server) process(j *job) {
-	s.runJob(j)
-	s.jobsMu.Lock()
-	if old, ok := s.settled.Settle(j.id); ok {
-		delete(s.jobs, old)
-	}
-	s.jobsMu.Unlock()
+	s.metrics.jobsInFlight.Add(1)
+	j.run(j)
+	s.metrics.jobsInFlight.Add(-1)
 	s.jobWG.Done()
 }
 
-// Drain stops accepting new jobs and waits until every accepted job —
-// queued or running — has completed, or ctx expires. It does not stop the
-// runners; call Close afterwards.
+// Drain stops accepting new jobs and chunks and waits until every accepted
+// one — queued or running — has completed, or ctx expires. It does not stop
+// the runners; call Close afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.accepting = false
@@ -356,8 +406,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the runner goroutines. Jobs still queued are abandoned;
-// Drain first for a loss-free shutdown.
+// Close stops the runner goroutines. Jobs and chunks still queued are
+// abandoned (a chunk's blocked caller gets 503); Drain first for a
+// loss-free shutdown.
 func (s *Server) Close() {
 	s.cancelRun()
 	s.runnerWG.Wait()
@@ -377,20 +428,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 const maxRequestBody = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads and validates a POST /v1/jobs or POST /v1/chunks
+// body, applying the shard and width defaults. It answers 400 and reports
+// false on a bad request.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed job request: "+err.Error())
-		return
+		return req, false
 	}
 	if (req.Benchmark == "") == (req.Source == "") {
 		writeError(w, http.StatusBadRequest, "exactly one of benchmark or source is required")
-		return
+		return req, false
 	}
 	if req.Benchmark != "" && workload.ByName(req.Benchmark) == nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", req.Benchmark))
-		return
+		return req, false
 	}
 	if req.Shards == 0 {
 		req.Shards = 1
@@ -405,44 +459,110 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
-			return
+			return req, false
 		}
 	}
+	return req, true
+}
 
+// newJob builds a queued job record whose trace starts now, with its queue
+// span open until a runner dequeues it.
+func newJob(id string, req JobRequest, run func(*job)) *job {
+	j := &job{id: id, req: req, run: run, state: "queued", done: make(chan struct{})}
+	j.span = obs.NewSpan(StageJob)
+	j.span.SetAttr("job_id", j.id)
+	j.queueSpan = j.span.Child(StageQueue)
+	return j
+}
+
+// enqueue puts j on the bounded queue, counting it into the drain
+// WaitGroup. It answers 503 while draining and 429 when the queue is full,
+// and reports whether j was accepted.
+func (s *Server) enqueue(w http.ResponseWriter, j *job) bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if !s.accepting {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return false
 	}
-
-	s.jobsMu.Lock()
-	s.nextID++
-	j := &job{id: fmt.Sprintf("j-%d", s.nextID), req: req, state: "queued", done: make(chan struct{})}
-	j.span = obs.NewSpan(StageJob)
-	j.span.SetAttr("job_id", j.id)
-	j.queueSpan = j.span.Child(StageQueue)
-	s.jobs[j.id] = j
-	s.jobsMu.Unlock()
-
 	// Add before the send: a runner may dequeue (and Done) the instant the
 	// send succeeds.
 	s.jobWG.Add(1)
 	select {
 	case s.queue <- j:
 		s.metrics.jobsAccepted.Add(1)
-		s.log.Info("job.accepted", "job_id", j.id, "benchmark", req.Benchmark,
-			"k", req.K, "iters", req.Iters, "shards", req.Shards)
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id})
+		s.log.Info("job.accepted", "job_id", j.id, "benchmark", j.req.Benchmark,
+			"k", j.req.K, "iters", j.req.Iters, "shards", j.req.Shards)
+		return true
 	default:
 		s.jobWG.Done()
+		s.metrics.jobsRejected.Add(1)
+		s.log.Warn("job.rejected", "benchmark", j.req.Benchmark, "reason", "queue_full")
+		writeError(w, http.StatusTooManyRequests, "job queue is full")
+		return false
+	}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
+		return
+	}
+	s.jobsMu.Lock()
+	s.nextID++
+	j := newJob(fmt.Sprintf("j-%d", s.nextID), req, s.runJob)
+	s.jobs[j.id] = j
+	s.jobsMu.Unlock()
+	if !s.enqueue(w, j) {
 		s.jobsMu.Lock()
 		delete(s.jobs, j.id)
 		s.jobsMu.Unlock()
-		s.metrics.jobsRejected.Add(1)
-		s.log.Warn("job.rejected", "benchmark", req.Benchmark, "reason", "queue_full")
-		writeError(w, http.StatusTooManyRequests, "job queue is full")
+		return
 	}
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id})
+}
+
+// handleChunk runs one cluster chunk in a single blocking call: the sub-job
+// is queued like a job, so 429 backpressure and drain hold, and the answer
+// follows once it settles. The caller giving up does not stop the chunk;
+// its answer is simply dropped.
+func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
+		return
+	}
+	j := newJob(fmt.Sprintf("chunk-%d", s.chunkSeq.Add(1)), req, s.runChunk)
+	if !s.enqueue(w, j) {
+		return
+	}
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		return
+	case <-s.runCtx.Done():
+		// Close abandons queued work: no runner will settle this chunk.
+		select {
+		case <-j.done:
+		default:
+			writeError(w, http.StatusServiceUnavailable, "server closed")
+			return
+		}
+	}
+	j.mu.Lock()
+	st := ChunkStatus{State: j.state, Errors: j.errors}
+	if j.result != nil {
+		st.Steps = j.result.Steps
+	}
+	snap := j.snap
+	j.mu.Unlock()
+	st.Trace = j.span.Tree()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if err := json.NewEncoder(w).Encode(st); err != nil || snap == nil {
+		return
+	}
+	cw := &countingWriter{w: w}
+	snap.Encode(cw) //nolint:errcheck // client went away
+	s.metrics.snapshotBytes.Observe(float64(cw.n))
 }
 
 func (s *Server) lookup(id string) *job {
@@ -677,15 +797,70 @@ func (s *Server) pool() *pipeline.Pool {
 	return pipeline.Shared()
 }
 
-// runJob executes one job end to end: resolve the program's pipeline, fan
-// the shards out over the worker pool, merge the shard snapshots, estimate
-// flows over the merged profile, and fold the snapshot into the fleet
-// profile of the job's benchmark. Every stage transition is recorded three
-// ways — a span on the job's trace tree, an observation in the stage's
-// /metrics histogram, and a structured log event — per DESIGN.md §12.
+// merged is the outcome of a job's shard fan-out and merge.
+type merged struct {
+	p    *pipeline.Pipeline
+	snap *merge.Snapshot
+	// res holds every result field but the flow estimate's.
+	res JobResult
+}
+
+// runJob runs a job admitted by POST /v1/jobs: the shared fan-out and
+// merge, then the job tail. It then settles the job in the job table,
+// forgetting the oldest settled job beyond MaxSettledJobs.
 func (s *Server) runJob(j *job) {
-	s.metrics.jobsInFlight.Add(1)
-	defer s.metrics.jobsInFlight.Add(-1)
+	if m := s.fanOut(j); m != nil {
+		s.jobTail(j, m)
+	}
+	j.finish()
+	s.jobsMu.Lock()
+	if old, ok := s.settled.Settle(j.id); ok {
+		delete(s.jobs, old)
+	}
+	s.jobsMu.Unlock()
+}
+
+// runChunk runs a chunk admitted by POST /v1/chunks: the shared fan-out and
+// merge only. The chunk's answer is its only consumer, and the coordinator
+// that sent it estimates, persists and folds the whole job itself, so a
+// chunk is neither estimated, persisted, folded into the fleet nor kept.
+func (s *Server) runChunk(j *job) {
+	if m := s.fanOut(j); m != nil {
+		j.mu.Lock()
+		j.state = "done"
+		j.result = &m.res
+		j.snap = m.snap
+		j.mu.Unlock()
+		s.metrics.jobsCompleted.Add(1)
+		s.log.Info("job.done", "job_id", j.id, "steps", m.res.Steps, "mass", m.res.Mass,
+			"duration_ms", j.span.Duration().Milliseconds())
+	}
+	j.finish()
+}
+
+// finish ends the job's trace and releases whoever waits on it.
+func (j *job) finish() {
+	j.span.End()
+	close(j.done)
+}
+
+// fail marks the job failed with a job-level error.
+func (s *Server) fail(j *job, msg string) {
+	j.mu.Lock()
+	j.state = "failed"
+	j.errors = append(j.errors, ShardError{Shard: -1, Error: msg})
+	j.mu.Unlock()
+	s.metrics.jobsFailed.Add(1)
+	s.log.Warn("job.failed", "job_id", j.id, "error", msg)
+}
+
+// fanOut is the part every job and chunk runs: resolve the program's
+// pipeline, fan the shards out over the worker pool, and merge the shard
+// snapshots. It marks the job failed and returns nil on any failure. Every
+// stage transition is recorded three ways — a span on the job's trace
+// tree, an observation in the stage's /metrics histogram, and a structured
+// log event — per DESIGN.md §12.
+func (s *Server) fanOut(j *job) *merged {
 	j.queueSpan.End()
 	queueWait := j.queueSpan.Duration()
 	s.metrics.queueWaitMs.Observe(float64(queueWait) / float64(time.Millisecond))
@@ -693,27 +868,16 @@ func (s *Server) runJob(j *job) {
 	j.state = "running"
 	j.mu.Unlock()
 	s.log.Info("job.start", "job_id", j.id, "queue_wait_ms", queueWait.Milliseconds())
-	defer close(j.done)
-	defer j.span.End()
 
 	ctx, cancel := context.WithTimeout(s.runCtx, s.cfg.JobTimeout)
 	defer cancel()
-
-	fail := func(msg string) {
-		j.mu.Lock()
-		j.state = "failed"
-		j.errors = append(j.errors, ShardError{Shard: -1, Error: msg})
-		j.mu.Unlock()
-		s.metrics.jobsFailed.Add(1)
-		s.log.Warn("job.failed", "job_id", j.id, "error", msg)
-	}
 
 	resolveSpan := j.span.Child(StageResolve)
 	p, err := s.pipelineFor(j.req)
 	resolveSpan.End()
 	if err != nil {
-		fail(err.Error())
-		return
+		s.fail(j, err.Error())
+		return nil
 	}
 	k := j.req.K
 	if max := p.Info.MaxDegree(); k > max {
@@ -789,7 +953,7 @@ func (s *Server) runJob(j *job) {
 		j.mu.Unlock()
 		s.metrics.jobsFailed.Add(1)
 		s.log.Warn("job.failed", "job_id", j.id, "shard_errors", len(shardErrs))
-		return
+		return nil
 	}
 
 	mergeSpan := j.span.Child(StageMerge)
@@ -797,29 +961,34 @@ func (s *Server) runJob(j *job) {
 	mergeSpan.End()
 	mergeNs := mergeSpan.Duration().Nanoseconds()
 	if err != nil {
-		fail("merging shard snapshots: " + err.Error())
-		return
+		s.fail(j, "merging shard snapshots: "+err.Error())
+		return nil
 	}
 	s.metrics.merges.Add(1)
 	s.metrics.mergeMs.Observe(float64(mergeNs) / float64(time.Millisecond))
 	s.log.Debug("job.merge", "job_id", j.id, "snapshots", len(snaps), "mass", snap.Mass())
+	return &merged{p: p, snap: snap, res: JobResult{
+		Funcs: snap.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: iters,
+		Steps: steps, Mass: snap.Mass(), MergeNs: mergeNs,
+	}}
+}
 
+// jobTail finishes a merged job: estimate flows over the merged profile,
+// journal the snapshot when the daemon persists, and fold it into the fleet
+// profile of the job's benchmark.
+func (s *Server) jobTail(j *job, m *merged) {
+	snap, res := m.snap, m.res
 	estSpan := j.span.Child(StageEstimate)
-	pe, err := core.FromPipeline(p).EstimateMode(core.RunFromCounters(k, iters, snap.Counters), estimate.Paper)
+	pe, err := core.FromPipeline(m.p).EstimateMode(core.RunFromCounters(res.K, res.Iters, snap.Counters), estimate.Paper)
 	estSpan.End()
 	s.metrics.estimateMs.Observe(float64(estSpan.Duration()) / float64(time.Millisecond))
 	if err != nil {
-		fail("estimating flows: " + err.Error())
+		s.fail(j, "estimating flows: "+err.Error())
 		return
 	}
-	s.log.Debug("job.estimate", "job_id", j.id, "k", k)
-	vars, exact := pe.Counts()
-	res := &JobResult{
-		Funcs: snap.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: iters,
-		Steps: steps, Mass: snap.Mass(), MergeNs: mergeNs,
-		Definite: pe.Definite(), Potential: pe.Potential(),
-		Vars: vars, Exact: exact, Skipped: pe.Skipped,
-	}
+	s.log.Debug("job.estimate", "job_id", j.id, "k", res.K)
+	res.Vars, res.Exact = pe.Counts()
+	res.Definite, res.Potential, res.Skipped = pe.Definite(), pe.Potential(), pe.Skipped
 
 	if j.req.Benchmark != "" && !s.cfg.FleetIngestOnly {
 		// Durability before ack: the snapshot is journaled (and fsync'd)
@@ -832,14 +1001,14 @@ func (s *Server) runJob(j *job) {
 			persistSpan.End()
 			s.metrics.persistMs.Observe(float64(persistSpan.Duration()) / float64(time.Millisecond))
 			if perr != nil {
-				fail("persisting snapshot: " + perr.Error())
+				s.fail(j, "persisting snapshot: "+perr.Error())
 				return
 			}
 			s.log.Debug("job.persist", "job_id", j.id, "benchmark", j.req.Benchmark,
 				"persist_ms", persistSpan.Duration().Milliseconds())
 		}
 		s.fleetMu.Lock()
-		key := fleetKey{bench: j.req.Benchmark, k: k, iters: iters}
+		key := fleetKey{bench: j.req.Benchmark, k: res.K, iters: res.Iters}
 		if f := s.fleet[key]; f == nil {
 			s.fleet[key] = snap.Clone()
 		} else {
@@ -850,11 +1019,11 @@ func (s *Server) runJob(j *job) {
 
 	j.mu.Lock()
 	j.state = "done"
-	j.result = res
+	j.result = &res
 	j.snap = snap
 	j.mu.Unlock()
 	s.metrics.jobsCompleted.Add(1)
 	j.span.End()
 	s.log.Info("job.done", "job_id", j.id,
-		"steps", steps, "mass", snap.Mass(), "duration_ms", j.span.Duration().Milliseconds())
+		"steps", res.Steps, "mass", res.Mass, "duration_ms", j.span.Duration().Milliseconds())
 }

@@ -122,6 +122,33 @@ func CheckDesign(md string) []string {
 	return out
 }
 
+// CheckService cross-references DESIGN.md's §11 against internal/server:
+// every route a daemon serves (server.Endpoints) must appear as a backticked
+// table token, and no table may document a route the daemon does not
+// serve. Adding a route without documenting it fails the build.
+func CheckService(md string) []string {
+	sec, err := Section(md, 11)
+	if err != nil {
+		return []string{"DESIGN.md: " + err.Error()}
+	}
+	var out []string
+	documented := toSet(TableNames(sec))
+	endpoints := toSet(server.Endpoints)
+	for _, name := range server.Endpoints {
+		if !documented[name] {
+			out = append(out, fmt.Sprintf("DESIGN.md §11: endpoint %q is undocumented", name))
+		}
+	}
+	for name := range documented {
+		if !endpoints[name] {
+			out = append(out, fmt.Sprintf(
+				"DESIGN.md §11 documents %q but the daemon serves no such endpoint", name))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // WidenedLoopKeyFields returns, via reflection, the names of the
 // profile.LoopKey fields that exist only under multi-iteration profiling
 // (everything beyond the classic {Func, Loop, Base, Ext, Full} encoding) —

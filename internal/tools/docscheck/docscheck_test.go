@@ -18,7 +18,11 @@ import (
 // goodDesign synthesizes a §12 documenting exactly the exported names.
 func goodDesign() string {
 	var b strings.Builder
-	b.WriteString("## 11. Other\n\ntext\n\n## 12. Observability\n\n")
+	b.WriteString("## 11. Aggregation service\n\n| endpoint | behavior |\n|---|---|\n")
+	for _, e := range server.Endpoints {
+		fmt.Fprintf(&b, "| `%s` | ... |\n", e)
+	}
+	b.WriteString("\n## 12. Observability\n\n")
 	b.WriteString("| stage | meaning |\n|---|---|\n")
 	for _, s := range server.SpanStages {
 		fmt.Fprintf(&b, "| `%s` | ... |\n", s)
@@ -126,6 +130,31 @@ func TestCheckDesignCatchesDrift(t *testing.T) {
 	}
 
 	if got := CheckDesign("## 1. Intro\n"); len(got) != 1 || !strings.Contains(got[0], "no section 12") {
+		t.Fatalf("missing section not caught: %v", got)
+	}
+}
+
+func TestCheckServiceAccepts(t *testing.T) {
+	if got := CheckService(goodDesign()); len(got) != 0 {
+		t.Fatalf("complaints on a faithful §11:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+func TestCheckServiceCatchesDrift(t *testing.T) {
+	missing := strings.Replace(goodDesign(), "| `POST /v1/chunks` | ... |\n", "", 1)
+	got := CheckService(missing)
+	if len(got) != 1 || !strings.Contains(got[0], `endpoint "POST /v1/chunks" is undocumented`) {
+		t.Fatalf("dropped endpoint not caught: %v", got)
+	}
+
+	stale := strings.Replace(goodDesign(), "\n## 12. Observability",
+		"| `GET /v1/jobs/{id}/poll` | gone |\n\n## 12. Observability", 1)
+	got = CheckService(stale)
+	if len(got) != 1 || !strings.Contains(got[0], `"GET /v1/jobs/{id}/poll"`) {
+		t.Fatalf("stale documented route not caught: %v", got)
+	}
+
+	if got := CheckService("## 1. Intro\n"); len(got) != 1 || !strings.Contains(got[0], "no section 11") {
 		t.Fatalf("missing section not caught: %v", got)
 	}
 }
@@ -290,13 +319,16 @@ func TestCheckLinks(t *testing.T) {
 	}
 }
 
-// TestRepoDocsPass pins the real documentation set: DESIGN.md §12 must
+// TestRepoDocsPass pins the real documentation set: DESIGN.md §§11–16 must
 // match the exported names and no checked document may carry a broken
 // relative link.
 func TestRepoDocsPass(t *testing.T) {
 	raw, err := os.ReadFile("../../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := CheckService(string(raw)); len(got) != 0 {
+		t.Errorf("DESIGN.md §11 drift:\n%s", strings.Join(got, "\n"))
 	}
 	if got := CheckDesign(string(raw)); len(got) != 0 {
 		t.Errorf("DESIGN.md drift:\n%s", strings.Join(got, "\n"))

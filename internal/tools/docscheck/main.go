@@ -1,6 +1,8 @@
 // Command docscheck keeps the documentation and the code from drifting
 // apart. It fails the build when:
 //
+//   - DESIGN.md §11's endpoint table drifts from the routes a daemon serves
+//     (server.Endpoints — both directions),
 //   - a span stage or histogram metric name documented in DESIGN.md §12
 //     differs from what internal/server exports (server.SpanStages,
 //     server.HistogramMetricNames, and MetricsSnapshot's histogram JSON
@@ -49,7 +51,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(2)
 	}
-	complaints := CheckDesign(string(raw))
+	complaints := CheckService(string(raw))
+	complaints = append(complaints, CheckDesign(string(raw))...)
 	complaints = append(complaints, CheckIters(string(raw))...)
 	complaints = append(complaints, CheckCluster(string(raw))...)
 	complaints = append(complaints, CheckEngine(string(raw))...)
