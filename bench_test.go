@@ -370,20 +370,16 @@ func benchmarkCounterStore(b *testing.B, kind profile.StoreKind) {
 // hash-backed four-tuple layout).
 func BenchmarkCounterStoreNested(b *testing.B) { benchmarkCounterStore(b, profile.StoreNested) }
 
-// BenchmarkCounterStoreFlat measures the dense/flat store (BL counters in
-// path-id-indexed slices, preallocated tuple maps).
-func BenchmarkCounterStoreFlat(b *testing.B) { benchmarkCounterStore(b, profile.StoreFlat) }
-
 // BenchmarkCounterStoreArena measures the dense-arena store (per-region
 // perfect slot mappings with map overflow).
 func BenchmarkCounterStoreArena(b *testing.B) { benchmarkCounterStore(b, profile.StoreArena) }
 
 // BenchmarkEngineRun measures one full OL instrumented run (300.twolf at
 // k = max/3) on each engine x store cell, all static artifacts (plan,
-// bytecode, register code) amortized through a shared pipeline. This is the
-// head-to-head per-run comparison of the tree-walking reference
-// interpreter, the bytecode engine with fused probe opcodes, and the
-// register machine with superinstruction fusion.
+// register code) amortized through a shared pipeline. This is the
+// head-to-head per-run comparison of the register machine with
+// superinstruction fusion against the tree-walking reference interpreter,
+// each on the arena and on the nested reference store.
 func BenchmarkEngineRun(b *testing.B) {
 	wb := workload.ByName("300.twolf")
 	prog, err := wb.Compile()
@@ -396,14 +392,11 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 	k := (p.Info.MaxDegree() + 2) / 3
 	cfg := instrument.Config{K: k, Loops: true, Interproc: true}
-	if _, err := p.Code(cfg); err != nil {
-		b.Fatal(err)
-	}
 	if _, err := p.RegCode(cfg); err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg} {
-		for _, st := range []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena} {
+	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg} {
+		for _, st := range []profile.StoreKind{profile.StoreNested, profile.StoreArena} {
 			b.Run(fmt.Sprintf("%s/%s", eng, st), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -485,17 +478,17 @@ func BenchmarkSessionProfileOL(b *testing.B) {
 }
 
 // BenchmarkSweepTreeVsVM measures one benchmark's full degree sweep
-// (compile, analyze, trace, then every degree -1..max) per engine on a
-// one-slot pool — the end-to-end number the issue's speedup target is
-// stated against.
+// (compile, analyze, trace, then every degree -1..max) on the tree
+// reference and on the register machine, each on a one-slot pool and the
+// default store.
 func BenchmarkSweepTreeVsVM(b *testing.B) {
 	wb := workload.ByName("300.twolf")
 	pool := pipeline.NewPool(1)
-	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg} {
+	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg} {
 		b.Run(eng.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.CollectWithOptions(wb, pool, profile.StoreFlat, eng); err != nil {
+				if _, err := experiments.CollectWithOptions(wb, pool, experiments.DefaultStore, eng); err != nil {
 					b.Fatal(err)
 				}
 			}

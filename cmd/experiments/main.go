@@ -5,7 +5,7 @@
 //
 //	experiments [-exp all|table1|table8|table9|fig5|fig6|fig7|fig8|fig9]
 //	            [-mode paper|extended] [-bench NAME]
-//	            [-parallel N] [-store arena|nested|flat] [-engine regvm|vm|tree]
+//	            [-parallel N] [-store arena|nested] [-engine regvm|tree]
 //	            [-bench-json FILE] [-bench-n N]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -14,9 +14,10 @@
 // Collection fans out over a bounded worker pool (-parallel, default
 // GOMAXPROCS); -cpuprofile/-memprofile write pprof profiles of the sweep.
 // -bench-json runs the pipeline microbenchmarks (engine x store per-run
-// cells plus full sweeps on all three engines) instead of the experiments and
+// cells plus full sweeps on both engines) instead of the experiments and
 // writes the measurements to FILE as JSON; -bench-n sets iterations per
-// cell.
+// cell. -engine tree and -store nested select the references the defaults
+// (regvm, arena) are checked against.
 package main
 
 import (
@@ -50,8 +51,8 @@ func run() error {
 		benchName = flag.String("bench", "", "restrict to one benchmark (default: all nine)")
 		plot      = flag.Bool("plot", false, "render figures as ASCII bar charts instead of series lists")
 		parallel  = flag.Int("parallel", 0, "worker-pool size for the collection sweep (0 = GOMAXPROCS)")
-		storeName = flag.String("store", "arena", "counter store layout: arena, nested, or flat")
-		engName   = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), vm (bytecode, fused probes), or tree (reference interpreter)")
+		storeName = flag.String("store", "arena", "counter store layout: arena or nested (the reference)")
+		engName   = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions) or tree (reference interpreter)")
 		benchJSON = flag.String("bench-json", "", "run pipeline microbenchmarks and write results to FILE as JSON")
 		benchN    = flag.Int("bench-n", 0, "iterations per microbenchmark cell (0 = default)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to FILE")

@@ -25,17 +25,18 @@
 //	-dot FUNC     print FUNC's CFG in Graphviz DOT syntax
 //	-run          echo the program's own print output
 //
-// Profile-guided layout (closing the PGO loop):
+// Profile-guided layout report:
 //
 //	pathprof -bench 300.twolf -k 1 -save-profile twolf.prof
-//	pathprof -bench 300.twolf -k 1 -pgo twolf.prof -overhead
+//	pathprof -bench 300.twolf -k 1 -pgo twolf.prof
 //
 // -pgo FILE derives a superblock layout plan from the counters in FILE
 // (written by -save-profile, folded by -merge, or exported by pathprofd's
-// /v1/pgo endpoint), recompiles the register code with the dominant paths
-// as fall-through spines and cold blocks out of line, and runs on that
-// code (it forces -engine pgo). Counters, estimates, and program output
-// stay byte-identical to the default layout; only the code layout moves.
+// /v1/pgo endpoint) and prints it as JSON, followed by a one-line summary
+// of how many functions it reorders: the dominant paths as fall-through
+// spines and cold blocks out of line, as a native backend would lay them
+// out. The plan is a report; the run itself and every other action are
+// unchanged by -pgo.
 //
 // Aggregation mode (no -src; pairs with -save-profile / -load-profile):
 //
@@ -182,6 +183,30 @@ func mergeProfiles(out string, files []string, sel cellSelector) error {
 	return nil
 }
 
+// printLayout implements -pgo: derive the layout plan from the saved
+// profile at path and print it, then a one-line reorder summary.
+func printLayout(info *profile.Info, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	pr, err := core.LoadRun(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	plan, err := pgo.Derive(info, &pgo.Profile{K: pr.K, Iters: pr.Iters, Counters: pr.Counters})
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := plan.Encode(os.Stdout); err != nil {
+		return err
+	}
+	fmt.Printf("pgo: layout from %s (profile k=%d): %d of %d functions reordered\n",
+		path, plan.K, plan.Reordered(), len(plan.Funcs))
+	return nil
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "pathprof:", err)
@@ -207,11 +232,11 @@ func run() error {
 		dumpInst = flag.String("dump-instr", "", "print FUNC's instrumentation plan at degree -k")
 		saveProf = flag.String("save-profile", "", "write the collected counters to FILE")
 		loadProf = flag.String("load-profile", "", "estimate from counters in FILE instead of running")
-		pgoPath  = flag.String("pgo", "", "recompile with profile-guided layout derived from the counters in FILE (forces -engine pgo)")
+		pgoPath  = flag.String("pgo", "", "print the profile-guided layout plan derived from the counters in FILE")
 		dotFunc  = flag.String("dot", "", "print the named function's CFG as DOT")
 		echo     = flag.Bool("run", false, "echo the program's print output")
-		storeNm  = flag.String("store", "arena", "counter store layout: arena, nested, or flat")
-		engNm    = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), vm (bytecode, fused probes), or tree (reference interpreter)")
+		storeNm  = flag.String("store", "arena", "counter store layout: arena or nested (the reference)")
+		engNm    = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions) or tree (reference interpreter)")
 		mergeOut = flag.String("merge", "", "fold the profile FILEs given as arguments into OUT and exit")
 		doTrace  = flag.Bool("trace", false, "render a span tree of the run's stages to stderr")
 	)
@@ -286,23 +311,8 @@ func run() error {
 		src = string(raw)
 	}
 
-	var pgoProf *pgo.Profile
-	if *pgoPath != "" {
-		f, err := os.Open(*pgoPath)
-		if err != nil {
-			return err
-		}
-		pr, err := core.LoadRun(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", *pgoPath, err)
-		}
-		pgoProf = &pgo.Profile{K: pr.K, Iters: pr.Iters, Counters: pr.Counters}
-		eng = pipeline.EnginePGO
-	}
-
 	compileSpan := root.Child("compile")
-	s, err := core.OpenOptions(src, pipeline.Options{Store: store, Engine: eng, PGO: pgoProf})
+	s, err := core.OpenOptions(src, pipeline.Options{Store: store, Engine: eng})
 	compileSpan.End()
 	if err != nil {
 		return err
@@ -310,13 +320,10 @@ func run() error {
 	if *echo {
 		s.Out = os.Stdout
 	}
-	if pgoProf != nil {
-		plan, err := pgo.Derive(s.Info, pgoProf)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *pgoPath, err)
+	if *pgoPath != "" {
+		if err := printLayout(s.Info, *pgoPath); err != nil {
+			return err
 		}
-		fmt.Printf("pgo: layout from %s (profile k=%d): %d of %d functions reordered\n",
-			*pgoPath, plan.K, plan.Reordered(), len(plan.Funcs))
 	}
 
 	mode := estimate.Paper

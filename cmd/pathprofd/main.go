@@ -63,7 +63,7 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated worker base URLs (coordinator mode; more can join via POST /v1/cluster/join)")
 	queueCap := flag.Int("queue", 256, "job queue capacity (full queue rejects with 429)")
 	runners := flag.Int("runners", 0, "concurrent job executors (0 = GOMAXPROCS)")
-	storeNm := flag.String("store", "arena", "counter store layout: arena|nested|flat")
+	storeNm := flag.String("store", "arena", "counter store layout: arena|nested")
 	parallel := flag.Int("parallel", 0, "shard worker pool size (0 = GOMAXPROCS)")
 	maxSteps := flag.Int64("max-steps", 0, "per-shard VM step limit (0 = engine default)")
 	maxShards := flag.Int("max-shards", 64, "largest accepted per-job shard count")
@@ -82,7 +82,7 @@ func main() {
 
 	store, ok := profile.ParseStoreKind(*storeNm)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pathprofd: unknown store %q (want arena|nested|flat)\n", *storeNm)
+		fmt.Fprintf(os.Stderr, "pathprofd: unknown store %q (want arena|nested)\n", *storeNm)
 		os.Exit(2)
 	}
 	level, ok := parseLevel(*logLevel)
@@ -91,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	obs.SetLogger(lg) // pipeline/vm/merge debug events flow to the same stream
+	obs.SetLogger(lg) // pipeline/regvm/merge debug events flow to the same stream
 	pipeline.SetParallelism(*parallel)
 
 	// The persistent profile store opens before the serving layer so its

@@ -27,8 +27,8 @@ var DefaultStore profile.StoreKind
 
 // DefaultEngine is the execution engine benchmark collection uses (the
 // register machine with superinstruction fusion; the oracle battery proves
-// it identical to the tree-walking reference and the bytecode VM). CLIs may
-// override it before collection starts.
+// it identical to the tree-walking reference). CLIs may override it before
+// collection starts.
 var DefaultEngine = pipeline.EngineReg
 
 // KRun is the outcome of one instrumented run at a fixed degree.
@@ -85,7 +85,7 @@ func CollectWith(b *workload.Benchmark, pool *pipeline.Pool) (*BenchRun, error) 
 
 // CollectWithOptions is CollectWith with the counter store and execution
 // engine chosen per call. The static artifacts — analysis, plans, OL
-// graphs, and on the VM engine the compiled bytecode — are built once on
+// graphs, and on the register engine the compiled code — are built once on
 // the benchmark's pipeline and shared by every degree's run; only the
 // executions themselves fan out.
 func CollectWithOptions(b *workload.Benchmark, pool *pipeline.Pool, store profile.StoreKind, eng pipeline.Engine) (*BenchRun, error) {

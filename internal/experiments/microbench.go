@@ -2,7 +2,7 @@ package experiments
 
 // Microbenchmark harness behind `experiments -bench-json`: measures the
 // pipeline's per-run cost on every (engine, store) cell, the register
-// engine's pooled steady state, and the full degree sweep on all three
+// engine's pooled steady state, and the full degree sweep on both
 // engines, then emits the measurements as machine-readable JSON
 // (BENCH_pipeline.json) so CI can archive the numbers next to each build.
 
@@ -23,9 +23,9 @@ import (
 // BenchResult is one measured microbenchmark cell.
 type BenchResult struct {
 	// Name is the benchmark kind: "run" (one instrumented execution at
-	// k = max/3), "run-pgo" (the same execution on self-trained
-	// profile-guided layout) or "sweep" (compile + analyze + trace + every
-	// degree).
+	// k = max/3), "steady" (the same execution on a pooled machine and a
+	// reused store), "sweep" (compile + analyze + trace + every degree) or
+	// "merge" (folding shard snapshots).
 	Name string `json:"name"`
 	// Bench is the workload the cell ran.
 	Bench string `json:"bench"`
@@ -69,7 +69,7 @@ func measure(name, bench, engine, store string, iters int, fn func() error) (Ben
 // Microbench measures benchName across the engine x store grid at
 // k = max/3 plus a full degree sweep per engine, iters iterations per cell
 // (<= 0 picks a small default). The per-run cells share one warmed
-// pipeline, so they measure execution cost, not plan or bytecode
+// pipeline, so they measure execution cost, not plan or code
 // construction.
 func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	if iters <= 0 {
@@ -79,8 +79,8 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	if wb == nil {
 		return nil, fmt.Errorf("experiments: no benchmark %q", benchName)
 	}
-	engines := []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg}
-	stores := []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena}
+	engines := []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg}
+	stores := []profile.StoreKind{profile.StoreNested, profile.StoreArena}
 
 	prog, err := wb.Compile()
 	if err != nil {
@@ -92,11 +92,8 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	}
 	k := (p.Info.MaxDegree() + 2) / 3
 	cfg := instrument.Config{K: k, Loops: true, Interproc: true}
-	// Warm the shared artifacts (plan, bytecode, register code) outside the
-	// timed region.
-	if _, err := p.Code(cfg); err != nil {
-		return nil, err
-	}
+	// Warm the shared artifacts (plan, register code) outside the timed
+	// region.
 	if _, err := p.RegCode(cfg); err != nil {
 		return nil, err
 	}
@@ -114,25 +111,6 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 			res.Iters = 2
 			out = append(out, res)
 		}
-	}
-	// Self-PGO cells: the register engine re-measured on profile-guided
-	// layout, trained on the cell's own (cfg, seed) run. The warming call
-	// pays the training run and the layout recompile, so the timed region
-	// measures execution on reordered code only; benchgate holds each cell
-	// against its regvm sibling above.
-	if _, err := p.PGOCode(cfg, wb.Seed); err != nil {
-		return nil, err
-	}
-	for _, st := range stores {
-		res, err := measure("run-pgo", wb.Name, pipeline.EnginePGO.String(), st.String(), iters, func() error {
-			_, err := p.ExecuteStore(pipeline.EnginePGO, cfg, wb.Seed, nil, profile.NewStore(st, p.Info, 2), 0)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Iters = 2
-		out = append(out, res)
 	}
 	// A widened-window cell on the fastest configuration (register engine,
 	// arena store) isolates the marginal cost of the iters axis against the

@@ -77,7 +77,7 @@ type Runtime struct {
 }
 
 // Counters returns the run's collected counters in the canonical
-// nested-map form (materialized on demand for flat stores; read it after
+// nested-map form (materialized on demand for arena stores; read it after
 // the run completes).
 func (rt *Runtime) Counters() *profile.Counters { return rt.store.Counters() }
 

@@ -150,7 +150,7 @@ func MergeAll(snaps ...*Snapshot) (*Snapshot, error) {
 // IntoStore folds the snapshot's counters into a live counter store through
 // the BulkStore aggregation interface — the path a long-running collector
 // uses to keep one dense accumulator per fleet instead of a chain of
-// snapshot values. All bundled stores (nested, flat, arena) implement
+// snapshot values. Both bundled stores (nested, arena) implement
 // BulkStore; a store that does not is refused.
 func IntoStore(dst profile.CounterStore, src *Snapshot) error {
 	bs, ok := dst.(profile.BulkStore)

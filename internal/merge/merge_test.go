@@ -47,7 +47,7 @@ func mergePipeline(t *testing.T) *pipeline.Pipeline {
 func snapshotAt(t *testing.T, p *pipeline.Pipeline, seed uint64, kind profile.StoreKind) *Snapshot {
 	t.Helper()
 	cfg := instrument.Config{K: mergeK, Loops: true, Interproc: true}
-	run, err := p.ExecuteStore(pipeline.EngineVM, cfg, seed, nil, profile.NewStore(kind, p.Info, 2), 0)
+	run, err := p.ExecuteStore(pipeline.EngineReg, cfg, seed, nil, profile.NewStore(kind, p.Info, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMergeAssociative(t *testing.T) {
 
 func TestMergeIdentity(t *testing.T) {
 	p := mergePipeline(t)
-	a := snapshotAt(t, p, 1, profile.StoreFlat)
+	a := snapshotAt(t, p, 1, profile.StoreArena)
 	want := encoded(t, a)
 	id := Empty(a.K, a.Iters, a.NumFuncs)
 	if got := encoded(t, mustMergeAll(t, id, a)); !bytes.Equal(got, want) {
@@ -118,9 +118,10 @@ func TestMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestMergeMixedStores merges one snapshot per store layout (nested, flat,
-// arena — distinct seeds) and requires the fold to be independent of which
-// layouts the shards happened to use and of which layout accumulates:
+// TestMergeMixedStores merges snapshots collected on alternating store
+// layouts (nested, arena, nested — distinct seeds) and requires the fold to
+// be independent of which layouts the shards happened to use and of which
+// layout accumulates:
 // merging into each store kind via IntoStore materializes the same canonical
 // counters MergeAll produces.
 func TestMergeMixedStores(t *testing.T) {
@@ -128,10 +129,10 @@ func TestMergeMixedStores(t *testing.T) {
 	snaps := []*Snapshot{
 		snapshotAt(t, p, 10, profile.StoreNested),
 		snapshotAt(t, p, 11, profile.StoreArena),
-		snapshotAt(t, p, 12, profile.StoreFlat),
+		snapshotAt(t, p, 12, profile.StoreNested),
 	}
 	want := encoded(t, mustMergeAll(t, snaps...))
-	for _, kind := range []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena} {
+	for _, kind := range []profile.StoreKind{profile.StoreNested, profile.StoreArena} {
 		dst := profile.NewStore(kind, p.Info, 2)
 		for _, s := range snaps {
 			if err := IntoStore(dst, s); err != nil {

@@ -5,7 +5,7 @@
 // The three instruments and how the rest of the repo uses them:
 //
 //   - Structured logging (log/slog). One process-wide *slog.Logger
-//     (Logger/SetLogger) that every library package — pipeline, vm, merge —
+//     (Logger/SetLogger) that every library package — pipeline, regvm, merge —
 //     writes through at Debug level on its hot-path boundaries, and that the
 //     pathprofd daemon points at stderr. The default logger discards
 //     everything, so library users pay one atomic load + one Enabled check
@@ -53,7 +53,7 @@ func init() {
 }
 
 // Logger returns the process-wide observability logger. Library packages
-// (pipeline, vm, merge) log through it at Debug level; it discards until
+// (pipeline, regvm, merge) log through it at Debug level; it discards until
 // SetLogger installs a real handler.
 func Logger() *slog.Logger {
 	return defaultLogger.Load()

@@ -166,9 +166,8 @@ func (c *checker) checkConservation(cl cell, got *profile.Counters) {
 
 // checkStores validates that every (store, engine) combination materialized
 // identical canonical counters at every degree. With both engines
-// configured this is the tree-vs-vm differential check: the fused-probe
-// bytecode engine must reproduce the listener-dispatched reference
-// key-for-key.
+// configured this is the tree-vs-regvm differential check: the register
+// machine must reproduce the listener-dispatched reference key-for-key.
 func (c *checker) checkStores() {
 	for _, k := range c.cfg.Ks {
 		for _, iters := range c.cfg.Iters {

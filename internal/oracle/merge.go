@@ -7,6 +7,7 @@ import (
 
 	"pathprof/internal/instrument"
 	"pathprof/internal/merge"
+	"pathprof/internal/pipeline"
 	"pathprof/internal/profile"
 )
 
@@ -20,14 +21,14 @@ const mergeChunks = 3
 // merge.MergeAll, must serialize byte-identically to the unsplit
 // "concatenated" run — the same S seeds executed back-to-back accumulating
 // into one reused store. Checked for every configured store layout at every
-// configured window width at the highest configured degree on the VM engine
-// (the daemon's execution cell), so a merge bug cannot hide behind any one
-// layout's or width's accumulation path. As a coda it proves the width
-// guard has teeth: snapshots profiled at different widths must refuse to
-// fold with merge.ErrIncompatible.
+// configured window width at the highest configured degree on the register
+// engine (the engine the daemon's and the cluster's shards run), so a
+// merge bug cannot hide behind any one layout's or width's accumulation
+// path. As a coda it proves the width guard has teeth: snapshots profiled
+// at different widths must refuse to fold with merge.ErrIncompatible.
 func (c *checker) checkMerge() error {
 	k := c.cfg.Ks[len(c.cfg.Ks)-1]
-	eng := c.cfg.Engines[len(c.cfg.Engines)-1]
+	eng := pipeline.EngineReg
 
 	// One surviving snapshot per width feeds the incompatibility coda.
 	byWidth := map[int]*merge.Snapshot{}

@@ -1,15 +1,17 @@
 // Package oracle is the differential-testing subsystem: given a compiled
 // program and an input seed, it derives ground truth with the
 // interpreter-driven tracer, replays the program through the instrumented
-// pipeline across degrees, window widths, counter stores, and sweep modes,
-// and checks a
-// fixed battery of metamorphic invariants connecting the two. It is the
-// correctness gate every performance-oriented change to the profiling stack
-// must pass: the invariants encode the paper's central numeric claims
-// (instrumented OL-k counters agree with what actually executed; the flow
-// equations bracket real interesting-path flow between definite and
-// potential estimates; precision is monotone in k), plus the repo's own
-// serialization and store-equivalence contracts.
+// pipeline across degrees, window widths, engines, counter stores, and
+// sweep modes, and checks a fixed battery of metamorphic invariants
+// connecting the two. The run cube pairs the fast path with its
+// references: the register engine against the tree-walking interpreter,
+// the arena store against the nested maps. It is the correctness gate
+// every performance-oriented change to the profiling stack must pass: the
+// invariants encode the paper's central numeric claims (instrumented OL-k
+// counters agree with what actually executed; the flow equations bracket
+// real interesting-path flow between definite and potential estimates;
+// precision is monotone in k), plus the repo's own serialization and
+// store-equivalence contracts.
 //
 // The package exposes one entry point per granularity: Check (a prepared
 // pipeline), CheckSource (source text), and CheckSeed (a randprog generator
@@ -40,7 +42,8 @@ const (
 	// expectations key-for-key (BL, loop, Type I, Type II, calls), the
 	// OL-0 == BL identity, and the conservation sums.
 	CheckCounters Checks = 1 << iota
-	// CheckStores validates nested-store / flat-store equivalence.
+	// CheckStores validates engine and store equivalence: every (engine,
+	// store) cell materializes the canonical counters of the first one.
 	CheckStores
 	// CheckEstimates validates bound bracketing (definite <= real <=
 	// potential) and monotone tightening in k, for both constraint modes.
@@ -70,14 +73,12 @@ type Config struct {
 	// {2, 3, 4}: the classic two-iteration setting plus every widened
 	// width the runtime ring supports).
 	Iters []int
-	// Stores are the counter-store layouts (default nested, flat, and
-	// arena).
+	// Stores are the counter-store layouts (default nested and arena: the
+	// nested maps are the reference the paged arena must match).
 	Stores []profile.StoreKind
-	// Engines are the execution engines (default tree, vm, regvm, pgo:
-	// the listener-dispatched reference interpreter is the comparison
-	// baseline the fused-probe bytecode engine, the register machine, and
-	// the register machine under self-trained profile-guided layout must
-	// all match).
+	// Engines are the execution engines (default tree and regvm: the
+	// listener-dispatched reference interpreter is the baseline the
+	// register machine must match).
 	Engines []pipeline.Engine
 	// Modes are the estimation constraint modes (default Paper and
 	// Extended).
@@ -103,10 +104,10 @@ func (c Config) withDefaults() Config {
 		c.Iters = []int{2, 3, 4}
 	}
 	if len(c.Stores) == 0 {
-		c.Stores = []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena}
+		c.Stores = []profile.StoreKind{profile.StoreNested, profile.StoreArena}
 	}
 	if len(c.Engines) == 0 {
-		c.Engines = []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg, pipeline.EnginePGO}
+		c.Engines = []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg}
 	}
 	if len(c.Modes) == 0 {
 		c.Modes = []estimate.Mode{estimate.Paper, estimate.Extended}
@@ -291,7 +292,7 @@ func (c *checker) ground() error {
 }
 
 // run executes one instrumented run at matrix cell cl through the shared
-// pipeline artifact cache (plans, and compiled bytecode on the VM engine),
+// pipeline artifact cache (plans, and compiled code on the register engine),
 // returning its counters and serialized form.
 func (c *checker) run(cl cell) (*profile.Counters, []byte, error) {
 	cfg := instrument.Config{K: cl.k, Loops: true, Interproc: true, Iters: cl.iters}

@@ -17,11 +17,12 @@ const batterySeeds = 40
 
 // TestOracleBattery runs the complete metamorphic invariant battery —
 // counter equivalence against trace ground truth, OL-0 == BL, store and
-// engine equivalence (tree vs vm vs regvm vs pgo layout), first-crossing
-// folds of widened profiles, bound bracketing and monotone tightening,
-// serialization round-trips, and sequential/parallel sweep identity — over
-// the harvested randprog corpus at k in {0, 1, 2} and window widths iters
-// in {2, 3, 4} under all three counter stores and all four engines.
+// engine equivalence (regvm vs the tree reference, arena vs the nested
+// reference), first-crossing folds of widened profiles, bound bracketing
+// and monotone tightening, serialization round-trips, sequential/parallel
+// sweep identity, and split/merge identity — over the harvested randprog
+// corpus at k in {0, 1, 2} and window widths iters in {2, 3, 4} under both
+// counter stores and both engines.
 func TestOracleBattery(t *testing.T) {
 	target := batterySeeds
 	if testing.Short() {
@@ -46,10 +47,10 @@ func TestOracleBattery(t *testing.T) {
 			if err := res.Err(); err != nil {
 				t.Fatalf("seed %d: %v\n--- source ---\n%s", s.GenSeed, err, randprog.SeedSource(s.GenSeed))
 			}
-			// 3 degrees x 3 widths x 3 stores x 4 engines, sequential +
-			// parallel sweeps, plus the merge cell's 3 widths x 3 stores
+			// 3 degrees x 3 widths x 2 stores x 2 engines, sequential +
+			// parallel sweeps, plus the merge cell's 3 widths x 2 stores
 			// x 3 chunks x (split + concatenated) runs.
-			if want := 2*(3*3*3*4) + 3*3*3*2; res.Runs != want {
+			if want := 2*(3*3*2*2) + 3*2*3*2; res.Runs != want {
 				t.Fatalf("seed %d: %d instrumented runs, want %d", s.GenSeed, res.Runs, want)
 			}
 		})
@@ -58,8 +59,8 @@ func TestOracleBattery(t *testing.T) {
 
 // sparseBoundarySource builds a program whose main has more than
 // profile.DenseBLLimit (2^16) static Ball-Larus paths: 17 consecutive
-// if-else diamonds give 2^17 paths, so the flat store must refuse the dense
-// array and route every BL increment through the sparse overlay.
+// if-else diamonds give 2^17 paths, so the arena store must refuse the
+// dense BL vector and route every BL increment through the sparse overlay.
 func sparseBoundarySource() string {
 	var b strings.Builder
 	b.WriteString("var gv0;\n\nfunc main() {\n\tvar x = 0;\n")
@@ -71,9 +72,10 @@ func sparseBoundarySource() string {
 }
 
 // TestOracleSparseOverlayBoundary is the cross-store equivalence check at
-// the sparse overlay boundary: on a program with > 2^16 BL paths the flat
-// store falls back to its sparse map, and the oracle battery must still
-// prove it identical to the nested store, byte-for-byte.
+// the sparse overlay boundary: on a program with > 2^16 BL paths the
+// arena's BL vector takes the DenseBLLimit overlay (a sparse map), and the
+// oracle battery must still prove it identical to the nested store,
+// byte-for-byte.
 func TestOracleSparseOverlayBoundary(t *testing.T) {
 	src := sparseBoundarySource()
 	p, err := pipeline.Compile(src, pipeline.Options{})

@@ -75,9 +75,9 @@ func TestBatteryDetectsCounterCorruption(t *testing.T) {
 
 func TestBatteryDetectsStoreDivergence(t *testing.T) {
 	c := tamperedChecker(t)
-	// Corrupt only the flat-store cell at one degree: store equivalence
+	// Corrupt only the arena-store cell at one degree: store equivalence
 	// must fire.
-	victim := cell{k: c.cfg.Ks[0], iters: c.cfg.Iters[0], kind: profile.StoreFlat}
+	victim := cell{k: c.cfg.Ks[0], iters: c.cfg.Iters[0], kind: profile.StoreArena, eng: pipeline.EngineReg}
 	f, id := firstBLKey(c.counters[victim])
 	if f < 0 {
 		t.Fatal("no BL counters to corrupt")
@@ -96,7 +96,7 @@ func TestBatteryDetectsSerializationDrift(t *testing.T) {
 	c := tamperedChecker(t)
 	// Corrupt the serialized bytes of one cell: both the cross-store
 	// byte comparison and the round-trip must fire.
-	victim := cell{k: c.cfg.Ks[0], iters: c.cfg.Iters[0], kind: profile.StoreFlat}
+	victim := cell{k: c.cfg.Ks[0], iters: c.cfg.Iters[0], kind: profile.StoreArena, eng: pipeline.EngineReg}
 	raw := append([]byte(nil), c.serialized[victim]...)
 	raw[len(raw)/2] ^= 0xff
 	c.serialized[victim] = raw
@@ -211,8 +211,14 @@ func TestBatteryDetectsMergeDivergence(t *testing.T) {
 	}
 	found := false
 	for _, v := range c.res.Violations {
-		if v.Invariant == "merge" {
-			found = true
+		if v.Invariant != "merge" {
+			continue
+		}
+		found = true
+		// The merge family runs the daemon's and the cluster's engine,
+		// whatever order the cube lists its engines in.
+		if v.Engine != pipeline.EngineReg {
+			t.Errorf("merge violation names engine %s, want regvm: %v", v.Engine, v)
 		}
 	}
 	if !found {

@@ -1,13 +1,13 @@
-// Package pgo closes the profile-guided-optimization loop: it turns a
-// path profile (local, merged, or fetched from a pathprofd fleet) into a
-// layout Plan — one superblock ordering per function — that the bytecode
-// compilers consume to reorder instruction emission. The dominant
-// overlapping path becomes the fall-through spine, cold blocks move
-// out-of-line past the hot window, and caller-determined callee branches
-// (the branch-correlation application) orient toward their proven
-// direction. Layout never changes semantics: the oracle cube proves the
-// PGO engine byte-identical to the default layout on counters, estimates,
-// and error strings.
+// Package pgo turns a path profile (local, merged, or fetched from a
+// pathprofd fleet) into a layout Plan — one superblock ordering per
+// function — as a report of what a native backend would do with it. The
+// dominant overlapping path becomes the fall-through spine, cold blocks
+// move out-of-line past the hot window, and caller-determined callee
+// branches (the branch-correlation application) orient toward their proven
+// direction. No engine executes the plan: in the switch-dispatched register
+// machine a taken jump is one pc store, so reordering blocks saves no
+// dispatch (DESIGN.md §16 records the measurement). `pathprof -pgo` prints
+// the plan and `GET /v1/pgo` serves the profile bytes it derives from.
 //
 // Derivation runs the stages named by Stages (DESIGN.md §16 documents
 // them, enforced by docscheck): bl-heat accumulates intra-procedural edge
@@ -72,16 +72,6 @@ type Plan struct {
 	Iters int `json:"iters"`
 	// Funcs holds one layout per program function, in index order.
 	Funcs []FuncLayout `json:"funcs"`
-}
-
-// Orders projects the plan onto the [][]int shape the compilers'
-// CompileLayout entry points take (index = function index).
-func (p *Plan) Orders() [][]int {
-	out := make([][]int, len(p.Funcs))
-	for i, fl := range p.Funcs {
-		out[i] = fl.Order
-	}
-	return out
 }
 
 // Reordered counts functions whose layout differs from block-id order.

@@ -8,8 +8,6 @@ import (
 	"pathprof/internal/instrument"
 	"pathprof/internal/pgo"
 	"pathprof/internal/pipeline"
-	"pathprof/internal/regvm"
-	"pathprof/internal/vm"
 	"pathprof/internal/workload"
 )
 
@@ -40,10 +38,9 @@ func loadProfile(t *testing.T, raw []byte) *pgo.Profile {
 }
 
 // TestPlanDeterminism is the repo's byte-identity discipline applied to
-// the PGO loop on all 9 benchmarks: the same profile bytes must derive a
-// byte-identical plan, and that plan must recompile to byte-identical
-// register and bytecode programs. The profile is decoded twice from the
-// same bytes so map-iteration nondeterminism in derivation would get two
+// the layout report on all 9 benchmarks: the same profile bytes must
+// derive a byte-identical plan. The profile is decoded twice from the same
+// bytes so map-iteration nondeterminism in derivation would get two
 // independent chances to show.
 func TestPlanDeterminism(t *testing.T) {
 	for _, b := range workload.All() {
@@ -80,31 +77,9 @@ func TestPlanDeterminism(t *testing.T) {
 				t.Fatalf("same profile bytes derived different plans:\n%s\n---\n%s", enc1.String(), enc2.String())
 			}
 
-			// The derived layout must be consumable: both engines accept
-			// it (permutation + entry-first validation happens inside),
-			// and recompiling twice renders byte-identical code.
-			cfg := instrument.Config{K: 1, Loops: true, Interproc: true}
-			iplan, err := p.Plan(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			code1, err := regvm.CompileLayout(prog, iplan, plan1.Orders())
-			if err != nil {
-				t.Fatalf("regvm layout compile: %v", err)
-			}
-			code2, err := regvm.CompileLayout(prog, iplan, plan2.Orders())
-			if err != nil {
-				t.Fatalf("regvm layout compile: %v", err)
-			}
-			if code1.Disasm() != code2.Disasm() {
-				t.Fatal("same plan compiled to different register code")
-			}
-			if _, err := vm.CompileLayout(prog, iplan, plan1.Orders()); err != nil {
-				t.Fatalf("vm layout compile: %v", err)
-			}
-
 			// The plan must actually reorder something on a profiled
-			// benchmark — a PGO pass that never moves code proves nothing.
+			// benchmark — a layout report that never moves code says
+			// nothing.
 			if plan1.Reordered() == 0 {
 				t.Fatalf("%s: plan reordered no functions", b.Name)
 			}

@@ -20,10 +20,6 @@ func TestPlanHelpers(t *testing.T) {
 	if got := p.Reordered(); got != 1 {
 		t.Errorf("Reordered() = %d, want 1", got)
 	}
-	want := [][]int{{0, 2, 1}, {0, 1}}
-	if got := p.Orders(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Orders() = %v, want %v", got, want)
-	}
 }
 
 func TestPlanEncodeRoundTrip(t *testing.T) {

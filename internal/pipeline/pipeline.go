@@ -23,41 +23,28 @@ import (
 	"pathprof/internal/lang"
 	"pathprof/internal/obs"
 	"pathprof/internal/overhead"
-	"pathprof/internal/pgo"
 	"pathprof/internal/profile"
 	"pathprof/internal/regvm"
 	"pathprof/internal/trace"
-	"pathprof/internal/vm"
 )
 
-// Engine selects the execution engine instrumented runs use.
+// Engine selects the execution engine instrumented runs use: one fast
+// engine and one reference to check it against.
 type Engine int
 
 const (
 	// EngineReg is the register machine with superinstruction fusion and
 	// pooled zero-alloc run state (the default, and the zero value).
 	EngineReg Engine = iota
-	// EngineVM is the bytecode engine with fused probe opcodes.
-	EngineVM
 	// EngineTree is the tree-walking reference interpreter with
 	// listener-dispatched probes.
 	EngineTree
-	// EnginePGO is the register machine running code recompiled with
-	// profile-guided layout (Options.PGO, or a self-training run when
-	// nil). Layout only moves code, so every observable — counters,
-	// output, error strings — stays byte-identical to EngineReg.
-	EnginePGO
 )
 
 // String implements flag-friendly rendering.
 func (e Engine) String() string {
-	switch e {
-	case EngineVM:
-		return "vm"
-	case EngineTree:
+	if e == EngineTree {
 		return "tree"
-	case EnginePGO:
-		return "pgo"
 	}
 	return "regvm"
 }
@@ -67,12 +54,8 @@ func ParseEngine(s string) (Engine, bool) {
 	switch s {
 	case "regvm":
 		return EngineReg, true
-	case "vm":
-		return EngineVM, true
 	case "tree":
 		return EngineTree, true
-	case "pgo":
-		return EnginePGO, true
 	}
 	return EngineReg, false
 }
@@ -82,7 +65,8 @@ type Options struct {
 	// Limits bound the static enumerations (zero value = defaults).
 	Limits profile.Limits
 	// Store selects the counter-store layout runs write through (zero
-	// value = the paged arena; StoreNested and StoreFlat stay selectable).
+	// value = the paged arena; StoreNested stays selectable as the
+	// reference).
 	Store profile.StoreKind
 	// MaxSteps is the step limit Execute applies to every run (0 = the
 	// engine default).
@@ -90,10 +74,6 @@ type Options struct {
 	// Engine selects the execution engine (zero value = the register
 	// machine).
 	Engine Engine
-	// PGO is the profile EnginePGO derives its layout plan from. When
-	// nil, EnginePGO self-trains: one register-engine run at the
-	// requested seed supplies the counters.
-	PGO *pgo.Profile
 	// Pool is the worker pool sweeps draw slots from (nil = the shared
 	// process-wide pool).
 	Pool *Pool
@@ -108,9 +88,7 @@ type Pipeline struct {
 
 	mu       sync.Mutex
 	plans    map[planKey]*planEntry
-	codes    map[planKey]*codeEntry
 	regCodes map[planKey]*regEntry
-	pgoCodes map[pgoKey]*pgoEntry
 }
 
 // planKey identifies one instrumentation plan. Selection and ChordProfile
@@ -146,44 +124,12 @@ type planEntry struct {
 	stores sync.Pool
 }
 
-// codeEntry caches one configuration's compiled bytecode the same way,
-// plus a free pool of warmed machines whose slabs (globals, arrays, frame
-// free-list) are recycled across runs of this code.
-type codeEntry struct {
-	once sync.Once
-	code *vm.Program
-	err  error
-	pool sync.Pool
-}
-
 // regEntry caches one configuration's register code and its machine pool.
 // Pooling hangs off the code entry because a machine's slab geometry is
 // code-specific; shard fan-out over the same configuration pays the
 // machine's allocations exactly once per worker.
 type regEntry struct {
 	once sync.Once
-	code *regvm.Program
-	err  error
-	pool sync.Pool
-}
-
-// pgoKey identifies one PGO compilation. With an explicit Options.PGO
-// profile the layout depends only on the configuration (seed and step
-// limit are zeroed); a self-training compilation is additionally keyed by
-// the training run's seed and step limit, so differential sweeps that
-// revisit a (cfg, seed) cell share one trained code object while distinct
-// seeds train separately.
-type pgoKey struct {
-	plan     planKey
-	seed     uint64
-	maxSteps int64
-}
-
-// pgoEntry caches one PGO compilation end to end: the derived layout
-// plan, the recompiled register code, and its machine pool.
-type pgoEntry struct {
-	once sync.Once
-	plan *pgo.Plan
 	code *regvm.Program
 	err  error
 	pool sync.Pool
@@ -201,9 +147,7 @@ func New(prog *ir.Program, opts Options) (*Pipeline, error) {
 	return &Pipeline{
 		Prog: prog, Info: info, opts: opts,
 		plans:    map[planKey]*planEntry{},
-		codes:    map[planKey]*codeEntry{},
 		regCodes: map[planKey]*regEntry{},
-		pgoCodes: map[pgoKey]*pgoEntry{},
 	}, nil
 }
 
@@ -268,48 +212,9 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// vmCode returns the singleflight cache slot holding cfg's compiled
-// bytecode and machine pool, building the code at most once per
+// regCode returns the singleflight cache slot holding cfg's compiled
+// register code and machine pool, building the code at most once per
 // configuration.
-func (p *Pipeline) vmCode(cfg instrument.Config) (*codeEntry, error) {
-	plan, err := p.Plan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := keyOf(cfg)
-	p.mu.Lock()
-	e := p.codes[key]
-	if e == nil {
-		e = &codeEntry{}
-		p.codes[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
-		start := time.Now()
-		e.code, e.err = vm.Compile(p.Prog, plan)
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.code",
-				"engine", "vm", "k", cfg.K,
-				"elapsed_ms", time.Since(start).Milliseconds(), "err", errString(e.err))
-		}
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e, nil
-}
-
-// machine checks a warmed machine out of the entry's pool (or allocates the
-// first one), reset for a run at seed. Callers return it with e.pool.Put.
-func (e *codeEntry) machine(seed uint64) *vm.Machine {
-	if m, ok := e.pool.Get().(*vm.Machine); ok {
-		m.Reset(seed)
-		return m
-	}
-	return vm.NewMachine(e.code, seed)
-}
-
-// regCode is vmCode for the register engine.
 func (p *Pipeline) regCode(cfg instrument.Config) (*regEntry, error) {
 	plan, err := p.Plan(cfg)
 	if err != nil {
@@ -338,7 +243,8 @@ func (p *Pipeline) regCode(cfg instrument.Config) (*regEntry, error) {
 	return e, nil
 }
 
-// machine is codeEntry.machine for the register engine.
+// machine checks a warmed machine out of the entry's pool (or allocates the
+// first one), reset for a run at seed. Callers return it with e.pool.Put.
 func (e *regEntry) machine(seed uint64) *regvm.Machine {
 	if m, ok := e.pool.Get().(*regvm.Machine); ok {
 		m.Reset(seed)
@@ -347,110 +253,16 @@ func (e *regEntry) machine(seed uint64) *regvm.Machine {
 	return regvm.NewMachine(e.code, seed)
 }
 
-// pgoCode returns the singleflight cache slot holding cfg's PGO-layout
-// register code: the layout plan derives from Options.PGO when set,
-// otherwise from a self-training register-engine run at (seed, maxSteps).
-func (p *Pipeline) pgoCode(cfg instrument.Config, seed uint64, maxSteps int64) (*pgoEntry, error) {
-	plan, err := p.Plan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := pgoKey{plan: keyOf(cfg)}
-	if p.opts.PGO == nil {
-		key.seed, key.maxSteps = seed, maxSteps
-	}
-	p.mu.Lock()
-	e := p.pgoCodes[key]
-	if e == nil {
-		e = &pgoEntry{}
-		p.pgoCodes[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
-		start := time.Now()
-		prof := p.opts.PGO
-		if prof == nil {
-			// Self-train: one register-engine run at this seed into a
-			// private nested store. A failing training run (step limit,
-			// runtime error) still trains — the partial counters derive
-			// a deterministic plan, and the PGO run then reproduces the
-			// same error byte-identically.
-			store := profile.NewStore(profile.StoreNested, p.Info, cfg.EffIters())
-			if _, err := p.ExecuteStore(EngineReg, cfg, seed, nil, store, maxSteps); err != nil && obs.DebugEnabled() {
-				obs.Logger().Debug("pipeline.pgo.train", "k", cfg.K, "seed", seed, "err", err.Error())
-			}
-			prof = &pgo.Profile{K: cfg.K, Iters: cfg.EffIters(), Counters: store.Counters()}
-		}
-		var lp *pgo.Plan
-		lp, e.err = pgo.Derive(p.Info, prof)
-		if e.err != nil {
-			return
-		}
-		e.plan = lp
-		e.code, e.err = regvm.CompileLayout(p.Prog, plan, lp.Orders())
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.code",
-				"engine", "pgo", "k", cfg.K, "reordered", lp.Reordered(),
-				"elapsed_ms", time.Since(start).Milliseconds(), "err", errString(e.err))
-		}
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e, nil
-}
-
-// machine is regEntry.machine for the PGO-layout code.
-func (e *pgoEntry) machine(seed uint64) *regvm.Machine {
-	if m, ok := e.pool.Get().(*regvm.Machine); ok {
-		m.Reset(seed)
-		return m
-	}
-	return regvm.NewMachine(e.code, seed)
-}
-
-// Code returns the compiled bytecode (with cfg's probes fused in) for the
-// VM engine, building it at most once per configuration — the compiled
-// program is a cached artifact alongside the plan it embeds, shared across
-// a degree sweep's runs.
-func (p *Pipeline) Code(cfg instrument.Config) (*vm.Program, error) {
-	e, err := p.vmCode(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.code, nil
-}
-
-// RegCode is Code for the register engine, exposing the compiled register
-// program (and its fusion statistics) for tests and experiments.
+// RegCode returns the compiled register program (with cfg's probes fused
+// in), building it at most once per configuration — the compiled program is
+// a cached artifact alongside the plan it embeds, shared across a degree
+// sweep's runs. Tests and experiments read its fusion statistics.
 func (p *Pipeline) RegCode(cfg instrument.Config) (*regvm.Program, error) {
 	e, err := p.regCode(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return e.code, nil
-}
-
-// PGOCode is RegCode for the PGO engine: the register program recompiled
-// with the layout plan of Options.PGO (or of a self-training run at seed
-// with the default step limit when no profile is set). It warms the same
-// cache slot EnginePGO runs execute from.
-func (p *Pipeline) PGOCode(cfg instrument.Config, seed uint64) (*regvm.Program, error) {
-	e, err := p.pgoCode(cfg, seed, 0)
-	if err != nil {
-		return nil, err
-	}
-	return e.code, nil
-}
-
-// PGOPlan exposes the layout plan behind PGOCode for the same (cfg, seed)
-// slot — the CLI's layout summary and the determinism tests read it.
-func (p *Pipeline) PGOPlan(cfg instrument.Config, seed uint64) (*pgo.Plan, error) {
-	e, err := p.pgoCode(cfg, seed, 0)
-	if err != nil {
-		return nil, err
-	}
-	return e.plan, nil
 }
 
 // CachedPlans reports how many plans the cache holds (for tests and
@@ -461,14 +273,12 @@ func (p *Pipeline) CachedPlans() int {
 	return len(p.plans)
 }
 
-// CachedCodes reports how many compiled programs the cache holds, counting
-// one per configuration for each engine that compiles — bytecode,
-// register and PGO-layout register code alike (the tree engine compiles
-// nothing).
+// CachedCodes reports how many compiled register programs the cache holds,
+// one per configuration (the tree engine compiles nothing).
 func (p *Pipeline) CachedCodes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.codes) + len(p.regCodes) + len(p.pgoCodes)
+	return len(p.regCodes)
 }
 
 // Run is the outcome of one instrumented execution.
@@ -491,8 +301,8 @@ type Run struct {
 }
 
 // Execute performs one instrumented run of the program at cfg with the
-// given seed, through the cached plan (and, on the register and bytecode
-// engines, the cached compiled code and a pooled machine), under
+// given seed, through the cached plan (and, on the register engine, the
+// cached compiled code and a pooled machine), under
 // Options.MaxSteps. out, when non-nil, receives the program's print
 // output. Safe for concurrent callers: the plan and static artifacts are
 // shared, machine and counter store are per-run. On the default arena
@@ -525,73 +335,8 @@ func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*
 // (0 = the engine default) chosen per call — the entry point the
 // differential oracle sweeps its engine x store matrix through.
 func (p *Pipeline) ExecuteStore(eng Engine, cfg instrument.Config, seed uint64, out io.Writer, store profile.CounterStore, maxSteps int64) (*Run, error) {
-	switch eng {
-	case EngineReg:
+	if eng == EngineReg {
 		e, err := p.regCode(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m := e.machine(seed)
-		defer e.pool.Put(m)
-		if out != nil {
-			m.Out = out
-		}
-		if maxSteps > 0 {
-			m.MaxSteps = maxSteps
-		}
-		start := time.Now()
-		if err := m.Run(store); err != nil {
-			return nil, err
-		}
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.execute",
-				"engine", eng.String(), "k", cfg.K, "seed", seed,
-				"steps", m.Steps, "elapsed_ms", time.Since(start).Milliseconds())
-		}
-		return &Run{
-			K:         cfg.K,
-			Iters:     cfg.EffIters(),
-			Selection: cfg.Selection,
-			Counters:  store.Counters(),
-			Overhead:  m.Report(),
-			Steps:     m.Steps,
-			BaseOps:   m.BaseOps,
-		}, nil
-
-	case EnginePGO:
-		e, err := p.pgoCode(cfg, seed, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		m := e.machine(seed)
-		defer e.pool.Put(m)
-		if out != nil {
-			m.Out = out
-		}
-		if maxSteps > 0 {
-			m.MaxSteps = maxSteps
-		}
-		start := time.Now()
-		if err := m.Run(store); err != nil {
-			return nil, err
-		}
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.execute",
-				"engine", eng.String(), "k", cfg.K, "seed", seed,
-				"steps", m.Steps, "elapsed_ms", time.Since(start).Milliseconds())
-		}
-		return &Run{
-			K:         cfg.K,
-			Iters:     cfg.EffIters(),
-			Selection: cfg.Selection,
-			Counters:  store.Counters(),
-			Overhead:  m.Report(),
-			Steps:     m.Steps,
-			BaseOps:   m.BaseOps,
-		}, nil
-
-	case EngineVM:
-		e, err := p.vmCode(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -24,8 +24,8 @@ func serialize(t *testing.T, c *profile.Counters) []byte {
 }
 
 // TestCachedPlanMatchesFreshPlan is the cross-validation the refactor
-// hinges on: a run through the pipeline's cached plan (and flat store)
-// must produce byte-identical serialized counters to a run that builds
+// hinges on: a run through the pipeline's cached plan (and pooled arena
+// store) must produce byte-identical serialized counters to a run that builds
 // everything fresh (instrument.New on a fresh Analyze, nested store).
 func TestCachedPlanMatchesFreshPlan(t *testing.T) {
 	for _, name := range []string{"181.mcf", "300.twolf", "130.li"} {
@@ -34,7 +34,7 @@ func TestCachedPlanMatchesFreshPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := pipeline.New(prog, pipeline.Options{Store: profile.StoreFlat})
+		p, err := pipeline.New(prog, pipeline.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +120,10 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCachedCodesCountsEveryEngine: CachedCodes counts compiled code of
-// every compiling engine, so one run on the default register engine
-// caches exactly one program, a second run at the same configuration
-// reuses it, a self-trained PGO run caches its training run's register
-// code next to its layout code, and the tree engine caches none.
+// TestCachedCodesCountsEveryEngine: CachedCodes counts compiled register
+// code, so one run on the default register engine caches exactly one
+// program, a second run at the same configuration reuses it, and the tree
+// engine caches none.
 func TestCachedCodesCountsEveryEngine(t *testing.T) {
 	b := workload.ByName("181.mcf")
 	prog, err := b.Compile()
@@ -137,8 +136,6 @@ func TestCachedCodesCountsEveryEngine(t *testing.T) {
 		want   int
 	}{
 		{pipeline.EngineReg, 1},
-		{pipeline.EngineVM, 1},
-		{pipeline.EnginePGO, 2},
 		{pipeline.EngineTree, 0},
 	} {
 		p, err := pipeline.New(prog, pipeline.Options{Engine: tc.engine})
@@ -156,6 +153,30 @@ func TestCachedCodesCountsEveryEngine(t *testing.T) {
 	}
 }
 
+// TestParseEngineAndStoreKind: the -engine and -store flag values
+// round-trip through String, and the retired vm, pgo and flat values are
+// rejected.
+func TestParseEngineAndStoreKind(t *testing.T) {
+	for _, e := range []pipeline.Engine{pipeline.EngineReg, pipeline.EngineTree} {
+		if got, ok := pipeline.ParseEngine(e.String()); !ok || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, true", e.String(), got, ok, e)
+		}
+	}
+	for _, k := range []profile.StoreKind{profile.StoreArena, profile.StoreNested} {
+		if got, ok := profile.ParseStoreKind(k.String()); !ok || got != k {
+			t.Errorf("ParseStoreKind(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
+		}
+	}
+	for _, s := range []string{"vm", "pgo", "flat", ""} {
+		if _, ok := pipeline.ParseEngine(s); ok {
+			t.Errorf("ParseEngine(%q) accepted a value that names no engine", s)
+		}
+		if _, ok := profile.ParseStoreKind(s); ok {
+			t.Errorf("ParseStoreKind(%q) accepted a value that names no store", s)
+		}
+	}
+}
+
 // TestParallelSweepDeterminism: every degree profiled concurrently through
 // one pipeline must match its sequentially profiled twin.
 func TestParallelSweepDeterminism(t *testing.T) {
@@ -164,7 +185,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pipeline.New(prog, pipeline.Options{Store: profile.StoreFlat})
+	p, err := pipeline.New(prog, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

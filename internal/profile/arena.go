@@ -162,6 +162,11 @@ func (t *tupleArena) slot(callee int, a, b int64) (int64, bool) {
 	return a*t.dimB + b, true
 }
 
+// DenseBLLimit bounds the arena's per-function dense Ball-Larus vector;
+// functions with more static paths keep their BL counters in the sparse
+// overlay so pathological path counts cannot blow up memory.
+const DenseBLLimit = 1 << 16
+
 // ArenaStore implements CounterStore with paged per-region arenas and map
 // overflow.
 type ArenaStore struct {

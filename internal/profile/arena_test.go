@@ -3,8 +3,8 @@ package profile_test
 // Unit coverage for the dense-arena store: in-window increments land in the
 // per-region arenas, out-of-window and indirect-site increments land in the
 // overflow maps, and both materialize into the same canonical Counters a
-// NestedStore produces. Whole-corpus cross-validation against the other
-// layouts (and both engines) lives in the oracle battery.
+// NestedStore produces. Whole-corpus cross-validation against the nested
+// reference (on both engines) lives in the oracle battery.
 
 import (
 	"reflect"
@@ -83,6 +83,7 @@ func TestArenaStoreMatchesNested(t *testing.T) {
 		s.IncBL(0, 0)
 		s.IncBL(1, 1)
 		s.IncBL(0, 1<<40) // sparse overlay
+		s.IncBL(0, -1)    // sparse overlay: negative ids are out of window too
 		for _, k := range keysLoop {
 			s.IncLoop(k)
 		}
@@ -104,7 +105,7 @@ func TestArenaStoreMatchesNested(t *testing.T) {
 }
 
 // TestArenaStoreMemoInvalidation checks increments after materialization
-// refresh the cached Counters.
+// refresh the cached Counters, in every counter family.
 func TestArenaStoreMemoInvalidation(t *testing.T) {
 	info := analyzeSrc(t, arenaSrc)
 	s := profile.NewArenaStore(info, 2)
@@ -118,5 +119,21 @@ func TestArenaStoreMemoInvalidation(t *testing.T) {
 	c := s.Counters()
 	if c.Loop[lk] != 2 || c.BL[0][0] != 1 {
 		t.Fatalf("stale materialization: %+v", c)
+	}
+
+	t1 := profile.TypeIKey{Caller: 1, Site: 0, Callee: 0, Prefix: 0, Ext: 0}
+	t2 := profile.TypeIIKey{Caller: 1, Site: 0, Callee: 0, Path: 0, Ext: 0}
+	ck := profile.CallKey{Caller: 1, Site: 0, Callee: 0}
+	s.IncCall(ck)
+	if got := s.Counters().Calls[ck]; got != 1 {
+		t.Fatalf("stale materialization after IncCall: got %d, want 1", got)
+	}
+	s.IncTypeI(t1)
+	if got := s.Counters().TypeI[t1]; got != 1 {
+		t.Fatalf("stale materialization after IncTypeI: got %d, want 1", got)
+	}
+	s.IncTypeII(t2)
+	if got := s.Counters().TypeII[t2]; got != 1 {
+		t.Fatalf("stale materialization after IncTypeII: got %d, want 1", got)
 	}
 }

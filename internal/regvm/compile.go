@@ -18,34 +18,14 @@ import (
 	"pathprof/internal/profile"
 )
 
-// Compile lowers prog (and plan's probes, when non-nil) to register code
-// in the source block order.
+// Compile lowers prog (and plan's probes, when non-nil) to register code,
+// emitting each function's blocks in source order.
 func Compile(prog *ir.Program, plan *instrument.Plan) (*Program, error) {
-	return CompileLayout(prog, plan, nil)
-}
-
-// CompileLayout lowers prog like Compile but emits each function's blocks
-// in the given layout order (one permutation of block ids per function,
-// entry block first — the shape pgo.Plan.Orders produces; nil keeps the
-// source order). Layout only moves code: every jump target is patched
-// through the block-pc table and fall-through elision follows the
-// emission successor, so the compiled program is semantically identical
-// to the source-order one — the oracle proves it byte-identical on
-// counters, output, and error strings.
-func CompileLayout(prog *ir.Program, plan *instrument.Plan, layout [][]int) (*Program, error) {
-	if layout != nil && len(layout) != len(prog.Funcs) {
-		return nil, fmt.Errorf("regvm: layout has %d functions, program has %d",
-			len(layout), len(prog.Funcs))
-	}
 	p := &Program{IR: prog, Plan: plan, main: -1, numGlobals: len(prog.Globals)}
 	pool := map[int64]int32{}
 	insns := 0
 	for idx, fn := range prog.Funcs {
-		var order []int
-		if layout != nil {
-			order = layout[idx]
-		}
-		c := &fnCompiler{p: p, prog: prog, plan: plan, fn: fn, pool: pool, order: order}
+		c := &fnCompiler{p: p, prog: prog, plan: plan, fn: fn, pool: pool}
 		cf, err := c.compile(idx)
 		if err != nil {
 			return nil, err
@@ -89,26 +69,6 @@ func (s *probeSeq) static() bool {
 	return len(s.acts) == 0 && s.exts < 0 && !s.backedge
 }
 
-// checkOrder rejects a layout order that is not a permutation of the
-// function's block ids with the entry block (id 0, where frames start
-// executing) first.
-func checkOrder(order []int, n int) error {
-	if len(order) != n {
-		return fmt.Errorf("order lists %d blocks, function has %d", len(order), n)
-	}
-	seen := make([]bool, n)
-	for _, b := range order {
-		if b < 0 || b >= n || seen[b] {
-			return fmt.Errorf("order is not a permutation (block %d)", b)
-		}
-		seen[b] = true
-	}
-	if n > 0 && order[0] != 0 {
-		return fmt.Errorf("entry block must come first, got block %d", order[0])
-	}
-	return nil
-}
-
 // fixup is a pending jump-target patch on an emitted instruction's b or c
 // field (branch arms patch through armFixup instead).
 type fixup struct {
@@ -136,13 +96,11 @@ type fnCompiler struct {
 	suffixExts []*olpath.Ext
 	sel        *profile.Selection
 	pool       map[int64]int32 // program-wide constant interning
-	order      []int           // emission order of block ids (nil = source order)
 
 	cf        *compiledFunc
 	code      []inst
 	blkOf     []int32
 	blockPC   []int32
-	next      []int // next[bid] = block id emitted after bid (-1 = none)
 	fixups    []fixup
 	armFixups []armFixup
 	resumes   []*callRec // resumePC holds a block id until patched
@@ -206,26 +164,8 @@ func (c *fnCompiler) compile(idx int) (*compiledFunc, error) {
 	cf := &compiledFunc{fn: fn, idx: idx, numRegs: fn.NumSlots()}
 	c.cf = cf
 
-	order := c.order
-	if order == nil {
-		order = make([]int, len(fn.Blocks))
-		for i := range order {
-			order[i] = i
-		}
-	} else if err := checkOrder(order, len(fn.Blocks)); err != nil {
-		return nil, fmt.Errorf("regvm: layout %s: %w", fn.Name, err)
-	}
-	c.next = make([]int, len(fn.Blocks))
-	for i, bid := range order {
-		c.next[bid] = -1
-		if i+1 < len(order) {
-			c.next[bid] = order[i+1]
-		}
-	}
-
 	c.blockPC = make([]int32, len(fn.Blocks))
-	for _, bid := range order {
-		blk := fn.Blocks[bid]
+	for bid, blk := range fn.Blocks {
 		c.curBlk = int32(bid)
 		c.blockPC[bid] = int32(len(c.code))
 		if err := c.block(bid, blk); err != nil {
@@ -321,7 +261,7 @@ func (c *fnCompiler) block(bid int, blk *ir.Block) error {
 		c.p.Fusion.StepMove++
 	case ir.BinOp:
 		if in.Op < ir.OpAdd || in.Op > ir.OpXor {
-			// Invalid operator: keep the bytecode engine's runtime error.
+			// Invalid operator: keep the tree engine's runtime error.
 			c.emit(inst{op: opStep, imm: cost})
 			rest = blk.Body
 			break
@@ -493,7 +433,7 @@ func (c *fnCompiler) term(bid int, t ir.Terminator, stepCost int64, fuseStep boo
 		if err != nil {
 			return err
 		}
-		fall := t.To == c.next[bid]
+		fall := t.To == bid+1
 		if probe != nil {
 			step()
 			c.emitProbe(probe, 0, fall)
@@ -604,7 +544,7 @@ func (c *fnCompiler) term(bid int, t ir.Terminator, stepCost int64, fuseStep boo
 			// The resume edge's probe sits inline after the call; the
 			// return lands on it and it ends at the resume block.
 			rec.resumePC = int32(len(c.code))
-			fall := t.Next == c.next[bid]
+			fall := t.Next == bid+1
 			c.emitProbe(resume, 0, fall)
 			if resume.backedge || !fall {
 				c.fixups = append(c.fixups, fixup{pc: int32(len(c.code) - 1), field: 1, to: t.Next})
@@ -695,10 +635,9 @@ func (c *fnCompiler) emitProbe(s *probeSeq, target int32, fall bool) {
 }
 
 // probe lowers the probe of edge bid→to (nil when the program is
-// uninstrumented or the edge has no probe work at all). The derivation
-// mirrors internal/vm's probe construction exactly; only the output form
-// differs: straight-line micro-ops and a static tail instead of an action
-// record.
+// uninstrumented or the edge has no probe work at all): the work the tree
+// engine's instrument.Runtime does on the edge, derived once at compile
+// time as straight-line micro-ops and a static tail.
 func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	if c.plan == nil {
 		return nil, nil

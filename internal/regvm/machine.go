@@ -71,7 +71,7 @@ type frame struct {
 }
 
 // Machine executes one compiled program. Its public knobs and counters
-// mirror vm.Machine so callers can switch engines without translation. A
+// mirror interp.Machine so callers can switch engines without translation. A
 // Machine is single-goroutine; Reset re-arms the same slabs for the next
 // run, so a pooled Machine executes with zero steady-state allocations.
 type Machine struct {

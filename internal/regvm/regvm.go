@@ -1,9 +1,11 @@
-// Package regvm is the register-machine execution engine: the third and
-// fastest engine of the pipeline, replacing internal/vm's wide generic
-// instructions and pointer-chased probe records with a compact
-// register-based ISA and superinstruction fusion.
+// Package regvm is the register-machine execution engine: the pipeline's
+// one fast engine, checked against the tree-walking reference interpreter
+// (internal/interp with listener-dispatched probes). It compiles each
+// program once per instrumentation plan to a compact register-based ISA
+// with superinstruction fusion, emitting every function's blocks in source
+// order.
 //
-// Three ideas carry the speedup over the bytecode engine:
+// Three ideas carry the speed:
 //
 //   - Typed register files with compile-time slot assignment. Every operand
 //     is resolved at compile time to a signed 32-bit register reference:
@@ -12,9 +14,8 @@
 //     machine's shared read-mostly slab holding the program's globals
 //     followed by its interned constant pool. Instructions are a fixed 24
 //     bytes (opcode, sub-opcode, three register references, one immediate),
-//     a fifth the size of internal/vm's generic instruction, so the hot
-//     dispatch loop stays in cache; binary operators are flattened into
-//     per-operator opcodes so dispatch is a single switch.
+//     so the hot dispatch loop stays in cache; binary operators are
+//     flattened into per-operator opcodes so dispatch is a single switch.
 //
 //   - Superinstruction fusion. A fusion pass over the linearized blocks
 //     merges the hottest adjacent pairs the engine's own profiles exposed:
@@ -27,10 +28,9 @@
 //     interprocedural regions, backedge completions) execute in one
 //     dispatch too: the whole sequence compiles to a single record-driven
 //     Probe instruction, and probed branch terminators fuse the branch,
-//     both edges' probe work, and the jump into one BranchProbe — where
-//     the bytecode engine pays a dispatch per edge plus a trampoline jump,
-//     this engine pays one dispatch for the branch and everything behind
-//     it.
+//     both edges' probe work, and the jump into one BranchProbe: one
+//     dispatch for the branch and everything behind it, where a
+//     dispatch per edge plus a trampoline jump would otherwise be paid.
 //
 //   - Batched counter charges and zero-alloc steady state. Consecutive
 //     completions of the same Ball-Larus path, the same loop window, and
@@ -42,11 +42,11 @@
 //     Reset reuses, so a pooled Machine executes with zero heap
 //     allocations in steady state.
 //
-// The engine is semantics-identical to internal/interp and internal/vm by
-// construction and by the differential oracle: step counts, base-op and
-// probe-op accounting, counter increments, Print output, and error
-// messages (which keep the "interp:" prefix so all engines stay
-// byte-comparable) match the tree engine on the same program and seed.
+// The engine is semantics-identical to internal/interp by construction and
+// by the differential oracle: step counts, base-op and probe-op accounting,
+// counter increments, Print output, and error messages (which keep the
+// "interp:" prefix so both engines stay byte-comparable) match the tree
+// engine on the same program and seed.
 package regvm
 
 import (
@@ -81,7 +81,7 @@ const (
 	opPrint
 	opFuncRef
 
-	// opBad preserves the bytecode engine's runtime "unknown op" error for
+	// opBad preserves the tree engine's runtime "unknown op" error for
 	// binary operators outside the defined ir.OpKind range.
 	opBad
 
@@ -219,8 +219,7 @@ type branchRec struct {
 	els  branchArm
 }
 
-// extAct is one interprocedural region's step on one edge; identical in
-// meaning to the bytecode engine's record.
+// extAct is one interprocedural region's step on one edge.
 type extAct struct {
 	statOps int64
 	liveOps int64

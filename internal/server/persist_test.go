@@ -54,7 +54,7 @@ func fetchBytes(t *testing.T, d *testDaemon, path string) []byte {
 // restart on the same data dir, serve /v1/profiles and /v1/pgo responses
 // byte-identical to an uninterrupted in-memory control fed the same sweep.
 func TestRestartDurabilityMatrix(t *testing.T) {
-	for _, kind := range []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena} {
+	for _, kind := range []profile.StoreKind{profile.StoreNested, profile.StoreArena} {
 		for _, iters := range []int{2, 3, 4} {
 			t.Run(fmt.Sprintf("%s-iters%d", kind, iters), func(t *testing.T) {
 				specs := []JobRequest{

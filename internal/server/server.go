@@ -20,8 +20,8 @@
 //	GET    /v1/profiles/{benchmark}  the fleet-wide merged snapshot (?k=N,
 //	                                 ?iters=N when several cells exist)
 //	GET    /v1/pgo/{benchmark}       the same cell exported in pathprof's
-//	                                 saved-run format, ready for -pgo
-//	                                 profile-guided layout
+//	                                 saved-run format, ready for -pgo's
+//	                                 layout report
 //	PUT    /v1/profiles/{benchmark}  install (replace) a fleet cell
 //	DELETE /v1/profiles/{benchmark}  drop a fleet cell (?k=N, ?iters=N)
 //	GET    /metrics                  expvar-style counters (see MetricsSnapshot)
@@ -677,7 +677,7 @@ func (s *Server) fleetCell(r *http.Request, bench string) (*merge.Snapshot, flee
 
 // handlePGOExport serves one fleet cell in pathprof's saved-run format —
 // the exact bytes `pathprof -pgo` and pgo derivation accept — so a
-// fleet-trained profile feeds profile-guided layout without conversion.
+// fleet-trained profile feeds the layout report without conversion.
 // Cell addressing matches GET /v1/profiles/{benchmark}: optional ?k= and
 // ?iters= pin a cell, an empty match is 404, an ambiguous one 409.
 func (s *Server) handlePGOExport(w http.ResponseWriter, r *http.Request) {

@@ -87,33 +87,3 @@ func Gate(baseline, current []experiments.BenchResult, threshold float64) []stri
 	sort.Strings(out)
 	return out
 }
-
-// GatePGO holds profile-guided layout to its bargain within one measured
-// file: every "run-pgo" cell must have a regvm "run" sibling (same bench,
-// store, iters) in the same file, and must not run more than threshold
-// slower than it. The comparison is within-file, so no reference-cell
-// normalization is needed — both cells ran on the same box moments apart.
-// A PGO'd run markedly slower than the layout it started from means the
-// derivation is actively harmful, not merely unprofitable.
-func GatePGO(current []experiments.BenchResult, threshold float64) []string {
-	cur, _ := index(current)
-	var out []string
-	for k, c := range cur {
-		if k.Name != "run-pgo" {
-			continue
-		}
-		sib, ok := cur[cellKey{Name: "run", Bench: k.Bench, Engine: "regvm", Store: k.Store, Iters: k.Iters}]
-		if !ok {
-			out = append(out, fmt.Sprintf(
-				"run-pgo cell %s/%s/iters=%d has no regvm run sibling to gate against", k.Bench, k.Store, k.Iters))
-			continue
-		}
-		if c.NsPerOp > sib.NsPerOp*(1+threshold) {
-			out = append(out, fmt.Sprintf(
-				"run-pgo cell %s/%s/iters=%d regressed vs its regvm sibling: %.0f ns/op vs %.0f (+%.0f%% > %.0f%% gate)",
-				k.Bench, k.Store, k.Iters, c.NsPerOp, sib.NsPerOp, (c.NsPerOp/sib.NsPerOp-1)*100, threshold*100))
-		}
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,10 +19,10 @@ func cell(name, engine, store string, iters int, ns float64) experiments.BenchRe
 func grid(scale float64) []experiments.BenchResult {
 	return []experiments.BenchResult{
 		cell("run", "tree", "nested", 2, 24e6*scale),
-		cell("run", "vm", "arena", 2, 3e6*scale),
+		cell("run", "tree", "arena", 2, 20e6*scale),
 		cell("run", "regvm", "arena", 2, 2.4e6*scale),
 		cell("steady", "regvm", "arena", 2, 2.4e6*scale),
-		cell("sweep", "tree", "flat", 0, 250e6*scale),
+		cell("sweep", "tree", "arena", 0, 250e6*scale),
 	}
 }
 
@@ -82,35 +84,10 @@ func TestGateRequiresReferenceCell(t *testing.T) {
 	}
 }
 
-func TestGatePGO(t *testing.T) {
-	g := grid(1)
-	g = append(g, cell("run-pgo", "pgo", "arena", 2, 2.3e6))
-	if got := GatePGO(g, 0.20); len(got) != 0 {
-		t.Fatalf("pgo gate complained on a faster-than-sibling cell: %v", got)
-	}
-
-	slow := append(grid(1), cell("run-pgo", "pgo", "arena", 2, 2.4e6*1.5))
-	got := GatePGO(slow, 0.20)
-	if len(got) != 1 || !strings.Contains(got[0], "regressed vs its regvm sibling") {
-		t.Fatalf("regressed pgo cell not caught: %v", got)
-	}
-
-	within := append(grid(1), cell("run-pgo", "pgo", "arena", 2, 2.4e6*1.15))
-	if got := GatePGO(within, 0.20); len(got) != 0 {
-		t.Fatalf("pgo gate complained inside the threshold: %v", got)
-	}
-
-	orphan := append(grid(1), cell("run-pgo", "pgo", "flat", 2, 1))
-	got = GatePGO(orphan, 0.20)
-	if len(got) != 1 || !strings.Contains(got[0], "no regvm run sibling") {
-		t.Fatalf("orphan pgo cell not caught: %v", got)
-	}
-}
-
 // TestCommittedGridGatesItself pins the committed BENCH_pipeline.json: it
-// must contain the reference cell and pass both its own gate and the
-// within-file PGO gate, so the CI check can never be red on an untouched
-// tree.
+// must contain the reference cell and pass its own gate, so the CI check
+// can never be red on an untouched tree, and its iters=2 run cells must be
+// exactly the tree/regvm x nested/arena grid the microbenchmark measures.
 func TestCommittedGridGatesItself(t *testing.T) {
 	rs, err := load("../../../BENCH_pipeline.json")
 	if err != nil {
@@ -119,16 +96,14 @@ func TestCommittedGridGatesItself(t *testing.T) {
 	if got := Gate(rs, rs, 0.20); len(got) != 0 {
 		t.Fatalf("committed grid fails its own gate:\n%s", strings.Join(got, "\n"))
 	}
-	if got := GatePGO(rs, 0.20); len(got) != 0 {
-		t.Fatalf("committed grid fails the PGO gate:\n%s", strings.Join(got, "\n"))
-	}
-	pgo := 0
+	var runs []string
 	for _, r := range rs {
-		if r.Name == "run-pgo" {
-			pgo++
+		if r.Name == "run" && r.Iters == 2 {
+			runs = append(runs, r.Engine+"/"+r.Store)
 		}
 	}
-	if pgo == 0 {
-		t.Fatal("committed grid has no run-pgo cells; the self-PGO measurement is missing")
+	sort.Strings(runs)
+	if want := []string{"regvm/arena", "regvm/nested", "tree/arena", "tree/nested"}; !reflect.DeepEqual(runs, want) {
+		t.Fatalf("committed grid's iters=2 run cells are %v, want %v", runs, want)
 	}
 }

@@ -3,18 +3,13 @@
 // against the committed numbers. Cells are compared as ratios to the
 // tree/nested reference cell, not as raw nanoseconds, so the gate is
 // insensitive to how fast the CI box happens to be: only the *shape* of
-// the grid — regvm beating vm beating tree by the committed margins — is
-// enforced. A cell that vanishes from the measured grid also fails.
-//
-// The fresh file is additionally self-gated: each "run-pgo" cell
-// (register engine under profile-guided layout) must stay within the
-// threshold of its plain regvm "run" sibling in the same file, so a layout
-// derivation that hurts more than the allowed margin fails the build even
-// before it becomes the committed baseline.
+// the grid — regvm and the arena beating the tree and nested references by
+// the committed margins — is enforced. A cell that vanishes from the
+// measured grid also fails.
 //
 // CI runs it in the bench-smoke job after regenerating the grid:
 //
-//	go run ./cmd/experiments -bench-json BENCH_fresh.json -bench-n 1
+//	go run ./cmd/experiments -bench-json BENCH_fresh.json -bench-n 3
 //	go run ./internal/tools/benchgate -current BENCH_fresh.json
 //
 // Flags: -baseline (default BENCH_pipeline.json, the committed numbers),
@@ -65,7 +60,6 @@ func main() {
 	}
 
 	complaints := Gate(base, cur, *threshold)
-	complaints = append(complaints, GatePGO(cur, *threshold)...)
 	for _, c := range complaints {
 		fmt.Println(c)
 	}
