@@ -24,6 +24,7 @@ import (
 	"pathprof/internal/interp"
 	"pathprof/internal/pipeline"
 	"pathprof/internal/profile"
+	"pathprof/internal/regvm"
 	"pathprof/internal/trace"
 	"pathprof/internal/workload"
 )
@@ -474,6 +475,52 @@ func BenchmarkSessionProfileOL(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkProfileOLPerProgram splits BenchmarkSessionProfileOL by program:
+// per bundled program, ProfileOL on a warm default-option session at its
+// chosen degree (experiments.BenchRun.KChosen), and the same program's bare
+// run on a reused uninstrumented register machine. The pair gives each
+// program's probe overhead as wall-clock (ol against bare), next to the
+// op-count model's figure for the same run.
+func BenchmarkProfileOLPerProgram(b *testing.B) {
+	for _, wb := range workload.All() {
+		s, err := core.Open(wb.Source)
+		if err != nil {
+			b.Fatalf("%s: %v", wb.Name, err)
+		}
+		k := (&experiments.BenchRun{MaxK: s.MaxDegree()}).KChosen()
+		b.Run(wb.Name+"/ol", func(b *testing.B) {
+			if _, err := s.ProfileOL(wb.Seed, k); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.ProfileOL(wb.Seed, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(wb.Name+"/bare", func(b *testing.B) {
+			code, err := regvm.Compile(s.Prog, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := regvm.NewMachine(code, wb.Seed)
+			if err := m.Run(nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset(wb.Seed)
+				if err := m.Run(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

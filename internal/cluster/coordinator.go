@@ -391,11 +391,16 @@ func (c *Coordinator) worker(base string) *workerClient {
 }
 
 // pickWorker chooses the least-loaded current member, preferring any member
-// other than avoid (the worker a previous attempt just failed on). Ties
-// break by URL order so dispatch is deterministic under equal load.
+// other than avoid (the worker a previous attempt just failed on), and
+// reserves one unit of load on it: the caller releases it with addLoad(-1)
+// when its attempt ends. Picks hold the member lock exclusively, so the
+// read of every load and the reservation are one step — the chunks of one
+// job, picked back to back, spread over idle workers instead of all seeing
+// equal loads. Ties break by URL order so dispatch is deterministic under
+// equal load.
 func (c *Coordinator) pickWorker(avoid string) *workerClient {
-	c.workersMu.RLock()
-	defer c.workersMu.RUnlock()
+	c.workersMu.Lock()
+	defer c.workersMu.Unlock()
 	var best *workerClient
 	bestLoad := 0
 	pick := func(skip string) {
@@ -417,6 +422,9 @@ func (c *Coordinator) pickWorker(avoid string) *workerClient {
 	pick(avoid)
 	if best == nil {
 		pick("") // avoid was the only member left
+	}
+	if best != nil {
+		best.addLoad(1)
 	}
 	return best
 }
@@ -538,8 +546,9 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) 
 }
 
 // attemptChunk is one blocking chunk call on one worker under the
-// per-attempt timeout. The attempt span names the chunk it serves (attr
-// shard) and holds the worker's span tree from the answer.
+// per-attempt timeout, releasing the load pickWorker reserved on w when it
+// ends. The attempt span names the chunk it serves (attr shard) and holds
+// the worker's span tree from the answer.
 func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient,
 	sub server.JobRequest, ck chunkSpec) (*merge.Snapshot, int64, error) {
 	span := j.span.Child(StageAttempt)
@@ -548,7 +557,6 @@ func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient
 	defer span.End()
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
-	w.addLoad(1)
 	defer w.addLoad(-1)
 
 	snap, steps, err := w.chunk(actx, sub, span)
@@ -669,7 +677,7 @@ func (c *Coordinator) runJob(j *cjob) {
 		err := c.foldFleet(ctx, cellKey{bench: j.req.Benchmark, k: k, iters: iters}, acc)
 		pushSpan.End()
 		if err != nil {
-			fail(server.ShardError{Shard: -1, Error: "persisting fleet fold: " + err.Error()})
+			fail(server.ShardError{Shard: -1, Error: "fleet fold: " + err.Error()})
 			return
 		}
 	}
@@ -686,18 +694,29 @@ func (c *Coordinator) runJob(j *cjob) {
 }
 
 // foldFleet merges a job snapshot into the authoritative cell and pushes
-// the updated cell to its ring owner. When a checkpoint store is configured
-// the snapshot is journaled (fsync'd) first and a journal failure fails the
-// fold — the in-memory state never runs ahead of what a restart would
-// recover. A failed push only marks the cell dirty: reads fall back to the
+// the updated cell to its ring owner. A cell the snapshot cannot fold into
+// fails the fold with an error naming the cell, before anything is
+// journaled. When a checkpoint store is configured the snapshot is
+// journaled (fsync'd) first and a journal failure fails the fold — the
+// in-memory state never runs ahead of what a restart would recover. A
+// failed push only marks the cell dirty: reads fall back to the
 // authoritative copy and the next fold or read re-pushes.
 func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Snapshot) error {
+	c.fleetMu.Lock()
+	var err error
+	if cl := c.fleet[key]; cl != nil {
+		err = cl.snap.Compatible(snap)
+	}
+	c.fleetMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cell %s: %w", key, err)
+	}
 	if c.cfg.Persist != nil {
 		// Journal outside fleetMu: appends are commutative, so the journal
 		// and the in-memory fold agree regardless of interleaving, and the
 		// fsync never stalls folds or reads of other cells.
 		if err := c.cfg.Persist.Append(key.bench, snap); err != nil {
-			return err
+			return fmt.Errorf("persisting: %w", err)
 		}
 	}
 	c.fleetMu.Lock()
@@ -706,9 +725,12 @@ func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Sn
 		cl = &cell{snap: snap.Clone()}
 		c.fleet[key] = cl
 	} else {
-		cl.snap.Merge(snap) //nolint:errcheck // same cell is compatible by construction
+		err = cl.snap.Merge(snap)
 	}
 	c.fleetMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cell %s: %w", key, err)
+	}
 	c.pushCell(ctx, key)
 	return nil
 }

@@ -254,14 +254,16 @@ const (
 // followed by the counters' stable serialization. Equal snapshots encode to
 // equal bytes because the counter lines flatten through the canonical
 // profile.Records order — the same helper Serialize itself uses, so the
-// snapshot encoding cannot drift from the profile format's ordering.
+// snapshot encoding cannot drift from the profile format's ordering. The
+// header's record count is counted, not flattened: Serialize's flatten and
+// sort is the only one an encode pays.
 func (s *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	hdr := snapshotHeader{Format: snapFormat, Version: snapVersion, K: s.K, NumFuncs: s.NumFuncs}
 	if it := normIters(s.Iters); it != 2 {
 		hdr.Iters = it
 	}
-	n := len(s.Counters.Records())
+	n := s.Counters.NumRecords()
 	hdr.Records = &n
 	if err := json.NewEncoder(bw).Encode(hdr); err != nil {
 		return err
@@ -300,7 +302,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("merge: snapshot header says %d functions, counters carry %d", hdr.NumFuncs, len(c.BL))
 	}
 	if hdr.Records != nil {
-		if got := len(c.Records()); got != *hdr.Records {
+		if got := c.NumRecords(); got != *hdr.Records {
 			return nil, fmt.Errorf("merge: snapshot truncated or padded: header says %d records, counters carry %d",
 				*hdr.Records, got)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pathprof/internal/experiments"
 	"pathprof/internal/instrument"
 	"pathprof/internal/interp"
 	"pathprof/internal/pipeline"
@@ -217,6 +218,50 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestEnginesAgreeOnBundledPrograms runs every bundled program with its
+// bundled seed on both engines at every degree k in [-1, max] with
+// two-iteration windows, and at its chosen degree with three-iteration
+// windows: the serialized counters, the op-count report and the step count
+// must be identical. The randprog corpus the oracle sweeps never reaches
+// these programs' call depth and per-function path counts.
+func TestEnginesAgreeOnBundledPrograms(t *testing.T) {
+	for _, b := range workload.All() {
+		prog, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := pipeline.New(prog, pipeline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxK := p.Info.MaxDegree()
+		type cell struct{ k, iters int }
+		var cells []cell
+		for k := -1; k <= maxK; k++ {
+			cells = append(cells, cell{k, 2})
+		}
+		cells = append(cells, cell{(&experiments.BenchRun{MaxK: maxK}).KChosen(), 3})
+		for _, c := range cells {
+			cfg := instrument.Config{K: c.k, Loops: true, Interproc: true, Iters: c.iters}
+			tree, err := p.ExecuteStore(pipeline.EngineTree, cfg, b.Seed, nil, profile.NewStore(profile.StoreNested, p.Info, c.iters), 0)
+			if err != nil {
+				t.Fatalf("%s k=%d iters=%d: tree: %v", b.Name, c.k, c.iters, err)
+			}
+			reg, err := p.ExecuteStore(pipeline.EngineReg, cfg, b.Seed, nil, p.NewStore(c.iters), 0)
+			if err != nil {
+				t.Fatalf("%s k=%d iters=%d: regvm: %v", b.Name, c.k, c.iters, err)
+			}
+			if tree.Steps != reg.Steps || tree.Overhead != reg.Overhead {
+				t.Fatalf("%s k=%d iters=%d: steps/overhead: tree=%d %+v regvm=%d %+v",
+					b.Name, c.k, c.iters, tree.Steps, tree.Overhead, reg.Steps, reg.Overhead)
+			}
+			if !bytes.Equal(serialize(t, tree.Counters), serialize(t, reg.Counters)) {
+				t.Fatalf("%s k=%d iters=%d: serialized counters differ", b.Name, c.k, c.iters)
+			}
+		}
+	}
 }
 
 // TestPoolBoundsConcurrency: a pool of n slots must never run more than n

@@ -115,6 +115,16 @@ func (c *Counters) Records() []Record {
 	return recs
 }
 
+// NumRecords returns len(c.Records()) — one record per map entry — without
+// flattening or sorting anything.
+func (c *Counters) NumRecords() int {
+	n := len(c.Loop) + len(c.TypeI) + len(c.TypeII) + len(c.Calls)
+	for _, m := range c.BL {
+		n += len(m)
+	}
+	return n
+}
+
 // SatAdd returns a+b, saturating at the uint64 maximum instead of wrapping.
 // It is the one addition the aggregation layers (bulk store adds, snapshot
 // merges) use, so merged fleet profiles degrade to a pinned ceiling rather

@@ -129,3 +129,22 @@ func TestLoopKeyCrossingAccessors(t *testing.T) {
 		t.Fatalf("FirstCrossing = %+v, want the bare two-iteration projection", p)
 	}
 }
+
+// TestNumRecordsCountsRecords checks the counted record total (the snapshot
+// envelope's count) equals the flattened record list on every family.
+func TestNumRecordsCountsRecords(t *testing.T) {
+	c := profile.NewCounters(3)
+	if n := c.NumRecords(); n != 0 {
+		t.Fatalf("empty counters: NumRecords = %d", n)
+	}
+	c.BL[0][1] = 2
+	c.BL[0][5] = 1
+	c.BL[2][0] = 7
+	c.Loop[profile.LoopKey{Func: 1, Base: 3, Ext: 1, Full: true}] = 4
+	c.TypeI[profile.TypeIKey{Caller: 0, Site: 1, Callee: 2, Prefix: 3, Ext: 4}] = 1
+	c.TypeII[profile.TypeIIKey{Caller: 2, Site: 0, Callee: 1, Path: 6, Ext: 2}] = 1
+	c.Calls[profile.CallKey{Caller: 0, Site: 1, Callee: 2}] = 9
+	if got, want := c.NumRecords(), len(c.Records()); got != want || want != 7 {
+		t.Fatalf("NumRecords = %d, len(Records()) = %d, want 7", got, want)
+	}
+}

@@ -47,11 +47,10 @@ func Compile(prog *ir.Program, plan *instrument.Plan) (*Program, error) {
 }
 
 // probeSeq is one edge's lowered probe work before record assembly: the
-// loop-tracker transitions and interprocedural region index, plus the
-// static tail (charges and BL increment, or the backedge completion).
+// loop-tracker transitions plus the static tail (charges and BL increment,
+// or the backedge completion).
 type probeSeq struct {
 	acts []probeAct
-	exts int32 // compiledFunc.exts index, -1 = none
 
 	blOps   int64
 	loopOps int64
@@ -66,7 +65,7 @@ type probeSeq struct {
 // static reports whether the sequence is a pure static charge, encodable
 // inline in an opCharge/opChargeJump or a branch arm with no record.
 func (s *probeSeq) static() bool {
-	return len(s.acts) == 0 && s.exts < 0 && !s.backedge
+	return len(s.acts) == 0 && !s.backedge
 }
 
 // fixup is a pending jump-target patch on an emitted instruction's b or c
@@ -223,14 +222,12 @@ func (c *fnCompiler) compile(idx int) (*compiledFunc, error) {
 			}
 		}
 		if c.entryExt != nil {
-			cf.hasEntry = true
-			cf.entryFreeze = c.entryExt.K + 1
-			cf.entryRoot = c.entryExt.RootDepth()
-			cf.suffixFreeze = make([]int, len(c.suffixExts))
-			cf.suffixRoot = make([]int, len(c.suffixExts))
+			cf.entry = newRouteTable(c.entryExt, routeTableLimit)
+			cf.sites = make([]*routeTable, len(c.suffixExts))
 			for i, x := range c.suffixExts {
-				cf.suffixFreeze[i] = x.K + 1
-				cf.suffixRoot[i] = x.RootDepth()
+				if c.sel.SiteOn(c.fi.Index, i) {
+					cf.sites[i] = newRouteTable(x, routeTableLimit)
+				}
 			}
 		}
 	}
@@ -587,8 +584,7 @@ func (c *fnCompiler) probeRecOf(s *probeSeq) int32 {
 	ri := int32(len(c.cf.probes))
 	c.cf.probes = append(c.cf.probes, probeRec{
 		bodyMask: bodyMask, touchMask: touchMask,
-		blOps: s.blOps, loopOps: s.loopOps, blInc: s.blInc,
-		acts: s.acts, exts: s.exts,
+		blOps: s.blOps, loopOps: s.loopOps, blInc: s.blInc, acts: s.acts,
 		backedge: s.backedge, exitVal: s.exitVal, entryVal: s.entryVal, beLoop: s.beLoop,
 	})
 	return ri
@@ -635,9 +631,11 @@ func (c *fnCompiler) emitProbe(s *probeSeq, target int32, fall bool) {
 }
 
 // probe lowers the probe of edge bid→to (nil when the program is
-// uninstrumented or the edge has no probe work at all): the work the tree
-// engine's instrument.Runtime does on the edge, derived once at compile
-// time as straight-line micro-ops and a static tail.
+// uninstrumented or the edge has no probe work at all): the Ball-Larus and
+// loop work the tree engine's instrument.Runtime does on the edge, derived
+// once at compile time as straight-line micro-ops and a static tail. Its
+// interprocedural region steps are not edge work here: they resolve at path
+// completion through the route tables (routes.go).
 func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	if c.plan == nil {
 		return nil, nil
@@ -646,7 +644,7 @@ func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	d := fi.DAG
 	e := cfg.Edge{From: cfg.NodeID(bid), To: cfg.NodeID(to)}
 	isBE := d.IsBackedge(e)
-	s := &probeSeq{exts: -1, beLoop: -1}
+	s := &probeSeq{beLoop: -1}
 
 	// Ball-Larus op accounting: naive placement charges every non-zero
 	// real-edge increment and two register reloads per backedge; chord
@@ -747,36 +745,10 @@ func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 		}
 	}
 
-	if c.entryExt != nil && !isBE {
-		rec := extsRec{entry: *extActFor(c.entryExt, e)}
-		rec.sites = make([]*extAct, len(c.suffixExts))
-		for i, x := range c.suffixExts {
-			if c.sel.SiteOn(fi.Index, i) {
-				rec.sites[i] = extActFor(x, e)
-			}
-		}
-		s.exts = int32(len(c.cf.exts))
-		c.cf.exts = append(c.cf.exts, rec)
-	}
-
 	if s.static() && s.blOps == 0 && s.loopOps == 0 && s.blInc == 0 {
 		return nil, nil
 	}
 	return s, nil
-}
-
-func extActFor(x *olpath.Ext, e cfg.Edge) *extAct {
-	a := &extAct{}
-	switch x.Classify(e) {
-	case olpath.DI:
-		a.statOps = overhead.RegOp
-	case olpath.PI:
-		a.statOps = overhead.GuardOp
-		a.liveOps = overhead.RegOp
-	}
-	a.val, a.hasVal = x.ValOK(e)
-	a.predTo = x.D.PredicateLike(e.To)
-	return a
 }
 
 func isTailOf(li *profile.LoopInfo, v cfg.NodeID) bool {

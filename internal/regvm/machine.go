@@ -19,8 +19,7 @@ const (
 	defaultMaxDepth = 4096
 )
 
-// trk is the run-time state of one tracker (loop, entry, or suffix region);
-// for entry and suffix regions, presence implies active.
+// trk is the run-time state of one loop tracker.
 type trk struct {
 	active bool
 	frozen bool
@@ -29,11 +28,15 @@ type trk struct {
 	preds  int
 }
 
+// suffix is one in-flight Type II region: the call site it resumes after,
+// the callee and the callee's last path id, and at, the BL register value
+// standing on the call-site block (the completed id minus at keys the
+// site's route table).
 type suffix struct {
 	site   int
 	callee int
 	q      int64
-	t      trk
+	at     int64
 }
 
 // frame is one procedure activation. Frames live in a machine-owned value
@@ -52,18 +55,22 @@ type frame struct {
 	r      int64
 	lastID int64
 
-	// Overlap trackers; rings[i] holds loop i's open multi-iteration
+	// Loop trackers; rings[i] holds loop i's open multi-iteration
 	// windows. activeMask and liveMask summarize the tracker states as
 	// modulo-64 loop-index bitsets (active, and active-and-unfrozen) so the
 	// dispatch loop can prove a probe record inert without walking its
-	// acts; extLive mirrors "entry tracker armed or suffixes in flight".
-	// Beyond 64 loops the masks are sticky over-approximations (set-only).
-	loops       []trk
-	rings       []olpath.Ring
-	activeMask  uint64
-	liveMask    uint64
-	extLive     bool
-	entry       trk
+	// acts. Beyond 64 loops the masks are sticky over-approximations
+	// (set-only).
+	loops      []trk
+	rings      []olpath.Ring
+	activeMask uint64
+	liveMask   uint64
+
+	// Interprocedural regions, resolved when the frame's path completes:
+	// entryOn marks the Type I region armed by the call that pushed the
+	// frame (with the caller, site and prefix register it keys on), and
+	// suffixes lists the Type II regions armed by returns into the frame.
+	entryOn     bool
 	entryCaller int
 	entrySite   int
 	entryPrefix int64
@@ -253,8 +260,8 @@ func (m *Machine) pushFrame(cf *compiledFunc, depth int) *frame {
 	}
 	m.top = int32(need)
 	fr.r, fr.lastID = 0, 0
-	fr.entry = trk{}
-	fr.activeMask, fr.liveMask, fr.extLive = 0, 0, false
+	fr.entryOn = false
+	fr.activeMask, fr.liveMask = 0, 0
 	if cap(fr.loops) >= cf.numLoops {
 		fr.loops = fr.loops[:cf.numLoops]
 		for i := range fr.loops {
@@ -551,11 +558,9 @@ func (m *Machine) run() error {
 		case opProbe:
 			rec := &fr.fn.probes[in.c]
 			// Inert-record fast path: no live tracker can see this
-			// record's body acts, no active tracker its exit/broken acts,
-			// and no interprocedural tracker is in flight — the record is
-			// exactly its static charges.
-			if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 &&
-				!rec.backedge && (rec.exts < 0 || !fr.extLive) {
+			// record's body acts and no active tracker its exit/broken
+			// acts — the record is exactly its static charges.
+			if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
 				blOps += rec.blOps
 				loopOps += rec.loopOps
 				r += rec.blInc
@@ -576,8 +581,7 @@ func (m *Machine) run() error {
 			}
 			if arm.probe >= 0 {
 				rec := &fr.fn.probes[arm.probe]
-				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 &&
-					!rec.backedge && (rec.exts < 0 || !fr.extLive) {
+				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
 					blOps += rec.blOps
 					loopOps += rec.loopOps
 					r += rec.blInc
@@ -604,8 +608,7 @@ func (m *Machine) run() error {
 			}
 			if arm.probe >= 0 {
 				rec := &fr.fn.probes[arm.probe]
-				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 &&
-					!rec.backedge && (rec.exts < 0 || !fr.extLive) {
+				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
 					blOps += rec.blOps
 					loopOps += rec.loopOps
 					r += rec.blInc
@@ -654,15 +657,11 @@ func (m *Machine) run() error {
 				m.incCall(profile.CallKey{Caller: fr.fn.idx, Site: int(rec.site), Callee: callee.idx})
 				if rec.siteOn {
 					m.InterOps += overhead.CallProbeOp
-					// The callee-entry (Type I) tracker activates
-					// immediately: callee.hasEntry always holds when
-					// siteOn does (both require Interproc && K >= 0).
-					nf.entry = trk{
-						active: true,
-						preds:  callee.entryRoot,
-						frozen: callee.entryRoot >= callee.entryFreeze,
-					}
-					nf.extLive = true
+					// Arm the callee-entry (Type I) region; its route
+					// resolves when the callee's first path completes.
+					// callee.entry is non-nil whenever siteOn holds (both
+					// require Interproc && K >= 0).
+					nf.entryOn = true
 					nf.entryCaller = fr.fn.idx
 					nf.entrySite = int(rec.site)
 					nf.entryPrefix = r
@@ -709,20 +708,16 @@ func (m *Machine) run() error {
 				st(regs, shared, rec.dst, rv)
 			}
 			if m.store != nil && rec.siteOn {
-				// Arm the caller-suffix (Type II) tracker before the
-				// resume edge fires, so the resume probe steps it —
-				// the tree engine's OnReturn-then-OnEdge ordering.
+				// Arm the caller-suffix (Type II) region before the resume
+				// edge fires, so a resume backedge completes it — the tree
+				// engine's OnReturn-then-OnEdge ordering. Its route, the
+				// resume edge's step included, resolves at completion.
 				fr.suffixes = append(fr.suffixes, suffix{
 					site:   int(rec.site),
 					callee: calleeIdx,
 					q:      calleeLast,
-					t: trk{
-						active: true,
-						preds:  fr.fn.suffixRoot[rec.site],
-						frozen: fr.fn.suffixRoot[rec.site] >= fr.fn.suffixFreeze[rec.site],
-					},
+					at:     r,
 				})
-				fr.extLive = true
 				m.InterOps += 2 * overhead.RegOp // arm ro/ol for the suffix
 			}
 			pc = rec.resumePC
@@ -734,8 +729,8 @@ func (m *Machine) run() error {
 }
 
 // runProbe executes one probe record: static charges, the loop-tracker
-// transitions, the in-flight interprocedural trackers' steps, and — on
-// backedges — the Ball-Larus path completion and loop-window rotation. The
+// transitions, and — on backedges — the Ball-Larus path completion and
+// loop-window rotation. The
 // dispatch loop's r/blOps/loopOps locals thread through as arguments and
 // return values so the whole record costs one call.
 func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (int64, int64, int64) {
@@ -782,18 +777,6 @@ func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (i
 					t.broken = true
 					m.freezeMask(fr, int(a.loop))
 				}
-			}
-		}
-	}
-	if rec.exts >= 0 {
-		x := &fr.fn.exts[rec.exts]
-		if fr.entry.active {
-			m.extStep(&fr.entry, &x.entry, fr.fn.entryFreeze)
-		}
-		for i := range fr.suffixes {
-			s := &fr.suffixes[i]
-			if a := x.sites[s.site]; a != nil {
-				m.extStep(&s.t, a, fr.fn.suffixFreeze[s.site])
 			}
 		}
 	}
@@ -848,31 +831,6 @@ func (m *Machine) freezeMask(fr *frame, loop int) {
 	}
 }
 
-// extStep advances one in-flight interprocedural tracker over an edge.
-func (m *Machine) extStep(t *trk, a *extAct, freeze int) {
-	m.InterOps += a.statOps
-	if !t.frozen {
-		m.InterOps += a.liveOps
-	}
-	if a.predTo {
-		m.InterOps += overhead.RegOp // ol++
-	}
-	if t.frozen {
-		return
-	}
-	if !a.hasVal {
-		t.frozen = true
-		return
-	}
-	t.accum += a.val
-	if a.predTo {
-		t.preds++
-		if t.preds >= freeze {
-			t.frozen = true
-		}
-	}
-}
-
 // crossLoop finalizes one backedge/exit crossing of one loop: the tracker's
 // route is appended to every open window of the loop's ring, closed windows
 // become counter increments, and — on the loop's own backedge (exit=false)
@@ -915,31 +873,35 @@ func (m *Machine) crossLoop(fr *frame, loop int, exit, fullIter bool) {
 }
 
 // completePath handles a finished Ball-Larus path instance: the BL counter,
-// the pending Type I finalization, and every in-flight Type II suffix.
+// the pending Type I region, and every in-flight Type II suffix. Each region
+// walked the completed path from its root, so its route and the probe ops
+// its per-edge steps cost come from its route table: keyed by the id itself
+// for the entry region, by the id less the register value at the call site
+// for a suffix.
 func (m *Machine) completePath(fr *frame, id int64) {
 	m.incBL(fr.fn.idx, id)
 	m.BLOps += overhead.CounterOp
 	fr.lastID = id
 
-	if fr.entry.active {
-		ext := fr.entry.accum
-		fr.entry = trk{}
+	if fr.entryOn {
+		fr.entryOn = false
+		rt := fr.fn.entry.at(id)
 		m.store.IncTypeI(profile.TypeIKey{
 			Caller: fr.entryCaller, Site: fr.entrySite,
-			Callee: fr.fn.idx, Prefix: fr.entryPrefix, Ext: ext,
+			Callee: fr.fn.idx, Prefix: fr.entryPrefix, Ext: rt.ext,
 		})
-		m.InterOps += overhead.TupleCounterOp
+		m.InterOps += rt.ops + overhead.TupleCounterOp
 	}
 	for i := range fr.suffixes {
 		s := &fr.suffixes[i]
+		rt := fr.fn.sites[s.site].at(id - s.at)
 		m.store.IncTypeII(profile.TypeIIKey{
 			Caller: fr.fn.idx, Site: s.site, Callee: s.callee,
-			Path: s.q, Ext: s.t.accum,
+			Path: s.q, Ext: rt.ext,
 		})
-		m.InterOps += overhead.TupleCounterOp
+		m.InterOps += rt.ops + overhead.TupleCounterOp
 	}
 	fr.suffixes = fr.suffixes[:0]
-	fr.extLive = false
 }
 
 // incBL records one Ball-Larus path completion, batching consecutive

@@ -24,13 +24,15 @@
 //     terminator (StepJump, StepBranch); edge probes whose work is fully
 //     static fuse into a single charge+jump (ChargeJump), and when the edge
 //     falls through to the next block the jump disappears entirely
-//     (Charge). Edges with dynamic probe work (loop trackers,
-//     interprocedural regions, backedge completions) execute in one
-//     dispatch too: the whole sequence compiles to a single record-driven
-//     Probe instruction, and probed branch terminators fuse the branch,
-//     both edges' probe work, and the jump into one BranchProbe: one
-//     dispatch for the branch and everything behind it, where a
-//     dispatch per edge plus a trampoline jump would otherwise be paid.
+//     (Charge). Edges with dynamic probe work (loop trackers, backedge
+//     completions) execute in one dispatch too: the whole sequence
+//     compiles to a single record-driven Probe instruction, and probed
+//     branch terminators fuse the branch, both edges' probe work, and the
+//     jump into one BranchProbe: one dispatch for the branch and
+//     everything behind it, where a dispatch per edge plus a trampoline
+//     jump would otherwise be paid. Interprocedural (Type I/II) regions
+//     put no work on edges at all: their routes and charges resolve at
+//     path completion through compile-time route tables (routes.go).
 //
 //   - Batched counter charges and zero-alloc steady state. Consecutive
 //     completions of the same Ball-Larus path, the same loop window, and
@@ -105,7 +107,7 @@ const (
 	// a single dispatch.
 	opCharge          // static charges + BL register increment, fall-through
 	opChargeJump      // static charges + BL register increment + jump
-	opProbe           // record-driven probe (loop/inter trackers, backedge completion) + optional jump
+	opProbe           // record-driven probe (loop trackers, backedge completion) + optional jump
 	opBranchProbe     // branch + taken edge's charge or probe record + jump
 	opStepBranchProbe // step + branch + taken edge's charge or probe record + jump
 )
@@ -176,25 +178,22 @@ type probeAct struct {
 }
 
 // probeRec is one edge's complete probe work, executed in a single opProbe
-// (or branch-arm) dispatch: static charges, loop-tracker transitions, the
-// interprocedural region steps, and — on backedges — the path completion.
-// Field order keeps the dispatch fast path's loads in the record's first
-// cache line.
+// (or branch-arm) dispatch: static charges, loop-tracker transitions, and —
+// on backedges — the path completion. Field order keeps the dispatch fast
+// path's loads in the record's first cache line.
 type probeRec struct {
 	// bodyMask and touchMask are modulo-64 loop-index bitsets of the
 	// record's actBody and actExit/actBroken acts. When no live tracker
-	// intersects bodyMask, no active tracker intersects touchMask, the
-	// interprocedural trackers are idle, and the record is not a backedge,
-	// the whole record degenerates to its static charges and the dispatch
-	// loop applies it inline without calling runProbe.
+	// intersects bodyMask, no active tracker intersects touchMask, and the
+	// record is not a backedge, the whole record degenerates to its static
+	// charges and the dispatch loop applies it inline without calling
+	// runProbe.
 	bodyMask  uint64
 	touchMask uint64
 	blOps     int64
 	loopOps   int64
 	// blInc is the Ball-Larus register increment (non-backedges).
-	blInc int64
-	// exts indexes compiledFunc.exts (-1 = no interprocedural work).
-	exts     int32
+	blInc    int64
 	backedge bool
 	acts     []probeAct
 	// beLoop is the backedge's own selected loop (-1 = none).
@@ -219,22 +218,6 @@ type branchRec struct {
 	els  branchArm
 }
 
-// extAct is one interprocedural region's step on one edge.
-type extAct struct {
-	statOps int64
-	liveOps int64
-	hasVal  bool
-	val     int64
-	predTo  bool
-}
-
-// extsRec carries one edge's Type I entry action and per-call-site Type II
-// suffix actions (nil entries = unselected sites).
-type extsRec struct {
-	entry extAct
-	sites []*extAct
-}
-
 // callRec carries everything a call terminator needs.
 type callRec struct {
 	indirect   bool
@@ -249,8 +232,9 @@ type callRec struct {
 	calleeName string
 }
 
-// compiledFunc is one function's code plus the side tables and per-region
-// tracker constants its probes reference.
+// compiledFunc is one function's code plus the side tables, per-loop
+// tracker constants and interprocedural route tables its probes and
+// completions reference.
 type compiledFunc struct {
 	fn      *ir.Func
 	idx     int
@@ -264,7 +248,6 @@ type compiledFunc struct {
 	calls    []*callRec
 	probes   []probeRec
 	branches []branchRec
-	exts     []extsRec
 
 	numLoops int
 	// maskExact holds when every loop index fits the 64-bit tracker masks,
@@ -276,11 +259,11 @@ type compiledFunc struct {
 	loopFreeze []int
 	loopRoot   []int
 
-	hasEntry     bool
-	entryFreeze  int
-	entryRoot    int
-	suffixFreeze []int
-	suffixRoot   []int
+	// entry resolves the Type I region of this function as a callee (nil
+	// when interprocedural profiling is off); sites[i] resolves call site
+	// i's Type II region (nil for unselected sites).
+	entry *routeTable
+	sites []*routeTable
 }
 
 // FusionStats counts the superinstructions the fusion pass emitted for one

@@ -400,10 +400,52 @@ func TestFusionStats(t *testing.T) {
 	if f.Probe+f.BranchProbe == 0 {
 		t.Fatalf("no record-driven probe fusion on a corpus program: %+v", f)
 	}
-	// With interprocedural regions on, every edge carries dynamic tracker
-	// work, so static charge fusion needs a loops-only plan to fire.
-	_, _, code, _ = compileCorpus(t, 4, instrument.Config{K: 2, Loops: true})
-	if f = code.Fusion; f.Charge+f.ChargeJump == 0 {
-		t.Fatalf("no charge fusion on a loops-only corpus program: %+v", f)
+	// Interprocedural regions resolve at path completion and put no work
+	// on edges, so edges outside loops stay static charges with them on.
+	if f.Charge+f.ChargeJump == 0 {
+		t.Fatalf("no charge fusion with interprocedural regions on: %+v", f)
+	}
+}
+
+// wideSource is a program whose callee has far more Ball-Larus paths than a
+// dense route table holds, both below its entry and below its call sites,
+// so its Type I and Type II regions resolve by walking the completed path.
+func wideSource() string {
+	var b strings.Builder
+	b.WriteString("func leaf(v) { if (v > 3) { return v - 1; } return v + 1; }\n")
+	b.WriteString("func wide(n) {\n\tvar x = leaf(n);\n")
+	for i := 0; i < 14; i++ {
+		fmt.Fprintf(&b, "\tif (rand(2) == 0) { x = x + %d; } else { x = x - 1; }\n", i+1)
+		if i == 2 {
+			b.WriteString("\tx = leaf(x);\n")
+		}
+	}
+	b.WriteString("\treturn x;\n}\n")
+	b.WriteString("func main() { var i = 0; while (i < 300) { print(wide(i)); i = i + 1; } }\n")
+	return b.String()
+}
+
+// TestWalkedRouteParity checks the walk that resolves regions above the
+// dense route-table bound against the tree engine, at every degree.
+func TestWalkedRouteParity(t *testing.T) {
+	src := wideSource()
+	prog, err := lang.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := profile.Analyze(prog, profile.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := info.Funcs[prog.FuncIndex("wide")]
+	// 1024 is the dense bound (routeTableLimit).
+	if n := wide.DAG.NumPaths[wide.CallSites[1].Block]; n <= 1024 {
+		t.Fatalf("second call site has %d paths below it; want more than the dense route-table bound", n)
+	}
+	for k := 0; k <= info.MaxDegree(); k++ {
+		cfg := instrument.Config{K: k, Loops: true, Interproc: true}
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			assertParity(t, src, 7, cfg)
+		})
 	}
 }

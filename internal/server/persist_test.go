@@ -150,9 +150,16 @@ func TestInstallDeletePersistAcrossRestart(t *testing.T) {
 		{Benchmark: "008.espresso", Seed: 7, K: 1, Shards: 1},
 		{Benchmark: "181.mcf", Seed: 3, K: 1, Shards: 1},
 	})
-	// Replace espresso's cell with mcf's snapshot via the install path,
-	// then delete mcf's.
-	snap := fetchBytes(t, d, "/v1/profiles/181.mcf?k=1&iters=2")
+	// Replace espresso's cell with another espresso run's snapshot (from a
+	// second daemon, other seed) via the install path, then delete mcf's.
+	// Installs are checked against the program, so the replacement must be
+	// one an espresso job could have produced.
+	other := newDaemon(t, Config{Runners: 1}, true)
+	runSweep(t, other, []JobRequest{{Benchmark: "008.espresso", Seed: 9, K: 1, Shards: 1}})
+	snap := fetchBytes(t, other, "/v1/profiles/008.espresso?k=1&iters=2")
+	if bytes.Equal(snap, fetchBytes(t, d, "/v1/profiles/008.espresso?k=1&iters=2")) {
+		t.Fatal("replacement snapshot equals the cell it replaces")
+	}
 	req, err := http.NewRequest(http.MethodPut, d.ts.URL+"/v1/profiles/008.espresso", bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)

@@ -251,6 +251,8 @@ type fleetKey struct {
 	iters int
 }
 
+func (k fleetKey) String() string { return fmt.Sprintf("%s|k=%d|iters=%d", k.bench, k.k, k.iters) }
+
 // pipeEntry is a singleflight slot for one program's pipeline.
 type pipeEntry struct {
 	once sync.Once
@@ -699,12 +701,22 @@ func (s *Server) handlePGOExport(w http.ResponseWriter, r *http.Request) {
 // request body — the cluster coordinator's install/handoff path. The cell
 // key is (benchmark from the path, k and iters from the snapshot header);
 // install is replacement, not merge, so a re-push after a lost update is
-// self-healing rather than double-counting.
+// self-healing rather than double-counting. A snapshot no job of the
+// benchmark could fold into is refused with 400 (checkInstall), so a bad
+// install cannot poison the cell's later folds.
 func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 	bench := r.PathValue("benchmark")
+	if workload.ByName(bench) == nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", bench))
+		return
+	}
 	snap, err := merge.Decode(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed snapshot: "+err.Error())
+		return
+	}
+	if err := s.checkInstall(bench, snap); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid snapshot for %s: %v", bench, err))
 		return
 	}
 	key := fleetKey{bench: bench, k: snap.K, iters: snap.Iters}
@@ -724,6 +736,105 @@ func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 	s.metrics.fleetInstalls.Add(1)
 	s.log.Debug("fleet.install", "benchmark", bench, "k", snap.K, "iters", snap.Iters, "mass", snap.Mass())
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// checkInstall validates a snapshot installed for bench against the
+// benchmark's program, resolved through the cached per-benchmark pipeline:
+// its function count must be the program's, k in [-1, the program's
+// maximum degree] (jobs clamp k to it), iters inside internal/limits — the
+// cells a job of the benchmark can fold into — and every record must name
+// functions, loops, call sites and Ball-Larus paths the program has
+// (checkRecords), so the cell's profile and PGO exports stay readable.
+func (s *Server) checkInstall(bench string, snap *merge.Snapshot) error {
+	p, err := s.pipelineFor(JobRequest{Benchmark: bench})
+	if err != nil {
+		return err
+	}
+	if n := len(p.Info.Funcs); snap.NumFuncs != n {
+		return fmt.Errorf("snapshot carries %d functions, the program has %d", snap.NumFuncs, n)
+	}
+	if err := limits.K(snap.K); err != nil {
+		return err
+	}
+	if max := p.Info.MaxDegree(); snap.K > max {
+		return fmt.Errorf("k=%d is above the program's maximum degree %d", snap.K, max)
+	}
+	if err := limits.Iters(snap.Iters); err != nil {
+		return err
+	}
+	return checkRecords(p.Info, snap.Counters)
+}
+
+// checkRecords checks the indices of every counter record against the
+// program: function indices below its function count, loop indices and
+// call-site indices within the named function, and Ball-Larus path ids (a
+// BL record's path, a loop record's base, a Type II record's callee path)
+// below the function's path count. The function count itself has already
+// been checked.
+func checkRecords(info *profile.Info, c *profile.Counters) error {
+	nf := len(info.Funcs)
+	fn := func(kind string, f int) error {
+		if f < 0 || f >= nf {
+			return fmt.Errorf("%s record names function %d of %d", kind, f, nf)
+		}
+		return nil
+	}
+	path := func(kind string, f int, id int64) error {
+		if n := info.Funcs[f].DAG.Total(); id < 0 || id >= n {
+			return fmt.Errorf("%s record names path %d of %d in %s", kind, id, n, info.Funcs[f].Fn.Name)
+		}
+		return nil
+	}
+	site := func(kind string, caller, s, callee int) error {
+		if err := fn(kind, caller); err != nil {
+			return err
+		}
+		if err := fn(kind, callee); err != nil {
+			return err
+		}
+		if n := len(info.Funcs[caller].CallSites); s < 0 || s >= n {
+			return fmt.Errorf("%s record names call site %d of %d in %s", kind, s, n, info.Funcs[caller].Fn.Name)
+		}
+		return nil
+	}
+	for f, m := range c.BL {
+		for id := range m {
+			if err := path("bl", f, id); err != nil {
+				return err
+			}
+		}
+	}
+	for k := range c.Loop {
+		if err := fn("loop", k.Func); err != nil {
+			return err
+		}
+		fi := info.Funcs[k.Func]
+		if k.Loop < 0 || k.Loop >= len(fi.Loops) {
+			return fmt.Errorf("loop record names loop %d of %d in %s", k.Loop, len(fi.Loops), fi.Fn.Name)
+		}
+		if err := path("loop", k.Func, k.Base); err != nil {
+			return err
+		}
+	}
+	for k := range c.TypeI {
+		if err := site("t1", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+	}
+	for k := range c.TypeII {
+		if err := site("t2", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+		if err := path("t2", k.Callee, k.Path); err != nil {
+			return err
+		}
+	}
+	for k := range c.Calls {
+		if err := site("call", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleFleetDelete drops one fleet cell (?k= and ?iters= select it; iters
@@ -991,6 +1102,20 @@ func (s *Server) jobTail(j *job, m *merged) {
 	res.Definite, res.Potential, res.Skipped = pe.Definite(), pe.Potential(), pe.Skipped
 
 	if j.req.Benchmark != "" && !s.cfg.FleetIngestOnly {
+		key := fleetKey{bench: j.req.Benchmark, k: res.K, iters: res.Iters}
+		// A cell the snapshot cannot fold into fails the job, naming the
+		// cell, before anything is journaled: a done job's mass is in its
+		// cell.
+		s.fleetMu.Lock()
+		var ferr error
+		if f := s.fleet[key]; f != nil {
+			ferr = f.Compatible(snap)
+		}
+		s.fleetMu.Unlock()
+		if ferr != nil {
+			s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, ferr))
+			return
+		}
 		// Durability before ack: the snapshot is journaled (and fsync'd)
 		// first, so a job observed as done has already survived kill -9.
 		// A failed append fails the job rather than acking mass the store
@@ -1008,13 +1133,16 @@ func (s *Server) jobTail(j *job, m *merged) {
 				"persist_ms", persistSpan.Duration().Milliseconds())
 		}
 		s.fleetMu.Lock()
-		key := fleetKey{bench: j.req.Benchmark, k: res.K, iters: res.Iters}
 		if f := s.fleet[key]; f == nil {
 			s.fleet[key] = snap.Clone()
 		} else {
-			f.Merge(snap) //nolint:errcheck // same benchmark+k+iters cell is compatible by construction
+			ferr = f.Merge(snap)
 		}
 		s.fleetMu.Unlock()
+		if ferr != nil {
+			s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, ferr))
+			return
+		}
 	}
 
 	j.mu.Lock()
