@@ -626,6 +626,47 @@ func BenchmarkEstimation(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateSweep measures the cold sweep's estimation: each
+// iteration builds a fresh pipeline per bundled program and its plan at
+// every degree (untimed, as a sweep plans each degree before estimating
+// it), so every static estimation cache starts empty, then estimates each
+// degree from -1 to the program's maximum from the collected runs'
+// counters.
+func BenchmarkEstimateSweep(b *testing.B) {
+	runs := suite(b)
+	progs := make([]*workload.Benchmark, len(runs))
+	for i, br := range runs {
+		progs[i] = br.B
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, br := range runs {
+			b.StopTimer()
+			prog, err := progs[j].Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := pipeline.New(prog, pipeline.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := -1; k <= br.MaxK; k++ {
+				if _, err := p.Plan(instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s := core.FromPipeline(p)
+			b.StartTimer()
+			for k := -1; k <= br.MaxK; k++ {
+				if _, err := s.Estimate(core.RunFromCounters(k, 2, br.At(k).Counters)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSequitur measures WPP grammar construction.
 func BenchmarkSequitur(b *testing.B) {
 	// A loopy synthetic trace.

@@ -64,20 +64,24 @@ func BranchCorrelations(info *profile.Info, caller *profile.FuncInfo,
 	if err != nil {
 		return nil, err
 	}
-	nq := len(r.QIDs)
-
 	// For each prefix: aggregate, per callee predicate block, the proven
-	// flow through each successor.
+	// flow through each successor. Pairs come grouped by prefix.
 	type flowKey struct {
 		branch cfg.NodeID
 		succ   cfg.NodeID
 	}
 	var out []BranchFinding
-	for pi, pr := range ps.Items {
-		flows := map[flowKey]int64{}
-		byBranch := map[cfg.NodeID]int64{}
-		for qi, qid := range r.QIDs {
-			lb := r.Res.Lower[pi*nq+qi]
+	flows := map[flowKey]int64{}
+	byBranch := map[cfg.NodeID]int64{}
+	for v := 0; v < r.Vars(); {
+		pi, _, _, _ := r.Pair(v)
+		clear(flows)
+		clear(byBranch)
+		for ; v < r.Vars(); v++ {
+			p, qid, lb, _ := r.Pair(v)
+			if p != pi {
+				break
+			}
 			if lb <= 0 {
 				continue
 			}
@@ -93,6 +97,7 @@ func BranchCorrelations(info *profile.Info, caller *profile.FuncInfo,
 				}
 			}
 		}
+		pr := ps.Items[pi]
 		for k, f := range flows {
 			if f < minFlow {
 				continue

@@ -198,24 +198,21 @@ type PairRedundancy struct {
 // AnalyzeLoopRedundancy computes the provable cross-backedge redundancy of
 // one loop from its estimated pair bounds.
 func AnalyzeLoopRedundancy(fi *profile.FuncInfo, li *profile.LoopInfo, res *estimate.LoopResult) *LoopRedundancy {
-	n := li.LP.Count()
 	out := &LoopRedundancy{
 		Func: fi.Fn.Name,
 		Head: fi.G.Label(li.Loop.Head),
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			lb := res.Res.Lower[res.Var(i, j)]
-			if lb <= 0 {
-				continue
-			}
-			red := RedundantInstrs(fi.Fn, li.LP.Seqs[i], li.LP.Seqs[j])
-			if red == 0 {
-				continue
-			}
-			out.ProvableSavings += lb * int64(red)
-			out.Pairs = append(out.Pairs, PairRedundancy{I: i, J: j, Redundant: red, LowerBound: lb})
+	for v := 0; v < res.Vars(); v++ {
+		i, j, lb, _ := res.Pair(v)
+		if lb <= 0 {
+			continue
 		}
+		red := RedundantInstrs(fi.Fn, li.LP.Seqs[i], li.LP.Seqs[j])
+		if red == 0 {
+			continue
+		}
+		out.ProvableSavings += lb * int64(red)
+		out.Pairs = append(out.Pairs, PairRedundancy{I: int(i), J: int(j), Redundant: red, LowerBound: lb})
 	}
 	sort.Slice(out.Pairs, func(a, b int) bool {
 		sa := out.Pairs[a].LowerBound * int64(out.Pairs[a].Redundant)

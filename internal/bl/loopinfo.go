@@ -194,9 +194,8 @@ type LoopFlow struct {
 	B uint64
 }
 
-// ComputeLoopFlow derives LoopFlow for one loop from a BL path profile.
-// pathOf resolves path ids to reconstructed paths (allowing the caller to
-// cache reconstructions).
+// ComputeLoopFlow derives LoopFlow for one loop from a BL path profile,
+// reconstructing each id with a non-zero count into one reused Path.
 func ComputeLoopFlow(d *DAG, lp *LoopPaths, profile map[int64]uint64) (*LoopFlow, error) {
 	lf := &LoopFlow{
 		Paths: lp,
@@ -204,12 +203,12 @@ func ComputeLoopFlow(d *DAG, lp *LoopPaths, profile map[int64]uint64) (*LoopFlow
 		E:     make([]uint64, lp.Count()),
 		X:     make([]uint64, lp.Count()),
 	}
+	p := &Path{}
 	for id, freq := range profile {
 		if freq == 0 {
 			continue
 		}
-		p, err := d.PathForID(id)
-		if err != nil {
+		if err := d.PathInto(p, id); err != nil {
 			return nil, err
 		}
 		if be, ok := p.EndBackedge(); ok && lp.Loop.IsBackedge(be) {

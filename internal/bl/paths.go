@@ -81,16 +81,28 @@ func (p *Path) Format(g *cfg.Graph) string {
 // greedily: at each node, take the out-edge with the largest Val not
 // exceeding the remaining id.
 func (d *DAG) PathForID(id int64) (*Path, error) {
-	if id < 0 || id >= d.Total() {
-		return nil, fmt.Errorf("bl: path id %d out of range [0,%d)", id, d.Total())
+	p := &Path{}
+	if err := d.PathInto(p, id); err != nil {
+		return nil, err
 	}
-	p := &Path{ID: id}
+	return p, nil
+}
+
+// PathInto is PathForID into a caller-owned Path, reusing the capacity of
+// its Edges and Blocks, so reconstructing many ids allocates only while
+// those slices grow. On error p is left in an unspecified state.
+func (d *DAG) PathInto(p *Path, id int64) error {
+	if id < 0 || id >= d.Total() {
+		return fmt.Errorf("bl: path id %d out of range [0,%d)", id, d.Total())
+	}
+	p.ID = id
+	p.Edges = p.Edges[:0]
 	v := d.G.Entry()
 	rem := id
 	for v != d.G.Exit() {
 		out := d.Out[v]
 		if len(out) == 0 {
-			return nil, fmt.Errorf("bl: stuck at node %s reconstructing id %d", d.G.Label(v), id)
+			return fmt.Errorf("bl: stuck at node %s reconstructing id %d", d.G.Label(v), id)
 		}
 		chosen := out[0]
 		for _, e := range out[1:] {
@@ -105,19 +117,23 @@ func (d *DAG) PathForID(id int64) (*Path, error) {
 		v = chosen.To
 	}
 	if rem != 0 {
-		return nil, fmt.Errorf("bl: residue %d reconstructing id %d", rem, id)
+		return fmt.Errorf("bl: residue %d reconstructing id %d", rem, id)
 	}
-	p.Blocks = blocksOf(d, p.Edges)
-	return p, nil
+	p.Blocks = appendBlocks(p.Blocks[:0], d, p.Edges)
+	return nil
 }
 
 // blocksOf converts an edge sequence into the meaningful block sequence.
 func blocksOf(d *DAG, edges []*DAGEdge) []cfg.NodeID {
+	return appendBlocks(nil, d, edges)
+}
+
+// appendBlocks appends the meaningful block sequence of edges to blocks.
+func appendBlocks(blocks []cfg.NodeID, d *DAG, edges []*DAGEdge) []cfg.NodeID {
 	if len(edges) == 0 {
 		// Single-block procedure: entry == exit.
-		return []cfg.NodeID{d.G.Entry()}
+		return append(blocks, d.G.Entry())
 	}
-	var blocks []cfg.NodeID
 	if edges[0].Kind != EntryDummy {
 		blocks = append(blocks, edges[0].From)
 	}

@@ -88,13 +88,18 @@ const maxPasses = 10000
 
 // Solve computes the tightest bounds reachable by the paper's propagation
 // rules. It returns an error for malformed problems (bad indices, negative
-// values, duplicate membership within one group).
+// values, duplicate membership within one group). Beyond its result it
+// allocates nothing: validation stamps group membership into the upper-bound
+// slice before the bounds are initialized.
 func Solve(p *Problem) (*Result, error) {
-	if err := validate(p); err != nil {
+	if p.N < 0 {
+		return nil, fmt.Errorf("bounds: negative variable count %d", p.N)
+	}
+	buf := make([]int64, 2*p.N)
+	lower, upper := buf[:p.N:p.N], buf[p.N:]
+	if err := validate(p, upper); err != nil {
 		return nil, err
 	}
-	lower := make([]int64, p.N)
-	upper := make([]int64, p.N)
 	for i := range upper {
 		if p.Caps != nil {
 			upper[i] = p.Caps[i]
@@ -116,16 +121,20 @@ func Solve(p *Problem) (*Result, error) {
 		changed := false
 		for _, g := range p.Groups {
 			// Phase 1: tighten uppers from the current lowers.
-			// Upper(v) := min(Upper(v), Value − Σ lower(others)).
+			// Upper(v) := min(Upper(v), max(0, Value − Σ lower(others))).
+			// Only a bound that moves counts as progress: on an
+			// inconsistent profile the raw value can sit below an
+			// upper bound that is already 0.
 			var sumL int64
 			for _, v := range g.Vars {
 				sumL += lower[v]
 			}
 			for _, v := range g.Vars {
-				if u := g.Value - (sumL - lower[v]); u < upper[v] {
-					if u < 0 {
-						u = 0
-					}
+				u := g.Value - (sumL - lower[v])
+				if u < 0 {
+					u = 0
+				}
+				if u < upper[v] {
 					upper[v] = u
 					changed = true
 				}
@@ -180,33 +189,31 @@ func Solve(p *Problem) (*Result, error) {
 	return res, nil
 }
 
-func validate(p *Problem) error {
-	if p.N < 0 {
-		return fmt.Errorf("bounds: negative variable count %d", p.N)
-	}
+// validate checks p's caps and groups. mark, one slot per variable, records
+// the last group (1-based) that listed each variable, so a duplicate within
+// one group is a single comparison and no per-group set is built.
+func validate(p *Problem, mark []int64) error {
 	if p.Caps != nil && len(p.Caps) != p.N {
 		return fmt.Errorf("bounds: %d caps for %d variables", len(p.Caps), p.N)
 	}
-	if p.Caps != nil {
-		for i, c := range p.Caps {
-			if c < 0 {
-				return fmt.Errorf("bounds: negative cap %d at %d", c, i)
-			}
+	for i, c := range p.Caps {
+		if c < 0 {
+			return fmt.Errorf("bounds: negative cap %d at %d", c, i)
 		}
 	}
 	for gi, g := range p.Groups {
 		if g.Value < 0 {
 			return fmt.Errorf("bounds: group %d has negative value %d", gi, g.Value)
 		}
-		seen := map[int]bool{}
+		stamp := int64(gi) + 1
 		for _, v := range g.Vars {
 			if v < 0 || v >= p.N {
 				return fmt.Errorf("bounds: group %d references variable %d of %d", gi, v, p.N)
 			}
-			if seen[v] {
+			if mark[v] == stamp {
 				return fmt.Errorf("bounds: group %d lists variable %d twice", gi, v)
 			}
-			seen[v] = true
+			mark[v] = stamp
 		}
 	}
 	return nil

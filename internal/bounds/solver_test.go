@@ -301,3 +301,44 @@ func TestConvergesQuickly(t *testing.T) {
 		}
 	}
 }
+
+// TestNoProgressOnStuckClamp is an inconsistent problem: x0 is pinned to 3
+// while x0 + x1 may not exceed 1. Phase 1 then computes a negative upper
+// bound for x1, whose upper bound is already 0; clamping it to 0 moves
+// nothing and must not count as progress, so the solver settles at once
+// instead of spending its whole pass budget.
+func TestNoProgressOnStuckClamp(t *testing.T) {
+	p := &Problem{
+		N:    2,
+		Caps: []int64{5, 5},
+		Groups: []Group{
+			{Vars: []int{0}, Value: 3, Equality: true},
+			{Vars: []int{0, 1}, Value: 1},
+		},
+	}
+	r := solveOK(t, p)
+	if r.Passes > 2 {
+		t.Fatalf("%d passes; want at most 2", r.Passes)
+	}
+	if r.Lower[0] != 1 || r.Lower[1] != 0 || r.Upper[0] != 1 || r.Upper[1] != 0 {
+		t.Fatalf("bounds [%d %d]/[%d %d]; want [1 0]/[1 0]", r.Lower[0], r.Lower[1], r.Upper[0], r.Upper[1])
+	}
+}
+
+// TestSolveAllocations pins the solver's allocation budget: the result and
+// one bound buffer, however many groups and passes.
+func TestSolveAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	p, _ := randomConsistentProblem(r)
+	for len(p.Groups) < 3 {
+		p, _ = randomConsistentProblem(r)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Solve(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Solve made %.0f allocations; want at most 2", allocs)
+	}
+}

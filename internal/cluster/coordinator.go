@@ -709,6 +709,7 @@ func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Sn
 	}
 	c.fleetMu.Unlock()
 	if err != nil {
+		c.metrics.foldErrors.Add(1)
 		return fmt.Errorf("cell %s: %w", key, err)
 	}
 	if c.cfg.Persist != nil {
@@ -729,6 +730,7 @@ func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Sn
 	}
 	c.fleetMu.Unlock()
 	if err != nil {
+		c.metrics.foldErrors.Add(1)
 		return fmt.Errorf("cell %s: %w", key, err)
 	}
 	c.pushCell(ctx, key)

@@ -52,9 +52,13 @@ func TestFoldFleetIncompatibleCell(t *testing.T) {
 	c.fleet[key] = &cell{snap: bad}
 	job := merge.Empty(1, 2, 5)
 	job.Counters.BL[0][0] = 3
+	before := c.metricsSnapshot().FleetFoldErrors
 	err := c.foldFleet(context.Background(), key, job)
 	if err == nil || !strings.Contains(err.Error(), key.String()) {
 		t.Fatalf("fold into an incompatible cell: err = %v, want an error naming %s", err, key)
+	}
+	if got := c.metricsSnapshot().FleetFoldErrors; got != before+1 {
+		t.Fatalf("fleet_fold_errors %d after the failed fold, want %d", got, before+1)
 	}
 	if cl := c.fleet[key]; cl.snap != bad || bad.Mass() != 0 {
 		t.Fatal("failed fold changed the cell")

@@ -22,6 +22,7 @@ type cmetrics struct {
 	chunksDispatched atomic.Int64
 	chunkRetries     atomic.Int64
 	pushFailures     atomic.Int64
+	foldErrors       atomic.Int64
 	handoffs         atomic.Int64
 	joins            atomic.Int64
 	leaves           atomic.Int64
@@ -114,6 +115,9 @@ type ClusterMetrics struct {
 	// FleetPushFailures counts fleet-cell installs that failed (the cell
 	// stays dirty and re-pushes).
 	FleetPushFailures int64 `json:"fleet_push_failures"`
+	// FleetFoldErrors counts job snapshots that could not fold into their
+	// authoritative fleet cell (the job fails; the cell is unchanged).
+	FleetFoldErrors int64 `json:"fleet_fold_errors"`
 	// Handoffs counts fleet cells re-homed by membership changes.
 	Handoffs int64 `json:"handoffs"`
 	// Joins and Leaves count membership changes.
@@ -149,6 +153,7 @@ func (c *Coordinator) metricsSnapshot() ClusterMetrics {
 		ChunksDispatched:  m.chunksDispatched.Load(),
 		ChunkRetries:      m.chunkRetries.Load(),
 		FleetPushFailures: m.pushFailures.Load(),
+		FleetFoldErrors:   m.foldErrors.Load(),
 		Handoffs:          m.handoffs.Load(),
 		Joins:             m.joins.Load(),
 		Leaves:            m.leaves.Load(),

@@ -245,7 +245,9 @@ func (pe *ProgramEstimate) Potential() int64 {
 	return v
 }
 
-// Counts returns (variables, exactly-pinned variables).
+// Counts returns (interesting paths, exactly-pinned paths) over every
+// solved problem. A path without a solver variable (its cap is 0) counts,
+// pinned at [0, 0].
 func (pe *ProgramEstimate) Counts() (vars, exact int) {
 	for _, l := range pe.Loops {
 		vars += l.Res.N
@@ -278,11 +280,15 @@ func (s *Session) Estimate(run *Run) (*ProgramEstimate, error) {
 	return s.EstimateMode(run, estimate.Paper)
 }
 
-// EstimateMode is Estimate with an explicit constraint mode.
+// EstimateMode is Estimate with an explicit constraint mode. The run's
+// counters are sorted by structure once, and each function's profiled BL
+// paths are reconstructed once, for all of its loops and call edges
+// (estimate.Batch); the per-structure static work is cached on s.Info.
 func (s *Session) EstimateMode(run *Run, mode estimate.Mode) (*ProgramEstimate, error) {
 	k := run.K
 	pe := &ProgramEstimate{K: k, Mode: mode}
 	c := run.Counters
+	b := estimate.NewBatch(s.Info, c)
 	for fidx, fi := range s.Info.Funcs {
 		for _, li := range fi.Loops {
 			// Structures outside the run's selection carry no
@@ -291,7 +297,7 @@ func (s *Session) EstimateMode(run *Run, mode estimate.Mode) (*ProgramEstimate, 
 			if !run.Selection.LoopOn(fidx, li.Index) {
 				lk = -1
 			}
-			res, err := estimate.Loop(fi, li, c.BL[fidx], c.Loop, lk, mode)
+			res, err := b.Loop(fi, li, lk, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +330,7 @@ func (s *Session) EstimateMode(run *Run, mode estimate.Mode) (*ProgramEstimate, 
 		if !run.Selection.SiteOn(ck.Caller, ck.Site) {
 			sk = -1
 		}
-		r1, err := estimate.TypeI(s.Info, caller, cs, ck.Callee, c.BL[ck.Caller], c.BL[ck.Callee], c.TypeI, c.Calls[ck], sk, mode)
+		r1, err := b.TypeI(caller, cs, ck.Callee, c.Calls[ck], sk, mode)
 		switch err {
 		case nil:
 			se.TypeI = r1
@@ -333,7 +339,7 @@ func (s *Session) EstimateMode(run *Run, mode estimate.Mode) (*ProgramEstimate, 
 		default:
 			return nil, err
 		}
-		r2, err := estimate.TypeII(s.Info, caller, cs, ck.Callee, c.BL[ck.Caller], c.BL[ck.Callee], c.TypeII, c.Calls[ck], sk, mode)
+		r2, err := b.TypeII(caller, cs, ck.Callee, c.Calls[ck], sk, mode)
 		switch err {
 		case nil:
 			se.TypeII = r2

@@ -32,25 +32,21 @@ type LoopPair struct {
 func (s *Session) HotLoopPairs(pe *ProgramEstimate, minLower int64) []LoopPair {
 	var out []LoopPair
 	for _, le := range pe.Loops {
-		n := le.Loop.LP.Count()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := le.Res.Var(i, j)
-				lo := le.Res.Res.Lower[v]
-				if lo < minLower || lo == 0 {
-					continue
-				}
-				out = append(out, LoopPair{
-					Func: le.Func.Fn.Name,
-					Head: le.Func.G.Label(le.Loop.Loop.Head),
-					I:    i, J: j,
-					ISeq:      bl.FormatSeq(le.Func.G, le.Loop.LP.Seqs[i]),
-					JSeq:      bl.FormatSeq(le.Func.G, le.Loop.LP.Seqs[j]),
-					Lower:     lo,
-					Upper:     le.Res.Res.Upper[v],
-					Repeating: i == j,
-				})
+		for v := 0; v < le.Res.Vars(); v++ {
+			i, j, lo, hi := le.Res.Pair(v)
+			if lo < minLower || lo == 0 {
+				continue
 			}
+			out = append(out, LoopPair{
+				Func: le.Func.Fn.Name,
+				Head: le.Func.G.Label(le.Loop.Loop.Head),
+				I:    int(i), J: int(j),
+				ISeq:      bl.FormatSeq(le.Func.G, le.Loop.LP.Seqs[i]),
+				JSeq:      bl.FormatSeq(le.Func.G, le.Loop.LP.Seqs[j]),
+				Lower:     lo,
+				Upper:     hi,
+				Repeating: i == j,
+			})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -119,30 +115,26 @@ func (s *Session) typeIPairs(se SiteEstimate, minLower int64) ([]CrossingPair, e
 	if err != nil {
 		return nil, err
 	}
-	nq := len(r.QIDs)
 	var out []CrossingPair
-	for pi, pr := range ps.Items {
-		for qi, qid := range r.QIDs {
-			v := pi*nq + qi
-			lo := r.Res.Lower[v]
-			if lo < minLower || lo == 0 {
-				continue
-			}
-			q, err := se.Callee.DAG.PathForID(qid)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, CrossingPair{
-				Kind:   "I",
-				Caller: se.Caller.Fn.Name,
-				Site:   se.Caller.G.Label(se.Site.Block),
-				Callee: se.Callee.Fn.Name,
-				First:  bl.FormatSeq(se.Caller.G, pr.Blocks),
-				Second: q.Format(se.Callee.G),
-				Lower:  lo,
-				Upper:  r.Res.Upper[v],
-			})
+	for v := 0; v < r.Vars(); v++ {
+		pi, qid, lo, hi := r.Pair(v)
+		if lo < minLower || lo == 0 {
+			continue
 		}
+		q, err := se.Callee.DAG.PathForID(qid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, CrossingPair{
+			Kind:   "I",
+			Caller: se.Caller.Fn.Name,
+			Site:   se.Caller.G.Label(se.Site.Block),
+			Callee: se.Callee.Fn.Name,
+			First:  bl.FormatSeq(se.Caller.G, ps.Items[pi].Blocks),
+			Second: q.Format(se.Callee.G),
+			Lower:  lo,
+			Upper:  hi,
+		})
 	}
 	return out, nil
 }
@@ -153,30 +145,26 @@ func (s *Session) typeIIPairs(se SiteEstimate, minLower int64) ([]CrossingPair, 
 	if err != nil {
 		return nil, err
 	}
-	ns := r.NSuffix
 	var out []CrossingPair
-	for qi, qid := range r.QIDs {
-		for si := 0; si < ns; si++ {
-			v := qi*ns + si
-			lo := r.Res.Lower[v]
-			if lo < minLower || lo == 0 {
-				continue
-			}
-			q, err := se.Callee.DAG.PathForID(qid)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, CrossingPair{
-				Kind:   "II",
-				Caller: se.Caller.Fn.Name,
-				Site:   se.Caller.G.Label(se.Site.Block),
-				Callee: se.Callee.Fn.Name,
-				First:  q.Format(se.Callee.G),
-				Second: bl.FormatSeq(se.Caller.G, ss.Seqs[si]),
-				Lower:  lo,
-				Upper:  r.Res.Upper[v],
-			})
+	for v := 0; v < r.Vars(); v++ {
+		qid, si, lo, hi := r.Pair(v)
+		if lo < minLower || lo == 0 {
+			continue
 		}
+		q, err := se.Callee.DAG.PathForID(qid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, CrossingPair{
+			Kind:   "II",
+			Caller: se.Caller.Fn.Name,
+			Site:   se.Caller.G.Label(se.Site.Block),
+			Callee: se.Callee.Fn.Name,
+			First:  q.Format(se.Callee.G),
+			Second: bl.FormatSeq(se.Caller.G, ss.Seqs[si]),
+			Lower:  lo,
+			Upper:  hi,
+		})
 	}
 	return out, nil
 }

@@ -150,16 +150,14 @@ func checkEstimates(t *testing.T, seed int64, k int, info *profile.Info, tr *tra
 				t.Errorf("seed %d k=%d: loop estimate: %v", seed, k, err)
 				return false
 			}
-			n := li.LP.Count()
 			for pk, cnt := range pairs {
 				if pk.Func != fidx || pk.Loop != li.Index {
 					continue
 				}
-				v := pk.I*n + pk.J
-				if res.Res.Lower[v] > int64(cnt) || res.Res.Upper[v] < int64(cnt) {
+				lo, hi := res.Bounds(int64(pk.I), int64(pk.J))
+				if lo > int64(cnt) || hi < int64(cnt) {
 					t.Errorf("seed %d k=%d: %s loop %d pair(%d,%d): [%d,%d] misses %d",
-						seed, k, fi.Fn.Name, li.Index, pk.I, pk.J,
-						res.Res.Lower[v], res.Res.Upper[v], cnt)
+						seed, k, fi.Fn.Name, li.Index, pk.I, pk.J, lo, hi, cnt)
 					return false
 				}
 			}

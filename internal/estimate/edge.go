@@ -42,10 +42,22 @@ func EdgeProfileFromPaths(d *bl.DAG, paths map[int64]uint64) (*EdgeProfile, erro
 
 // EdgeToPathResult bounds every BL path's frequency from an edge profile.
 type EdgeToPathResult struct {
-	Estimate
+	// Res holds per-path bounds, aligned with IDs.
+	Res *bounds.Result
+	// N is the path count.
+	N int
 	// IDs aligns variable indices with BL path ids.
 	IDs []int64
 }
+
+// Definite returns the sum of lower bounds.
+func (r *EdgeToPathResult) Definite() int64 { return r.Res.Definite() }
+
+// Potential returns the sum of upper bounds.
+func (r *EdgeToPathResult) Potential() int64 { return r.Res.Potential() }
+
+// Exact returns the number of paths with equal bounds.
+func (r *EdgeToPathResult) Exact() int { return r.Res.Exact() }
 
 // EdgeToPaths estimates BL path frequencies from an edge profile: one
 // equality group per DAG edge (every traversal belongs to exactly one path
@@ -93,7 +105,7 @@ func EdgeToPaths(fi *profile.FuncInfo, ep *EdgeProfile, maxPaths int64) (*EdgeTo
 	if err != nil {
 		return nil, err
 	}
-	return &EdgeToPathResult{Estimate: Estimate{Res: res, N: n}, IDs: ids}, nil
+	return &EdgeToPathResult{Res: res, N: n, IDs: ids}, nil
 }
 
 // EdgeVsPathSummary aggregates the showdown over a whole program: how much

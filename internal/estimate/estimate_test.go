@@ -169,11 +169,10 @@ func checkLoopProperties(t *testing.T, env *estEnv, mode Mode) {
 				}
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
-						v := i*n + j
-						if res.Res.Lower[v] > real[v] || res.Res.Upper[v] < real[v] {
+						lo, hi := res.Bounds(int64(i), int64(j))
+						if lo > real[i*n+j] || hi < real[i*n+j] {
 							t.Fatalf("%s loop %d k=%d mode=%v pair(%d,%d): [%d,%d] misses real %d",
-								fi.Fn.Name, li.Index, k, mode, i, j,
-								res.Res.Lower[v], res.Res.Upper[v], real[v])
+								fi.Fn.Name, li.Index, k, mode, i, j, lo, hi, real[i*n+j])
 						}
 					}
 				}
@@ -255,20 +254,19 @@ func checkInterProperties(t *testing.T, env *estEnv, mode Mode) {
 			if err != nil {
 				t.Fatalf("TypeI %v k=%d: %v", ck, k, err)
 			}
-			nq := len(r1.QIDs)
-			qpos := map[int64]int{}
-			for i, id := range r1.QIDs {
-				qpos[id] = i
-			}
-			ppos := map[int64]int{}
-			for i, a := range r1.PrefixAccums {
-				ppos[a] = i
+			ps, err := caller.Prefixes(cs)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for key, real := range realT1 {
-				v := ppos[key[0]]*nq + qpos[key[1]]
-				if r1.Res.Lower[v] > real || r1.Res.Upper[v] < real {
+				pi := ps.IndexOfAccum(key[0])
+				if pi < 0 {
+					t.Fatalf("T1 %v: prefix accum %d not enumerated", ck, key[0])
+				}
+				lo, hi := r1.Bounds(int64(pi), key[1])
+				if lo > real || hi < real {
 					t.Fatalf("T1 %v k=%d var(%d,%d): [%d,%d] misses %d",
-						ck, k, key[0], key[1], r1.Res.Lower[v], r1.Res.Upper[v], real)
+						ck, k, key[0], key[1], lo, hi, real)
 				}
 			}
 			def1, pot1 := r1.Definite(), r1.Potential()
@@ -287,16 +285,11 @@ func checkInterProperties(t *testing.T, env *estEnv, mode Mode) {
 			if err != nil {
 				t.Fatalf("TypeII %v k=%d: %v", ck, k, err)
 			}
-			ns := r2.NSuffix
-			q2pos := map[int64]int{}
-			for i, id := range r2.QIDs {
-				q2pos[id] = i
-			}
 			for key, real := range realT2 {
-				v := q2pos[key[0]]*ns + int(key[1])
-				if r2.Res.Lower[v] > real || r2.Res.Upper[v] < real {
+				lo, hi := r2.Bounds(key[0], key[1])
+				if lo > real || hi < real {
 					t.Fatalf("T2 %v k=%d var(q=%d,s=%d): [%d,%d] misses %d",
-						ck, k, key[0], key[1], r2.Res.Lower[v], r2.Res.Upper[v], real)
+						ck, k, key[0], key[1], lo, hi, real)
 				}
 			}
 			def2, pot2 := r2.Definite(), r2.Potential()

@@ -3,22 +3,17 @@ package estimate
 import (
 	"fmt"
 
-	"pathprof/internal/bl"
-	"pathprof/internal/bounds"
-	"pathprof/internal/cfg"
+	"pathprof/internal/olpath"
 	"pathprof/internal/profile"
 )
 
-// LoopResult is the bound estimate for one loop's k^2 interesting paths.
-// Variable (i, j) — loop path i followed by loop path j — lives at index
-// i*N + j.
+// LoopResult is the bound estimate for one loop's n^2 interesting paths:
+// row i and column j are loop-path indices, pair (i, j) being loop path i
+// followed by loop path j.
 type LoopResult struct {
 	Estimate
 	Li *profile.LoopInfo
 }
-
-// Var returns the variable index of pair (i, j).
-func (r *LoopResult) Var(i, j int) int { return i*r.Li.LP.Count() + j }
 
 // Loop estimates the interesting-path frequencies of one loop.
 //
@@ -28,55 +23,70 @@ func (r *LoopResult) Var(i, j int) int { return i*r.Li.LP.Count() + j }
 func Loop(fi *profile.FuncInfo, li *profile.LoopInfo, blProf map[int64]uint64,
 	loopCounters map[profile.LoopKey]uint64, k int, mode Mode) (*LoopResult, error) {
 
-	loopCounters = foldFirstCrossing(loopCounters)
+	b := newBatch(nil, oneFunc(fi.Index, blProf))
+	b.sortLoops(loopCounters, &loopRef{fi.Index, li.Index})
+	return b.Loop(fi, li, k, mode)
+}
 
-	n := li.LP.Count()
-	lf, err := bl.ComputeLoopFlow(fi.DAG, li.LP, blProf)
+// Loop is the package-level Loop on the batch's counters.
+func (b *Batch) Loop(fi *profile.FuncInfo, li *profile.LoopInfo, k int, mode Mode) (*LoopResult, error) {
+	fp, err := b.paths(fi)
 	if err != nil {
 		return nil, err
 	}
-
-	p := &bounds.Problem{N: n * n, Caps: make([]int64, n*n)}
+	// Loop flow (F, E, X per loop path), then the caps of Eqs. 5 and 6:
+	// row i carries F_i - X_i, column j carries F_j - E_j.
+	n, nl := li.LP.Count(), len(fi.Loops)
+	g := getGrid()
+	defer gridPool.Put(g)
+	fx := g.zeros(2 * n)
+	rowCap, colCap := fx[:n], fx[n:]
+	for i, c := range fp.counts {
+		o := fp.occ[i*nl+li.Index]
+		if o.seq < 0 {
+			continue
+		}
+		rowCap[o.seq] += c
+		colCap[o.seq] += c
+		if o.last {
+			rowCap[o.seq] -= c
+		}
+		if o.first {
+			colCap[o.seq] -= c
+		}
+	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			// Eqs. 5 and 6: F_p - X_p and F_q - E_q.
-			p.Caps[i*n+j] = minI64(int64(lf.F[i]-lf.X[i]), int64(lf.F[j]-lf.E[j]))
+		if rowCap[i] > 0 || b.dense {
+			g.addRow(int64(i), rowCap[i])
+		}
+		if colCap[i] > 0 || b.dense {
+			g.addCol(int64(i), colCap[i])
 		}
 	}
 
 	sound := rowColEqualitySound(fi, li)
-
 	if k < 0 {
 		// BL-only: row sums bounded by F_i - X_i; equalities only in
 		// Extended mode on loops where that is provably exact.
-		for i := 0; i < n; i++ {
-			vars := make([]int, n)
-			for j := 0; j < n; j++ {
-				vars[j] = i*n + j
-			}
-			p.Groups = append(p.Groups, bounds.Group{
-				Vars: vars, Value: int64(lf.F[i] - lf.X[i]),
-				Equality: mode == Extended && sound,
-			})
-		}
+		g.rowSums(mode == Extended && sound)
 		if mode == Extended && sound {
-			addColGroups(p, lf, n, true)
+			g.colSums(true)
 		}
 	} else {
-		if err := addOFGroups(p, fi, li, loopCounters, k, n); err != nil {
+		if err := b.loopOF(g, fi, li, fp, k); err != nil {
 			return nil, err
 		}
 		if mode == Extended && sound {
-			addRowGroups(p, lf, n, true)
-			addColGroups(p, lf, n, true)
+			g.rowSums(true)
+			g.colSums(true)
 		}
 	}
 
-	res, err := bounds.Solve(p)
+	est, err := g.solve(n * n)
 	if err != nil {
 		return nil, err
 	}
-	return &LoopResult{Estimate: Estimate{Res: res, N: n * n}, Li: li}, nil
+	return &LoopResult{Estimate: est, Li: li}, nil
 }
 
 // foldFirstCrossing projects multi-iteration loop counters (iters > 2,
@@ -105,106 +115,92 @@ func foldFirstCrossing(counters map[profile.LoopKey]uint64) map[profile.LoopKey]
 	return out
 }
 
-func addRowGroups(p *bounds.Problem, lf *bl.LoopFlow, n int, eq bool) {
-	for i := 0; i < n; i++ {
-		vars := make([]int, n)
-		for j := 0; j < n; j++ {
-			vars[j] = i*n + j
-		}
-		p.Groups = append(p.Groups, bounds.Group{Vars: vars, Value: int64(lf.F[i] - lf.X[i]), Equality: eq})
-	}
-}
-
-func addColGroups(p *bounds.Problem, lf *bl.LoopFlow, n int, eq bool) {
-	for j := 0; j < n; j++ {
-		vars := make([]int, n)
-		for i := 0; i < n; i++ {
-			vars[i] = i*n + j
-		}
-		p.Groups = append(p.Groups, bounds.Group{Vars: vars, Value: int64(lf.F[j] - lf.E[j]), Equality: eq})
-	}
-}
-
-// addOFGroups builds the paper's OF sum equalities from degree-k loop
-// counters: for each first component i and each distinct degree-k cut
-// prefix c, the variables {(i, j) : cut(j) == c} sum to the observed count.
-func addOFGroups(p *bounds.Problem, fi *profile.FuncInfo, li *profile.LoopInfo,
-	counters map[profile.LoopKey]uint64, k int, n int) error {
-
+// loopOF adds the paper's OF sum equalities from degree-k loop counters:
+// for each first component i and each distinct degree-d cut c, d <= k,
+// the pairs {(i, j) : cut(j) == c} sum to the observed count. The
+// degree-d groups are exact aggregations of the degree-k counters, and
+// including the coarser levels makes precision provably monotone in the
+// profiled degree.
+func (b *Batch) loopOF(g *grid, fi *profile.FuncInfo, li *profile.LoopInfo, fp *funcPaths, k int) error {
 	effK := li.EffectiveK(k)
-	x, err := li.Ext(effK)
-	if err != nil {
-		return err
-	}
-	// Decode and classify the observed counters once. A counter's base
-	// path id maps to the first component's loop-path index; counters
-	// whose base has no full occurrence, or that are not Full, belong to
-	// no interesting pair and are excluded — exactly what keeps the
-	// equalities exact (see DESIGN.md).
-	type obs struct {
-		i      int
-		blocks []cfg.NodeID
-		n      int64
-	}
-	var observed []obs
-	for key, cnt := range counters {
-		if key.Func != fi.Index || key.Loop != li.Index || !key.Full {
-			continue
-		}
-		base, err := fi.DAG.PathForID(key.Base)
+	classes := g.classes[:0]
+	for d := 0; d <= effK; d++ {
+		cc, err := li.CutClasses(d)
 		if err != nil {
 			return err
 		}
-		occ, ok := bl.AnalyzeLoop(base, li.LP, fi.DAG)
-		if !ok || !occ.Full || occ.SeqIndex < 0 {
+		classes = append(classes, cc)
+	}
+	g.classes = classes
+	// A counter's base path id maps to the first component's loop-path
+	// index; counters whose base has no full occurrence belong to no
+	// interesting pair and are excluded — exactly what keeps the
+	// equalities exact (see DESIGN.md).
+	for _, o := range b.loops[loopRef{fi.Index, li.Index}] {
+		var occ occurrence
+		if i := fp.index(o.base); i >= 0 {
+			occ = fp.occ[i*len(fi.Loops)+li.Index]
+		} else {
+			if err := fi.DAG.PathInto(&b.path, o.base); err != nil {
+				return err
+			}
+			occ = occurrenceIn(&b.path, fi, li)
+		}
+		if occ.seq < 0 {
 			continue
 		}
-		ext, err := x.Decode(key.Ext)
+		var err error
+		g.obsCls, err = classify(g.obsCls, classes, li.Ext, o.ext)
 		if err != nil {
 			return fmt.Errorf("estimate: decode loop ext: %w", err)
 		}
-		observed = append(observed, obs{i: occ.SeqIndex, blocks: ext, n: int64(cnt)})
+		g.observe(g.rowOf(int64(occ.seq)), o.n)
 	}
-
-	// Emit OF sum equalities for every degree d <= k: the degree-d
-	// groups are exact aggregations of the degree-k counters, and
-	// including the coarser levels makes precision provably monotone in
-	// the profiled degree.
-	for d := 0; d <= effK; d++ {
-		xd, err := li.Ext(d)
-		if err != nil {
-			return err
+	for d, cc := range classes {
+		g.colCls = g.colCls[:0]
+		for _, j := range g.cols {
+			g.colCls = append(g.colCls, cc.Of[j])
 		}
-		cutVars := map[string][]int{}
-		for j, seq := range li.LP.Seqs {
-			key := bl.SeqKey(xd.CutSeq(seq))
-			cutVars[key] = append(cutVars[key], j)
-		}
-		of := map[int]map[string]int64{}
-		for _, o := range observed {
-			key := bl.SeqKey(xd.CutSeq(o.blocks))
-			m := of[o.i]
-			if m == nil {
-				m = map[string]int64{}
-				of[o.i] = m
-			}
-			m[key] += o.n
-		}
-		for i := 0; i < n; i++ {
-			for key, js := range cutVars {
-				vars := make([]int, len(js))
-				for vi, j := range js {
-					vars[vi] = i*n + j
-				}
-				var val int64
-				if m := of[i]; m != nil {
-					val = m[key]
-				}
-				p.Groups = append(p.Groups, bounds.Group{Vars: vars, Value: val, Equality: true})
-			}
-		}
+		g.ofSums(len(cc.Rep), effK+1, d)
 	}
 	return nil
+}
+
+// classify appends the cut class, at every degree d < len(classes), of the
+// extension observed as route (a route of the region at the top degree).
+// A route whose top-degree cut is some static sequence's shares that
+// sequence's class at every degree; any other is decoded and its cuts
+// looked up one degree at a time (-1 where no static sequence cuts the
+// same way). Only an undecodable route is an error.
+func classify(dst []int32, classes []*profile.CutClasses, ext func(int) (*olpath.Ext, error), route int64) ([]int32, error) {
+	top := len(classes) - 1
+	if c := classes[top].ByRoute(route); c >= 0 {
+		rep := classes[top].Rep[c]
+		for _, cc := range classes {
+			dst = append(dst, cc.Of[rep])
+		}
+		return dst, nil
+	}
+	x, err := ext(top)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := x.Decode(route)
+	if err != nil {
+		return nil, err
+	}
+	for d, cc := range classes {
+		xd, err := ext(d)
+		if err != nil {
+			return nil, err
+		}
+		cl := int32(-1)
+		if r, err := xd.Encode(xd.CutSeq(blocks)); err == nil {
+			cl = cc.ByRoute(r)
+		}
+		dst = append(dst, cl)
+	}
+	return dst, nil
 }
 
 // rowColEqualitySound reports whether row/column sum equalities are exact

@@ -31,30 +31,20 @@ func Applications(runs []*BenchRun, mode estimate.Mode) ([]ApplicationRow, error
 	for _, br := range runs {
 		row := ApplicationRow{Name: br.B.Name}
 		for _, k := range []int{-1, br.KChosen()} {
-			c := br.At(k).Counters
-			var redund int64
-			branches := 0
-			for fidx, fi := range br.Info.Funcs {
-				for _, li := range fi.Loops {
-					res, err := estimate.Loop(fi, li, c.BL[fidx], c.Loop, k, mode)
-					if err != nil {
-						return nil, err
-					}
-					redund += apps.AnalyzeLoopRedundancy(fi, li, res).ProvableSavings
-				}
+			pe, err := br.Estimate(k, mode)
+			if err != nil {
+				return nil, err
 			}
-			for ck, calls := range br.Tracer.Calls {
-				caller := br.Info.Funcs[ck.Caller]
-				cs := caller.CallSites[ck.Site]
-				r, err := estimate.TypeI(br.Info, caller, cs, ck.Callee,
-					c.BL[ck.Caller], c.BL[ck.Callee], c.TypeI, calls, k, mode)
-				if err == estimate.ErrTooLarge {
+			var redund int64
+			for _, le := range pe.Loops {
+				redund += apps.AnalyzeLoopRedundancy(le.Func, le.Loop, le.Res).ProvableSavings
+			}
+			branches := 0
+			for _, se := range pe.Sites {
+				if se.TypeI == nil {
 					continue
 				}
-				if err != nil {
-					return nil, err
-				}
-				corr, err := apps.AnalyzeBranchCorrelation(br.Info, caller, cs, ck.Callee, r, 1)
+				corr, err := apps.AnalyzeBranchCorrelation(br.Info, se.Caller, se.Site, se.Callee.Index, se.TypeI, 1)
 				if err != nil {
 					return nil, err
 				}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pathprof/internal/core"
 	"pathprof/internal/estimate"
 	"pathprof/internal/instrument"
 	"pathprof/internal/overhead"
@@ -52,6 +53,7 @@ type BenchRun struct {
 	Runs []*KRun
 
 	realFlows *trace.RealFlows
+	sess      *core.Session
 }
 
 // At returns the degree-k run.
@@ -139,7 +141,8 @@ func collectBase(b *workload.Benchmark, pool *pipeline.Pool, store profile.Store
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: trace run: %w", b.Name, err)
 	}
-	br := &BenchRun{B: b, Info: p.Info, Tracer: tr, BaseOps: mt.BaseOps, MaxK: p.Info.MaxDegree()}
+	br := &BenchRun{B: b, Info: p.Info, Tracer: tr, BaseOps: mt.BaseOps, MaxK: p.Info.MaxDegree(),
+		sess: core.FromPipeline(p)}
 	return br, p, nil
 }
 
@@ -195,7 +198,9 @@ type FlowEstimate struct {
 }
 
 // EstimateAll solves every loop and call-edge estimation problem of the
-// benchmark at degree k and aggregates the flows.
+// benchmark at degree k and aggregates the flows: a fold over the
+// program-wide estimate core.Session.EstimateMode makes from the degree-k
+// run.
 func EstimateAll(br *BenchRun, k int, mode estimate.Mode) (FlowEstimate, error) {
 	var fe FlowEstimate
 	rf, err := br.Real()
@@ -203,48 +208,21 @@ func EstimateAll(br *BenchRun, k int, mode estimate.Mode) (FlowEstimate, error) 
 		return fe, err
 	}
 	fe.Real = int64(rf.Total())
-	c := br.At(k).Counters
-
-	for fidx, fi := range br.Info.Funcs {
-		for _, li := range fi.Loops {
-			res, err := estimate.Loop(fi, li, c.BL[fidx], c.Loop, k, mode)
-			if err != nil {
-				return fe, fmt.Errorf("%s: loop %d of %s: %w", br.B.Name, li.Index, fi.Fn.Name, err)
-			}
-			fe.Definite += res.Definite()
-			fe.Potential += res.Potential()
-			fe.Vars += res.N
-			fe.Exact += res.Exact()
-		}
+	pe, err := br.Estimate(k, mode)
+	if err != nil {
+		return fe, err
 	}
-
-	for ck, calls := range br.Tracer.Calls {
-		caller := br.Info.Funcs[ck.Caller]
-		cs := caller.CallSites[ck.Site]
-		r1, err := estimate.TypeI(br.Info, caller, cs, ck.Callee,
-			c.BL[ck.Caller], c.BL[ck.Callee], c.TypeI, calls, k, mode)
-		if err == estimate.ErrTooLarge {
-			fe.Skipped++
-		} else if err != nil {
-			return fe, fmt.Errorf("%s: typeI %v: %w", br.B.Name, ck, err)
-		} else {
-			fe.Definite += r1.Definite()
-			fe.Potential += r1.Potential()
-			fe.Vars += r1.N
-			fe.Exact += r1.Exact()
-		}
-		r2, err := estimate.TypeII(br.Info, caller, cs, ck.Callee,
-			c.BL[ck.Caller], c.BL[ck.Callee], c.TypeII, calls, k, mode)
-		if err == estimate.ErrTooLarge {
-			fe.Skipped++
-		} else if err != nil {
-			return fe, fmt.Errorf("%s: typeII %v: %w", br.B.Name, ck, err)
-		} else {
-			fe.Definite += r2.Definite()
-			fe.Potential += r2.Potential()
-			fe.Vars += r2.N
-			fe.Exact += r2.Exact()
-		}
-	}
+	fe.Definite, fe.Potential = pe.Definite(), pe.Potential()
+	fe.Vars, fe.Exact = pe.Counts()
+	fe.Skipped = pe.Skipped
 	return fe, nil
+}
+
+// Estimate solves every estimation problem of the degree-k run.
+func (br *BenchRun) Estimate(k int, mode estimate.Mode) (*core.ProgramEstimate, error) {
+	pe, err := br.sess.EstimateMode(core.RunFromCounters(k, 2, br.At(k).Counters), mode)
+	if err != nil {
+		return nil, fmt.Errorf("%s k=%d: %w", br.B.Name, k, err)
+	}
+	return pe, nil
 }

@@ -299,12 +299,11 @@ func (c *checker) checkLoopEstimates(ks []int, mode estimate.Mode, pairs map[tra
 						fi.Fn.Name, li.Index, mode, def, pot, realTotal)
 				}
 				for pair, real := range perPair {
-					v := res.Var(pair[0], pair[1])
-					if res.Res.Lower[v] > real || res.Res.Upper[v] < real {
+					lo, hi := res.Bounds(int64(pair[0]), int64(pair[1]))
+					if lo > real || hi < real {
 						c.violate("estimate/bracket", cell{k: k},
 							"%s loop %d mode=%s pair(%d,%d): [%d,%d] misses %d",
-							fi.Fn.Name, li.Index, mode, pair[0], pair[1],
-							res.Res.Lower[v], res.Res.Upper[v], real)
+							fi.Fn.Name, li.Index, mode, pair[0], pair[1], lo, hi, real)
 					}
 				}
 				if prevDef >= 0 && (def < prevDef || pot > prevPot) {

@@ -19,9 +19,10 @@ import (
 type Limits struct {
 	// MaxLoopSeqs bounds loop paths per loop.
 	MaxLoopSeqs int
-	// MaxPathsPerFunc bounds BL paths per function for enumeration-based
-	// estimation (functions beyond it are still profiled, just not
-	// estimated exhaustively).
+	// MaxPathsPerFunc bounds BL paths per function for the edge-profile
+	// estimator (estimate.EdgeToPaths), which enumerates every path;
+	// functions beyond it are still profiled and their interesting
+	// paths estimated, which enumerates none.
 	MaxPathsPerFunc int64
 }
 
@@ -40,9 +41,10 @@ type LoopInfo struct {
 	// MaxDeg is the loop's maximum useful overlap degree.
 	MaxDeg int
 
-	fi   *FuncInfo
-	mu   sync.Mutex
-	exts map[int]*olpath.Ext
+	fi      *FuncInfo
+	mu      sync.Mutex
+	exts    map[int]*olpath.Ext
+	classes map[int]*CutClasses
 }
 
 // Ext returns (and caches) the degree-k extension region of the loop,
@@ -88,9 +90,10 @@ type CallSiteInfo struct {
 	// caller-suffix region rooted at Block.
 	MaxDegSuffix int
 
-	fi   *FuncInfo
-	mu   sync.Mutex
-	exts map[int]*olpath.Ext
+	fi      *FuncInfo
+	mu      sync.Mutex
+	exts    map[int]*olpath.Ext
+	classes map[int]*CutClasses
 
 	prefixes *PrefixSet
 	suffixes *SuffixSet
@@ -143,6 +146,9 @@ type FuncInfo struct {
 
 	mu        sync.Mutex
 	entryExts map[int]*olpath.Ext
+	// counted, entryPaths and exitPaths cache PathCounts.
+	counted               bool
+	entryPaths, exitPaths int64
 }
 
 // EntryExt returns (and caches) the degree-k Type I extension region rooted

@@ -122,12 +122,27 @@ type SuffixSet struct {
 	// bl.Path.Blocks so that dynamic slices match exactly.
 	Seqs  [][]cfg.NodeID
 	index map[string]int
+	// byRemainder maps the Ball-Larus sum of each continuation from the
+	// site to Ex (a path's id minus its register value at the site) to
+	// its suffix. Distinct continuations have distinct sums; two that
+	// share a block sequence (ends at two backedges of one tail) share
+	// the suffix.
+	byRemainder map[int64]int32
 }
 
 // IndexOf resolves a suffix block sequence to its index, or -1.
 func (ss *SuffixSet) IndexOf(blocks []cfg.NodeID) int {
 	if i, ok := ss.index[bl.SeqKey(blocks)]; ok {
 		return i
+	}
+	return -1
+}
+
+// IndexOfRemainder resolves a path through the site, given by its id minus
+// its register value at the site, to its suffix index, or -1.
+func (ss *SuffixSet) IndexOfRemainder(rem int64) int {
+	if i, ok := ss.byRemainder[rem]; ok {
+		return int(i)
 	}
 	return -1
 }
@@ -141,14 +156,14 @@ func (fi *FuncInfo) Suffixes(cs *CallSiteInfo) (*SuffixSet, error) {
 		return cs.suffixes, nil
 	}
 	d := fi.DAG
-	ss := &SuffixSet{Site: cs.Block, index: map[string]int{}}
+	ss := &SuffixSet{Site: cs.Block, index: map[string]int{}, byRemainder: map[int64]int32{}}
 	var blocks []cfg.NodeID
-	var walk func(v cfg.NodeID) error
-	walk = func(v cfg.NodeID) error {
+	var walk func(v cfg.NodeID, sum int64) error
+	walk = func(v cfg.NodeID, sum int64) error {
 		blocks = append(blocks, v)
 		defer func() { blocks = blocks[:len(blocks)-1] }()
 		if v == fi.G.Exit() {
-			return ss.record(fi, cs, blocks)
+			return ss.record(fi, cs, blocks, sum)
 		}
 		for _, e := range d.Out[v] {
 			if e.Kind == bl.EntryDummy {
@@ -157,37 +172,39 @@ func (fi *FuncInfo) Suffixes(cs *CallSiteInfo) (*SuffixSet, error) {
 			if e.Kind == bl.ExitDummy {
 				// Path ends here by taking a backedge; the suffix
 				// stops at the current block.
-				if err := ss.record(fi, cs, blocks); err != nil {
+				if err := ss.record(fi, cs, blocks, sum+e.Val); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := walk(e.To); err != nil {
+			if err := walk(e.To, sum+e.Val); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(cs.Block); err != nil {
+	if err := walk(cs.Block, 0); err != nil {
 		return nil, err
 	}
 	cs.suffixes = ss
 	return ss, nil
 }
 
-func (ss *SuffixSet) record(fi *FuncInfo, cs *CallSiteInfo, blocks []cfg.NodeID) error {
+func (ss *SuffixSet) record(fi *FuncInfo, cs *CallSiteInfo, blocks []cfg.NodeID, rem int64) error {
 	if len(ss.Seqs) >= MaxRoutesPerSite {
 		return fmt.Errorf("profile: more than %d suffixes at %s.%s",
 			MaxRoutesPerSite, fi.Fn.Name, fi.G.Label(cs.Block))
 	}
 	key := bl.SeqKey(blocks)
-	if _, dup := ss.index[key]; dup {
+	if i, dup := ss.index[key]; dup {
 		// Same block sequence reachable as two distinct path
 		// continuations (ends at two different backedges from one
 		// tail): one interesting-path component, recorded once.
+		ss.byRemainder[rem] = int32(i)
 		return nil
 	}
 	ss.index[key] = len(ss.Seqs)
+	ss.byRemainder[rem] = int32(len(ss.Seqs))
 	ss.Seqs = append(ss.Seqs, append([]cfg.NodeID(nil), blocks...))
 	return nil
 }

@@ -103,6 +103,7 @@ func TestJobFoldErrorFailsJob(t *testing.T) {
 	d.s.fleetMu.Lock()
 	d.s.fleet[fleetKey{bench: "130.li", k: 1, iters: 2}] = bad
 	d.s.fleetMu.Unlock()
+	before := d.s.metricsSnapshot().FleetFoldErrors
 	code, out := d.post(t, JobRequest{Benchmark: "130.li", Seed: 1, K: 1})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
@@ -110,6 +111,9 @@ func TestJobFoldErrorFailsJob(t *testing.T) {
 	st := d.await(t, out["id"])
 	if st.State != "failed" || len(st.Errors) == 0 || !strings.Contains(st.Errors[0].Error, "130.li|k=1|iters=2") {
 		t.Fatalf("job state %q errors %+v, want failed naming cell 130.li|k=1|iters=2", st.State, st.Errors)
+	}
+	if got := d.s.metricsSnapshot().FleetFoldErrors; got != before+1 {
+		t.Fatalf("fleet_fold_errors %d after the failed fold, want %d", got, before+1)
 	}
 	d.s.fleetMu.Lock()
 	defer d.s.fleetMu.Unlock()

@@ -59,6 +59,7 @@ type Metrics struct {
 	shardErrors   atomic.Int64
 	merges        atomic.Int64
 	fleetInstalls atomic.Int64
+	foldErrors    atomic.Int64
 
 	queueWaitMs    *obs.Histogram
 	shardExecuteMs *obs.Histogram
@@ -106,6 +107,9 @@ type MetricsSnapshot struct {
 	// FleetInstalls counts PUT fleet-cell installs (coordinator pushes and
 	// ring handoffs land here).
 	FleetInstalls int64 `json:"fleet_installs"`
+	// FleetFoldErrors counts jobs failed because their snapshot could not
+	// fold into the benchmark's fleet cell (the cell is left unchanged).
+	FleetFoldErrors int64 `json:"fleet_fold_errors"`
 
 	// QueueWaitMs is the accept-to-dequeue latency distribution, ms.
 	QueueWaitMs obs.HistogramSnapshot `json:"queue_wait_ms"`
@@ -152,23 +156,24 @@ func (m *MetricsSnapshot) StageHistogram(name string) (obs.HistogramSnapshot, bo
 func (s *Server) metricsSnapshot() MetricsSnapshot {
 	m := &s.metrics
 	return MetricsSnapshot{
-		JobsAccepted:   m.jobsAccepted.Load(),
-		JobsRejected:   m.jobsRejected.Load(),
-		JobsCompleted:  m.jobsCompleted.Load(),
-		JobsFailed:     m.jobsFailed.Load(),
-		JobsInFlight:   m.jobsInFlight.Load(),
-		QueueDepth:     len(s.queue),
-		ShardsExecuted: m.shardsRun.Load(),
-		ShardErrors:    m.shardErrors.Load(),
-		Merges:         m.merges.Load(),
-		FleetInstalls:  m.fleetInstalls.Load(),
-		QueueWaitMs:    m.queueWaitMs.Snapshot(),
-		ShardExecuteMs: m.shardExecuteMs.Snapshot(),
-		MergeMs:        m.mergeMs.Snapshot(),
-		EstimateMs:     m.estimateMs.Snapshot(),
-		SnapshotBytes:  m.snapshotBytes.Snapshot(),
-		PersistMs:      m.persistMs.Snapshot(),
-		Store:          s.storeMetrics(),
+		JobsAccepted:    m.jobsAccepted.Load(),
+		JobsRejected:    m.jobsRejected.Load(),
+		JobsCompleted:   m.jobsCompleted.Load(),
+		JobsFailed:      m.jobsFailed.Load(),
+		JobsInFlight:    m.jobsInFlight.Load(),
+		QueueDepth:      len(s.queue),
+		ShardsExecuted:  m.shardsRun.Load(),
+		ShardErrors:     m.shardErrors.Load(),
+		Merges:          m.merges.Load(),
+		FleetInstalls:   m.fleetInstalls.Load(),
+		FleetFoldErrors: m.foldErrors.Load(),
+		QueueWaitMs:     m.queueWaitMs.Snapshot(),
+		ShardExecuteMs:  m.shardExecuteMs.Snapshot(),
+		MergeMs:         m.mergeMs.Snapshot(),
+		EstimateMs:      m.estimateMs.Snapshot(),
+		SnapshotBytes:   m.snapshotBytes.Snapshot(),
+		PersistMs:       m.persistMs.Snapshot(),
+		Store:           s.storeMetrics(),
 	}
 }
 

@@ -1084,6 +1084,13 @@ func (s *Server) fanOut(j *job) *merged {
 	}}
 }
 
+// failFold fails a job whose snapshot cannot fold into fleet cell key,
+// naming the cell, and counts it on fleet_fold_errors.
+func (s *Server) failFold(j *job, key fleetKey, err error) {
+	s.metrics.foldErrors.Add(1)
+	s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, err))
+}
+
 // jobTail finishes a merged job: estimate flows over the merged profile,
 // journal the snapshot when the daemon persists, and fold it into the fleet
 // profile of the job's benchmark.
@@ -1113,7 +1120,7 @@ func (s *Server) jobTail(j *job, m *merged) {
 		}
 		s.fleetMu.Unlock()
 		if ferr != nil {
-			s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, ferr))
+			s.failFold(j, key, ferr)
 			return
 		}
 		// Durability before ack: the snapshot is journaled (and fsync'd)
@@ -1140,7 +1147,7 @@ func (s *Server) jobTail(j *job, m *merged) {
 		}
 		s.fleetMu.Unlock()
 		if ferr != nil {
-			s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, ferr))
+			s.failFold(j, key, ferr)
 			return
 		}
 	}
