@@ -354,7 +354,7 @@ func benchmarkCounterStore(b *testing.B, kind profile.StoreKind) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := interp.New(prog, wb.Seed)
-		rt := plan.Attach(m, profile.NewStore(kind, info, 2))
+		rt := plan.Attach(m, profile.NewStore(kind, info))
 		if err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func BenchmarkEngineRun(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", eng, st), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					run, err := p.ExecuteStore(eng, cfg, wb.Seed, nil, profile.NewStore(st, p.Info, 2), 0)
+					run, err := p.ExecuteStore(eng, cfg, wb.Seed, nil, profile.NewStore(st, p.Info), 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -430,7 +430,7 @@ func BenchmarkEngineRunSteady(b *testing.B) {
 	}
 	k := (p.Info.MaxDegree() + 2) / 3
 	cfg := instrument.Config{K: k, Loops: true, Interproc: true}
-	store := profile.NewStore(profile.StoreArena, p.Info, 2)
+	store := profile.NewStore(profile.StoreArena, p.Info)
 	// Warm the code cache, the machine pool, and the store's overflow maps.
 	if err := p.ExecuteSteady(cfg, wb.Seed, store); err != nil {
 		b.Fatal(err)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pathprof -src prog.pl [-seed N] [-k K] [-iters N] [-mode paper|extended] [actions]
+//	pathprof -src prog.pl [-seed N] [-k K] [-mode paper|extended] [actions]
 //	pathprof -bench 300.twolf [same flags]
 //
 // -bench profiles a bundled benchmark (internal/workload) by name instead
@@ -48,7 +48,7 @@
 // into OUT, loadable with -load-profile for estimation over the fleet. An
 // argument that is a directory is opened read-only as a pathprofd profile
 // store (-data-dir; docs/FORMAT.md documents the layout) and contributes
-// the fleet cell selected by -bench/-k/-iters — the offline inspection
+// the fleet cell selected by -bench/-k — the offline inspection
 // path for a daemon's durable state, recovery blames printed to stderr.
 package main
 
@@ -75,24 +75,18 @@ import (
 )
 
 // cellSelector narrows a profile store's fleet cells to the one -merge
-// should read, from the -bench/-k/-iters flags (unset axes match anything).
+// should read, from the -bench/-k flags (unset axes match anything).
 type cellSelector struct {
-	bench          string
-	k, iters       int
-	kSet, itersSet bool
+	bench string
+	k     int
+	kSet  bool
 }
 
 func (sel cellSelector) matches(key profstore.CellKey) bool {
 	if sel.bench != "" && key.Bench != sel.bench {
 		return false
 	}
-	if sel.kSet && key.K != sel.k {
-		return false
-	}
-	if sel.itersSet && key.Iters != sel.iters {
-		return false
-	}
-	return true
+	return !sel.kSet || key.K == sel.k
 }
 
 // storeCell opens dir read-only as a pathprofd profile store and returns the
@@ -132,7 +126,7 @@ func storeCell(dir string, sel cellSelector) (*merge.Snapshot, error) {
 		names[i] = key.String()
 	}
 	sort.Strings(names)
-	return nil, fmt.Errorf("%s: selection is ambiguous (%s); pin it with -bench/-k/-iters",
+	return nil, fmt.Errorf("%s: selection is ambiguous (%s); pin it with -bench/-k",
 		dir, strings.Join(names, ", "))
 }
 
@@ -161,7 +155,7 @@ func mergeProfiles(out string, files []string, sel cellSelector) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		snaps = append(snaps, merge.New(run.K, run.Iters, run.Counters))
+		snaps = append(snaps, merge.New(run.K, 2, run.Counters))
 	}
 	merged, err := merge.MergeAll(snaps...)
 	if err != nil {
@@ -171,7 +165,7 @@ func mergeProfiles(out string, files []string, sel cellSelector) error {
 	if err != nil {
 		return err
 	}
-	if err := core.SaveRun(f, core.RunFromCounters(merged.K, merged.Iters, merged.Counters)); err != nil {
+	if err := core.SaveRun(f, core.RunFromCounters(merged.K, 2, merged.Counters)); err != nil {
 		f.Close()
 		return err
 	}
@@ -195,7 +189,7 @@ func printLayout(info *profile.Info, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	plan, err := pgo.Derive(info, &pgo.Profile{K: pr.K, Iters: pr.Iters, Counters: pr.Counters})
+	plan, err := pgo.Derive(info, &pgo.Profile{K: pr.K, Counters: pr.Counters})
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -220,7 +214,6 @@ func run() error {
 		benchNm  = flag.String("bench", "", "profile the named bundled benchmark (see internal/workload) instead of -src")
 		seed     = flag.Uint64("seed", 1, "deterministic RNG seed for the run")
 		k        = flag.Int("k", -1, "degree of overlap (-1 = Ball-Larus only)")
-		iters    = flag.Int("iters", 2, "overlapping-path window width in loop iterations (2 = classic)")
 		modeName = flag.String("mode", "paper", "estimation constraint mode: paper or extended")
 		hot      = flag.Int("hot", 0, "print the N hottest BL paths")
 		doEst    = flag.Bool("estimate", false, "print interesting-path bound estimates")
@@ -243,13 +236,10 @@ func run() error {
 	flag.Parse()
 
 	if *mergeOut != "" {
-		sel := cellSelector{bench: *benchNm, k: *k, iters: *iters}
+		sel := cellSelector{bench: *benchNm, k: *k}
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "k":
+			if f.Name == "k" {
 				sel.kSet = true
-			case "iters":
-				sel.itersSet = true
 			}
 		})
 		return mergeProfiles(*mergeOut, flag.Args(), sel)
@@ -262,9 +252,6 @@ func run() error {
 		return fmt.Errorf("-src and -bench are mutually exclusive")
 	}
 	if err := limits.K(*k); err != nil {
-		return err
-	}
-	if err := limits.Iters(*iters); err != nil {
 		return err
 	}
 	store, ok := profile.ParseStoreKind(*storeNm)
@@ -350,7 +337,7 @@ func run() error {
 		if idx < 0 {
 			return fmt.Errorf("no function %q", *dumpInst)
 		}
-		text, err := instrument.DescribePlan(s.Info, instrument.Config{K: *k, Loops: *k >= 0, Interproc: *k >= 0, Iters: *iters}, idx)
+		text, err := instrument.DescribePlan(s.Info, instrument.Config{K: *k, Loops: *k >= 0, Interproc: *k >= 0}, idx)
 		if err != nil {
 			return err
 		}
@@ -374,21 +361,16 @@ func run() error {
 	} else if *hot > 0 || *doEst || *pairs >= 0 || *ovh || *saveProf != "" {
 		profSpan := root.Child("profile")
 		profSpan.SetAttr("k", fmt.Sprint(*k))
-		profSpan.SetAttr("iters", fmt.Sprint(*iters))
 		if *k < 0 {
 			runRes, err = s.ProfileBL(runSeed)
 		} else {
-			runRes, err = s.ProfileOLIters(runSeed, *k, *iters)
+			runRes, err = s.ProfileOL(runSeed, *k)
 		}
 		profSpan.End()
 		if err != nil {
 			return err
 		}
-		if runRes.Iters > 2 {
-			fmt.Printf("profiled at k=%d iters=%d: %d blocks executed\n", runRes.K, runRes.Iters, runRes.Steps)
-		} else {
-			fmt.Printf("profiled at k=%d: %d blocks executed\n", runRes.K, runRes.Steps)
-		}
+		fmt.Printf("profiled at k=%d: %d blocks executed\n", runRes.K, runRes.Steps)
 	}
 	if *saveProf != "" && runRes != nil {
 		f, err := os.Create(*saveProf)

@@ -41,7 +41,6 @@ func main() {
 	c := flag.Int("c", 8, "concurrent submitters (offered concurrent-job load)")
 	shards := flag.Int("shards", 4, "shards per job")
 	k := flag.Int("k", 1, "degree of overlap per job")
-	iters := flag.Int("iters", 0, "multi-iteration window width per job (0 = classic two-iteration)")
 	benches := flag.String("benchmarks", "", "comma-separated benchmark names (default: all)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job submit-to-done budget")
 	out := flag.String("out", "BENCH_server.json", "report path (- for stdout only)")
@@ -49,7 +48,7 @@ func main() {
 
 	cfg := server.LoadConfig{
 		BaseURL: strings.TrimRight(*addr, "/"), Jobs: *n, Concurrency: *c,
-		Shards: *shards, K: *k, Iters: *iters, JobTimeout: *jobTimeout,
+		Shards: *shards, K: *k, JobTimeout: *jobTimeout,
 	}
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")

@@ -177,8 +177,8 @@ func decodeAnswer(raw []byte, arrived time.Time, span *obs.Span) (*merge.Snapsho
 }
 
 // fetchFleet GETs one fleet cell's encoded bytes from the worker.
-func (w *workerClient) fetchFleet(ctx context.Context, bench string, k, iters int) ([]byte, error) {
-	path := fmt.Sprintf("/v1/profiles/%s?k=%d&iters=%d", bench, k, iters)
+func (w *workerClient) fetchFleet(ctx context.Context, bench string, k int) ([]byte, error) {
+	path := fmt.Sprintf("/v1/profiles/%s?k=%d", bench, k)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
 	if err != nil {
 		return nil, err
@@ -231,8 +231,8 @@ func (w *workerClient) installFleet(ctx context.Context, bench string, snap *mer
 
 // deleteFleet drops one fleet cell from the worker (best-effort handoff
 // cleanup; idempotent on the worker side).
-func (w *workerClient) deleteFleet(ctx context.Context, bench string, k, iters int) error {
-	url := fmt.Sprintf("%s/v1/profiles/%s?k=%d&iters=%d", w.base, bench, k, iters)
+func (w *workerClient) deleteFleet(ctx context.Context, bench string, k int) error {
+	url := fmt.Sprintf("%s/v1/profiles/%s?k=%d", w.base, bench, k)
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)
 	if err != nil {
 		return err

@@ -124,28 +124,30 @@ func (c *Client) Trace(id string) *obs.SpanNode {
 	return tr.Root
 }
 
-// FleetProfile fetches one fleet cell's snapshot bytes.
-func (c *Client) FleetProfile(bench string, k, iters int) []byte {
+// FleetProfile fetches one fleet cell's snapshot bytes, naming the
+// two-iteration window as the CI smoke and perfbench reads do.
+func (c *Client) FleetProfile(bench string, k int) []byte {
 	c.t.Helper()
-	code, raw := c.Get(fmt.Sprintf("/v1/profiles/%s?k=%d&iters=%d", bench, k, iters))
+	code, raw := c.Get(fmt.Sprintf("/v1/profiles/%s?k=%d&iters=2", bench, k))
 	if code != http.StatusOK {
-		c.t.Fatalf("fleet profile %s k=%d iters=%d: status %d: %s", bench, k, iters, code, raw)
+		c.t.Fatalf("fleet profile %s k=%d: status %d: %s", bench, k, code, raw)
 	}
 	return raw
 }
 
 // PGOExport fetches one fleet cell in pathprof's saved-run format — the
 // bytes profile-guided layout consumes.
-func (c *Client) PGOExport(bench string, k, iters int) []byte {
+func (c *Client) PGOExport(bench string, k int) []byte {
 	c.t.Helper()
-	code, raw := c.Get(fmt.Sprintf("/v1/pgo/%s?k=%d&iters=%d", bench, k, iters))
+	code, raw := c.Get(fmt.Sprintf("/v1/pgo/%s?k=%d&iters=2", bench, k))
 	if code != http.StatusOK {
-		c.t.Fatalf("pgo export %s k=%d iters=%d: status %d: %s", bench, k, iters, code, raw)
+		c.t.Fatalf("pgo export %s k=%d: status %d: %s", bench, k, code, raw)
 	}
 	return raw
 }
 
-// JobSpec is one sweep entry; zero Iters means the classic width 2.
+// JobSpec is one sweep entry; Iters is 0 or the two-iteration width 2 it
+// stands for.
 type JobSpec struct {
 	Benchmark string
 	Seed      uint64

@@ -17,26 +17,26 @@ import (
 )
 
 // sweepSpecs is the canonical differential workload: two benchmarks, mixed
-// degrees, one non-classic iters width, and repeated (benchmark,k,iters)
-// cells so the fleet fold actually folds.
+// degrees, one job naming the two-iteration width explicitly, and repeated
+// (benchmark,k) cells so the fleet fold actually folds.
 func sweepSpecs() []JobSpec {
 	return []JobSpec{
 		{Benchmark: "181.mcf", Seed: 11, K: 1, Shards: 4},
 		{Benchmark: "181.mcf", Seed: 311, K: 1, Shards: 3},
 		{Benchmark: "008.espresso", Seed: 7, Shards: 2},
-		{Benchmark: "181.mcf", Seed: 5, K: 1, Iters: 3, Shards: 2},
+		{Benchmark: "181.mcf", Seed: 5, K: 1, Iters: 2, Shards: 2},
 		{Benchmark: "008.espresso", Seed: 97, K: 2, Shards: 4},
 	}
 }
 
 // cellID names one fleet cell as the coordinator tracks it.
 type cellID struct {
-	bench    string
-	k, iters int
+	bench string
+	k     int
 }
 
 // clusterCells queries GET /v1/cluster and parses the tracked fleet cells
-// out of their "bench|k=K|iters=I" placement keys, alongside each cell's
+// out of their "bench|k=K|iters=2" placement keys, alongside each cell's
 // current owner.
 func clusterCells(t *testing.T, c *Client) map[cellID]string {
 	t.Helper()
@@ -51,18 +51,14 @@ func clusterCells(t *testing.T, c *Client) map[cellID]string {
 	out := map[cellID]string{}
 	for key, owner := range info.Cells {
 		parts := strings.Split(key, "|")
-		if len(parts) != 3 {
+		if len(parts) != 3 || parts[2] != "iters=2" {
 			t.Fatalf("unparseable cell key %q", key)
 		}
 		k, err := strconv.Atoi(strings.TrimPrefix(parts[1], "k="))
 		if err != nil {
 			t.Fatalf("unparseable cell key %q: %v", key, err)
 		}
-		iters, err := strconv.Atoi(strings.TrimPrefix(parts[2], "iters="))
-		if err != nil {
-			t.Fatalf("unparseable cell key %q: %v", key, err)
-		}
-		out[cellID{bench: parts[0], k: k, iters: iters}] = owner
+		out[cellID{bench: parts[0], k: k}] = owner
 	}
 	return out
 }
@@ -77,17 +73,17 @@ func checkFleetDifferential(t *testing.T, clusterC, control *Client) {
 		t.Fatal("coordinator tracks no fleet cells after the sweep")
 	}
 	for cell := range cells {
-		got := clusterC.FleetProfile(cell.bench, cell.k, cell.iters)
-		want := control.FleetProfile(cell.bench, cell.k, cell.iters)
+		got := clusterC.FleetProfile(cell.bench, cell.k)
+		want := control.FleetProfile(cell.bench, cell.k)
 		if !bytes.Equal(got, want) {
-			t.Errorf("fleet cell %s k=%d iters=%d: cluster bytes differ from single-node control (%d vs %d bytes)",
-				cell.bench, cell.k, cell.iters, len(got), len(want))
+			t.Errorf("fleet cell %s k=%d: cluster bytes differ from single-node control (%d vs %d bytes)",
+				cell.bench, cell.k, len(got), len(want))
 		}
-		gotPGO := clusterC.PGOExport(cell.bench, cell.k, cell.iters)
-		wantPGO := control.PGOExport(cell.bench, cell.k, cell.iters)
+		gotPGO := clusterC.PGOExport(cell.bench, cell.k)
+		wantPGO := control.PGOExport(cell.bench, cell.k)
 		if !bytes.Equal(gotPGO, wantPGO) {
-			t.Errorf("pgo export %s k=%d iters=%d: cluster bytes differ from single-node control (%d vs %d bytes)",
-				cell.bench, cell.k, cell.iters, len(gotPGO), len(wantPGO))
+			t.Errorf("pgo export %s k=%d: cluster bytes differ from single-node control (%d vs %d bytes)",
+				cell.bench, cell.k, len(gotPGO), len(wantPGO))
 		}
 	}
 }
@@ -401,8 +397,8 @@ func TestClusterMembershipChurnMidSweep(t *testing.T) {
 	if newOwner := after[victim]; newOwner == owner {
 		t.Errorf("cell %v still owned by removed worker %s", victim, owner)
 	}
-	if !bytes.Equal(rig.Client.FleetProfile(victim.bench, victim.k, victim.iters),
-		control.FleetProfile(victim.bench, victim.k, victim.iters)) {
+	if !bytes.Equal(rig.Client.FleetProfile(victim.bench, victim.k),
+		control.FleetProfile(victim.bench, victim.k)) {
 		t.Errorf("cell %v bytes diverged from control after owner handoff", victim)
 	}
 
@@ -423,5 +419,30 @@ func TestClusterNoWorkers(t *testing.T) {
 	code, _ := rig.Client.Submit(JobSpec{Benchmark: "181.mcf", Seed: 1, Shards: 1}.Request())
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit with empty ring: status %d, want 503", code)
+	}
+}
+
+// TestClusterRefusesWidenedWindow: the coordinator holds the daemon's
+// width boundary — a job naming a window other than two iterations gets
+// 400 before it fans out, and so does a read or PGO export of a cell with
+// ?iters= other than 2, while ?iters=2 and an absent field read the cell.
+func TestClusterRefusesWidenedWindow(t *testing.T) {
+	rig := NewRig(t, 1, Options{})
+	for _, iters := range []int{3, 4, 1} {
+		req := JobSpec{Benchmark: "181.mcf", Seed: 1, K: 1, Iters: iters, Shards: 1}.Request()
+		if code, _ := rig.Client.Submit(req); code != http.StatusBadRequest {
+			t.Errorf("job with iters %d: status %d, want 400", iters, code)
+		}
+	}
+	rig.Client.RunSweep([]JobSpec{{Benchmark: "181.mcf", Seed: 1, K: 1, Shards: 1}})
+	for _, path := range []string{"/v1/profiles/181.mcf?k=1&iters=3", "/v1/pgo/181.mcf?iters=3"} {
+		if code, _ := rig.Client.Get(path); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, code)
+		}
+	}
+	for _, path := range []string{"/v1/profiles/181.mcf", "/v1/profiles/181.mcf?iters=2", "/v1/pgo/181.mcf?k=1&iters=2"} {
+		if code, raw := rig.Client.Get(path); code != http.StatusOK {
+			t.Errorf("GET %s: status %d: %s", path, code, raw)
+		}
 	}
 }

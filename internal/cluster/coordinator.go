@@ -144,16 +144,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cellKey identifies one fleet profile cell; its String form is the ring
-// placement key, so cell ownership is stable across coordinator restarts.
-type cellKey struct {
-	bench string
-	k     int
-	iters int
-}
-
-func (c cellKey) String() string { return fmt.Sprintf("%s|k=%d|iters=%d", c.bench, c.k, c.iters) }
-
 // cell is the coordinator's authoritative record of one fleet cell: the
 // fold itself, where it was last installed, and whether that install is
 // known stale (dirty cells serve and re-push from the authoritative copy).
@@ -232,7 +222,7 @@ type Coordinator struct {
 	pipes   map[string]*pipeEntry
 
 	fleetMu sync.Mutex
-	fleet   map[cellKey]*cell
+	fleet   map[profstore.CellKey]*cell
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -263,7 +253,7 @@ func New(cfg Config) *Coordinator {
 		workers:   map[string]*workerClient{},
 		jobs:      map[string]*cjob{},
 		pipes:     map[string]*pipeEntry{},
-		fleet:     map[cellKey]*cell{},
+		fleet:     map[profstore.CellKey]*cell{},
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		accepting: true,
 	}
@@ -273,7 +263,7 @@ func New(cfg Config) *Coordinator {
 		// dirty: nothing is installed on any worker yet, so reads serve the
 		// authoritative copy and the first rebalance or read re-pushes.
 		for key, snap := range cfg.Persist.Cells() {
-			c.fleet[cellKey{bench: key.Bench, k: key.K, iters: key.Iters}] = &cell{snap: snap, dirty: true}
+			c.fleet[key] = &cell{snap: snap, dirty: true}
 		}
 	}
 	for _, w := range cfg.Workers {
@@ -606,12 +596,11 @@ func (c *Coordinator) runJob(j *cjob) {
 	if max := p.Info.MaxDegree(); k > max {
 		k = max
 	}
-	iters := j.req.Iters
 
 	// Fan out. The fold accumulator starts as the identity snapshot; each
 	// finished chunk folds in under the mutex and is dropped — the
 	// coordinator never holds more than in-flight chunks + 1 snapshots.
-	acc := merge.Empty(k, iters, len(p.Info.Funcs))
+	acc := merge.Empty(k, len(p.Info.Funcs))
 	foldSpan := j.span.Child(StageClusterFold)
 	var foldMu sync.Mutex
 	var steps int64
@@ -629,9 +618,9 @@ func (c *Coordinator) runJob(j *cjob) {
 			j.shardsDone += ck.n
 			j.mu.Unlock()
 			if err == nil {
-				// A worker returning a snapshot from the wrong cell (degree,
-				// width, or program shape) is a fold incompatibility, not a
-				// silent skip: blame it like any other chunk failure.
+				// A worker returning a snapshot from the wrong cell (degree
+				// or program shape) is a fold incompatibility, not a silent
+				// skip: blame it like any other chunk failure.
 				if merr := acc.Merge(snap); merr != nil {
 					err = &ShardError{Worker: worker, Shard: ck.start, Err: merr}
 				}
@@ -658,7 +647,7 @@ func (c *Coordinator) runJob(j *cjob) {
 	}
 
 	estSpan := j.span.Child(StageClusterEstimate)
-	pe, err := core.FromPipeline(p).EstimateMode(core.RunFromCounters(k, iters, acc.Counters), estimate.Paper)
+	pe, err := core.FromPipeline(p).EstimateMode(core.RunFromCounters(k, 2, acc.Counters), estimate.Paper)
 	estSpan.End()
 	if err != nil {
 		fail(server.ShardError{Shard: -1, Error: "estimating flows: " + err.Error()})
@@ -666,7 +655,7 @@ func (c *Coordinator) runJob(j *cjob) {
 	}
 	vars, exact := pe.Counts()
 	res := &server.JobResult{
-		Funcs: acc.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: iters,
+		Funcs: acc.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: 2,
 		Steps: steps, Mass: acc.Mass(), MergeNs: foldSpan.Duration().Nanoseconds(),
 		Definite: pe.Definite(), Potential: pe.Potential(),
 		Vars: vars, Exact: exact, Skipped: pe.Skipped,
@@ -674,7 +663,7 @@ func (c *Coordinator) runJob(j *cjob) {
 
 	if j.req.Benchmark != "" {
 		pushSpan := j.span.Child(StageFleetPush)
-		err := c.foldFleet(ctx, cellKey{bench: j.req.Benchmark, k: k, iters: iters}, acc)
+		err := c.foldFleet(ctx, profstore.CellKey{Bench: j.req.Benchmark, K: k}, acc)
 		pushSpan.End()
 		if err != nil {
 			fail(server.ShardError{Shard: -1, Error: "fleet fold: " + err.Error()})
@@ -701,7 +690,7 @@ func (c *Coordinator) runJob(j *cjob) {
 // in-memory state never runs ahead of what a restart would recover. A
 // failed push only marks the cell dirty: reads fall back to the
 // authoritative copy and the next fold or read re-pushes.
-func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Snapshot) error {
+func (c *Coordinator) foldFleet(ctx context.Context, key profstore.CellKey, snap *merge.Snapshot) error {
 	c.fleetMu.Lock()
 	var err error
 	if cl := c.fleet[key]; cl != nil {
@@ -716,7 +705,7 @@ func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Sn
 		// Journal outside fleetMu: appends are commutative, so the journal
 		// and the in-memory fold agree regardless of interleaving, and the
 		// fsync never stalls folds or reads of other cells.
-		if err := c.cfg.Persist.Append(key.bench, snap); err != nil {
+		if err := c.cfg.Persist.Append(key.Bench, snap); err != nil {
 			return fmt.Errorf("persisting: %w", err)
 		}
 	}
@@ -742,7 +731,7 @@ func (c *Coordinator) foldFleet(ctx context.Context, key cellKey, snap *merge.Sn
 // copy when ownership moved). Pushes of one cell are serialized and each
 // clones the newest fold under the lock, so the last completed install
 // always carries the newest state even when jobs fold concurrently.
-func (c *Coordinator) pushCell(ctx context.Context, key cellKey) {
+func (c *Coordinator) pushCell(ctx context.Context, key profstore.CellKey) {
 	c.fleetMu.Lock()
 	cl := c.fleet[key]
 	c.fleetMu.Unlock()
@@ -766,7 +755,7 @@ func (c *Coordinator) pushCell(ctx context.Context, key cellKey) {
 	snap := cl.snap.Clone() // encode outside the lock
 	c.fleetMu.Unlock()
 
-	err := w.installFleet(ctx, key.bench, snap)
+	err := w.installFleet(ctx, key.Bench, snap)
 	c.fleetMu.Lock()
 	prev := cl.installedOn
 	cl.dirty = err != nil
@@ -777,7 +766,7 @@ func (c *Coordinator) pushCell(ctx context.Context, key cellKey) {
 			// gone, and a dangling copy is harmless (reads go through
 			// the ring).
 			if pw := c.worker(prev); pw != nil {
-				go pw.deleteFleet(context.Background(), key.bench, key.k, key.iters) //nolint:errcheck
+				go pw.deleteFleet(context.Background(), key.Bench, key.K) //nolint:errcheck
 			}
 		}
 	}
@@ -796,7 +785,7 @@ func (c *Coordinator) pushCell(ctx context.Context, key cellKey) {
 // alone (the ~(N-1)/N of keys consistent hashing does not move).
 func (c *Coordinator) rebalance(ctx context.Context) {
 	c.fleetMu.Lock()
-	var moves []cellKey
+	var moves []profstore.CellKey
 	for key, cl := range c.fleet {
 		owner, ok := c.ring.Owner(key.String())
 		if !ok {
@@ -830,12 +819,13 @@ func (c *Coordinator) validate(req *server.JobRequest) error {
 	if req.Shards == 0 {
 		req.Shards = 1
 	}
-	if req.Iters == 0 {
-		req.Iters = 2
-	}
-	return errors.Join(
+	if err := errors.Join(
 		limits.Shards(req.Shards, c.cfg.MaxShards),
 		limits.K(req.K),
 		limits.Iters(req.Iters),
-	)
+	); err != nil {
+		return err
+	}
+	req.Iters = 2
+	return nil
 }

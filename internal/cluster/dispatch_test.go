@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pathprof/internal/merge"
+	"pathprof/internal/profstore"
 )
 
 // TestPickWorkerReservesLoad: successive picks on idle workers alternate,
@@ -47,10 +48,10 @@ func TestPickWorkerReservesLoad(t *testing.T) {
 func TestFoldFleetIncompatibleCell(t *testing.T) {
 	c := New(Config{Workers: []string{"http://127.0.0.1:1"}})
 	t.Cleanup(c.Close)
-	key := cellKey{bench: "130.li", k: 1, iters: 2}
-	bad := merge.Empty(1, 2, 2) // 130.li has 5 functions
+	key := profstore.CellKey{Bench: "130.li", K: 1}
+	bad := merge.Empty(1, 2) // 130.li has 5 functions
 	c.fleet[key] = &cell{snap: bad}
-	job := merge.Empty(1, 2, 5)
+	job := merge.Empty(1, 5)
 	job.Counters.BL[0][0] = 3
 	before := c.metricsSnapshot().FleetFoldErrors
 	err := c.foldFleet(context.Background(), key, job)

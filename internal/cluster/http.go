@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 
 	"pathprof/internal/core"
@@ -101,7 +99,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case c.queue <- j:
 		c.metrics.jobsAccepted.Add(1)
 		c.log.Info("cjob.accepted", "job_id", j.id, "benchmark", req.Benchmark,
-			"k", req.K, "iters", req.Iters, "shards", req.Shards)
+			"k", req.K, "shards", req.Shards)
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id})
 	default:
 		c.jobWG.Done()
@@ -157,19 +155,20 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, server.JobTrace{ID: j.id, State: state, Root: j.span.Tree()})
 }
 
-// handleFleetProfile serves one fleet cell. Cell selection (the ?k= and
-// ?iters= pinning, ambiguity as 409) mirrors the single-daemon API; the
+// handleFleetProfile serves one fleet cell. Cell selection is the
+// single daemon's (server.SelectCell); the
 // bytes come from the cell's ring owner when its install is clean, falling
 // back to the coordinator's authoritative copy (after a re-push attempt)
 // when the owner is stale or unreachable — reads never fail because a
 // worker died.
 func (c *Coordinator) handleFleetProfile(w http.ResponseWriter, r *http.Request) {
-	key, status, msg := c.resolveCell(r, r.PathValue("benchmark"))
+	c.fleetMu.Lock()
+	key, status, msg := server.SelectCell(r, r.PathValue("benchmark"), c.fleet)
 	if status != 0 {
+		c.fleetMu.Unlock()
 		writeError(w, status, msg)
 		return
 	}
-	c.fleetMu.Lock()
 	cl := c.fleet[key]
 	dirty := cl.dirty
 	installedOn := cl.installedOn
@@ -187,7 +186,7 @@ func (c *Coordinator) handleFleetProfile(w http.ResponseWriter, r *http.Request)
 	}
 	if !dirty && installedOn != "" {
 		if wk := c.worker(installedOn); wk != nil {
-			if raw, err := wk.fetchFleet(r.Context(), key.bench, key.k, key.iters); err == nil {
+			if raw, err := wk.fetchFleet(r.Context(), key.Bench, key.K); err == nil {
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				w.Write(raw) //nolint:errcheck // client went away
 				return
@@ -199,83 +198,23 @@ func (c *Coordinator) handleFleetProfile(w http.ResponseWriter, r *http.Request)
 	local.Encode(w) //nolint:errcheck // client went away
 }
 
-// resolveCell maps bench plus the request's optional ?k=/?iters= query to
-// the single tracked fleet cell it addresses. status 0 means success;
-// otherwise status and msg carry the HTTP error to write (400 malformed,
-// 404 empty, 409 ambiguous) — the same contract as a single pathprofd.
-func (c *Coordinator) resolveCell(r *http.Request, bench string) (cellKey, int, string) {
-	c.fleetMu.Lock()
-	var cells []cellKey
-	for key := range c.fleet {
-		if key.bench == bench {
-			cells = append(cells, key)
-		}
-	}
-	c.fleetMu.Unlock()
-	if len(cells) == 0 {
-		return cellKey{}, http.StatusNotFound, fmt.Sprintf("no fleet profile for %q", bench)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].k != cells[j].k {
-			return cells[i].k < cells[j].k
-		}
-		return cells[i].iters < cells[j].iters
-	})
-	for _, axis := range []struct {
-		name string
-		get  func(cellKey) int
-	}{
-		{"k", func(c cellKey) int { return c.k }},
-		{"iters", func(c cellKey) int { return c.iters }},
-	} {
-		q := r.URL.Query().Get(axis.name)
-		if q == "" {
-			continue
-		}
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			return cellKey{}, http.StatusBadRequest, "malformed " + axis.name
-		}
-		kept := cells[:0]
-		for _, ck := range cells {
-			if axis.get(ck) == v {
-				kept = append(kept, ck)
-			}
-		}
-		cells = kept
-	}
-	if len(cells) == 0 {
-		return cellKey{}, http.StatusNotFound,
-			fmt.Sprintf("no fleet profile for %q matching the query", bench)
-	}
-	if len(cells) > 1 {
-		names := make([]string, len(cells))
-		for i, ck := range cells {
-			names[i] = fmt.Sprintf("(k=%d,iters=%d)", ck.k, ck.iters)
-		}
-		return cellKey{}, http.StatusConflict,
-			fmt.Sprintf("fleet profiles exist at cells %s; select one with ?k= and ?iters=",
-				strings.Join(names, " "))
-	}
-	return cells[0], 0, ""
-}
-
 // handlePGOExport serves one fleet cell in pathprof's saved-run format —
 // the exact bytes `pathprof -pgo` accepts for profile-guided layout. Cell
 // addressing matches GET /v1/profiles/{benchmark}; the bytes always come
 // from the coordinator's authoritative local copy, because a layout
 // derivation wants one consistent snapshot, not the freshest owner read.
 func (c *Coordinator) handlePGOExport(w http.ResponseWriter, r *http.Request) {
-	key, status, msg := c.resolveCell(r, r.PathValue("benchmark"))
+	c.fleetMu.Lock()
+	key, status, msg := server.SelectCell(r, r.PathValue("benchmark"), c.fleet)
 	if status != 0 {
+		c.fleetMu.Unlock()
 		writeError(w, status, msg)
 		return
 	}
-	c.fleetMu.Lock()
 	local := c.fleet[key].snap.Clone()
 	c.fleetMu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	core.SaveRun(w, core.RunFromCounters(key.k, key.iters, local.Counters)) //nolint:errcheck // client went away
+	core.SaveRun(w, core.RunFromCounters(key.K, 2, local.Counters)) //nolint:errcheck // client went away
 }
 
 // ClusterInfo is the GET /v1/cluster body: the membership and where each

@@ -1,6 +1,6 @@
 // Package cluster is the distributed tier of the profile aggregation
 // service: a coordinator that fans profiling jobs out across N worker
-// pathprofd daemons and shards the per-(benchmark, k, iters) fleet profiles
+// pathprofd daemons and shards the per-(benchmark, k) fleet profiles
 // over them with consistent hashing.
 //
 // The design leans on the merge algebra's guarantees (internal/merge): since

@@ -82,9 +82,6 @@ func (s *Session) MaxDegree() int { return s.Info.MaxDegree() }
 type Run struct {
 	// K is the profiled degree (-1 = Ball-Larus only).
 	K int
-	// Iters is the multi-iteration window width the loop counters were
-	// collected at (2 = the classic two-iteration setting).
-	Iters int
 	// Selection is the structure selection the run used (nil = all).
 	Selection *profile.Selection
 	// Counters holds every collected counter.
@@ -108,17 +105,10 @@ func (s *Session) ProfileBLChords(seed uint64, weights *profile.Counters) (*Run,
 // ProfileOL runs the program with degree-k overlapping-path instrumentation
 // (loop and interprocedural) on top of BL.
 func (s *Session) ProfileOL(seed uint64, k int) (*Run, error) {
-	return s.ProfileOLIters(seed, k, 2)
-}
-
-// ProfileOLIters is ProfileOL with an explicit multi-iteration window
-// width: profiled loop paths span up to iters consecutive iterations
-// (iters = 2 is exactly ProfileOL; see olpath.MaxIters for the ceiling).
-func (s *Session) ProfileOLIters(seed uint64, k, iters int) (*Run, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("core: ProfileOL needs k >= 0 (use ProfileBL)")
 	}
-	return s.execute(instrument.Config{K: k, Loops: true, Interproc: true, Iters: iters}, seed)
+	return s.execute(instrument.Config{K: k, Loops: true, Interproc: true}, seed)
 }
 
 // ProfileSelective is ProfileOL restricted to a structure selection
@@ -151,18 +141,16 @@ func (s *Session) execute(cfg instrument.Config, seed uint64) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Run{K: r.K, Iters: r.Iters, Selection: r.Selection, Counters: r.Counters, Overhead: r.Overhead, Steps: r.Steps}, nil
+	return &Run{K: r.K, Selection: r.Selection, Counters: r.Counters, Overhead: r.Overhead, Steps: r.Steps}, nil
 }
 
 // RunFromCounters wraps previously collected (e.g. deserialized) counters
 // as a Run so they can feed estimation; overhead data is absent. iters is
-// the window width the counters were collected at (values below 2 mean the
-// classic two-iteration setting).
+// the loop window width, always the paper's two iterations: the parameter
+// is kept for callers, and every reader of a width from outside the
+// process (LoadRun, merge.Decode) has already refused any other.
 func RunFromCounters(k, iters int, c *profile.Counters) *Run {
-	if iters < 2 {
-		iters = 2
-	}
-	return &Run{K: k, Iters: iters, Counters: c}
+	return &Run{K: k, Counters: c}
 }
 
 // Trace runs the program under the ground-truth tracer (the WPP-equivalent

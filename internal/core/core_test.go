@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -307,5 +308,35 @@ func TestSaveLoadRun(t *testing.T) {
 	// Garbage rejected.
 	if _, err := LoadRun(bytes.NewReader([]byte("junk\n"))); err == nil {
 		t.Fatal("LoadRun accepted garbage")
+	}
+}
+
+// TestLoadRunRefusesWidenedHeader: a saved run spans the paper's
+// two-iteration window, so SaveRun never names a width, a header naming 2
+// still loads, and a header naming any other width is refused.
+func TestLoadRunRefusesWidenedHeader(t *testing.T) {
+	s := openDemo(t)
+	run, err := s.ProfileOL(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveRun(&buf, run); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if header := raw[:bytes.IndexByte(raw, '\n')]; bytes.Contains(header, []byte("iters")) {
+		t.Fatalf("header %q names a width", header)
+	}
+	withIters := func(n int) []byte {
+		return bytes.Replace(raw, []byte(`"k":1`), []byte(fmt.Sprintf(`"k":1,"iters":%d`, n)), 1)
+	}
+	if _, err := LoadRun(bytes.NewReader(withIters(2))); err != nil {
+		t.Fatalf("header naming iters 2: %v", err)
+	}
+	for _, n := range []int{3, 4} {
+		if _, err := LoadRun(bytes.NewReader(withIters(n))); err == nil || !strings.Contains(err.Error(), "iters must be 2") {
+			t.Errorf("header naming iters %d: err = %v, want the width refused", n, err)
+		}
 	}
 }

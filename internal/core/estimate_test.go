@@ -213,3 +213,41 @@ func TestDeepSeedEstimates(t *testing.T) {
 		}
 	}
 }
+
+// routeHeavySeed is a generated program (maximum degree 32) with a call site
+// in fn2 that more than profile.MaxRoutesPerSite prefixes reach.
+const routeHeavySeed = 772
+
+// TestRouteHeavySiteSkipped: a call site past the route bound skips its
+// estimation problem, counted in Skipped like one past MaxVars, instead of
+// failing the estimate of the whole program — and the overflow is cached
+// on the site, so a second estimate does not enumerate the routes again.
+func TestRouteHeavySiteSkipped(t *testing.T) {
+	s, err := Open(randprog.SeedSource(routeHeavySeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.MaxDegree() != 32 {
+		t.Fatalf("max degree %d, want 32", s.MaxDegree())
+	}
+	run := profileAt(t, s, 1, 0)
+	pe, err := s.Estimate(run)
+	if err != nil {
+		t.Fatalf("estimate: %v", err)
+	}
+	if pe.Skipped < 1 {
+		t.Fatalf("skipped %d problems, want the route-heavy site's", pe.Skipped)
+	}
+	t0 := time.Now()
+	again, err := s.Estimate(run)
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(again) != fingerprint(pe) {
+		t.Fatal("second estimate differs from the first")
+	}
+	if !raceEnabled && took > 10*time.Millisecond {
+		t.Errorf("second estimate took %v; want under 10ms once the overflow is cached", took)
+	}
+}

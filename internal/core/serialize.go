@@ -6,26 +6,20 @@ import (
 	"fmt"
 	"io"
 
+	"pathprof/internal/limits"
 	"pathprof/internal/profile"
 )
 
-// SaveRun persists a run — its degree, window width, and counters — so
-// estimation can happen offline or in another process. The degree travels
-// with the data because counter route-encodings are only meaningful
-// relative to the degree-k extension numbering they were collected under;
-// the window width (iters) for the same reason, and it is omitted at the
-// classic two-iteration setting so those runs keep their exact historical
-// bytes.
+// SaveRun persists a run — its degree and counters — so estimation can
+// happen offline or in another process. The degree travels with the data
+// because counter route-encodings are only meaningful relative to the
+// degree-k extension numbering they were collected under.
 func SaveRun(w io.Writer, run *Run) error {
 	bw := bufio.NewWriter(w)
 	hdr := struct {
 		Format string `json:"format"`
 		K      int    `json:"k"`
-		Iters  int    `json:"iters,omitempty"`
 	}{Format: "pathprof-run", K: run.K}
-	if run.Iters > 2 {
-		hdr.Iters = run.Iters
-	}
 	if err := json.NewEncoder(bw).Encode(hdr); err != nil {
 		return err
 	}
@@ -35,7 +29,9 @@ func SaveRun(w io.Writer, run *Run) error {
 	return bw.Flush()
 }
 
-// LoadRun reads a run written by SaveRun.
+// LoadRun reads a run written by SaveRun. A header naming a loop window
+// width other than the paper's two iterations is refused (limits.Iters):
+// its loop records would not be two-iteration keys.
 func LoadRun(r io.Reader) (*Run, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
@@ -45,7 +41,7 @@ func LoadRun(r io.Reader) (*Run, error) {
 	var hdr struct {
 		Format string `json:"format"`
 		K      int    `json:"k"`
-		Iters  int    `json:"iters,omitempty"`
+		Iters  int    `json:"iters"`
 	}
 	if err := json.Unmarshal(line, &hdr); err != nil {
 		return nil, fmt.Errorf("core: parsing run header: %w", err)
@@ -53,9 +49,12 @@ func LoadRun(r io.Reader) (*Run, error) {
 	if hdr.Format != "pathprof-run" {
 		return nil, fmt.Errorf("core: unknown run format %q", hdr.Format)
 	}
+	if err := limits.Iters(hdr.Iters); err != nil {
+		return nil, fmt.Errorf("core: run header: %w", err)
+	}
 	c, err := profile.ReadCounters(br)
 	if err != nil {
 		return nil, err
 	}
-	return RunFromCounters(hdr.K, hdr.Iters, c), nil
+	return RunFromCounters(hdr.K, 2, c), nil
 }

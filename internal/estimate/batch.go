@@ -73,10 +73,9 @@ func oneFunc(fidx int, prof map[int64]uint64) []map[int64]uint64 {
 
 // sortLoops buckets complete-iteration loop counters by loop (only loop
 // only's, when only is non-nil). Counters whose following iteration was
-// not complete belong to no interesting pair. Widened (iters > 2) keys are
-// first folded onto their first crossing.
+// not complete belong to no interesting pair.
 func (b *Batch) sortLoops(counters map[profile.LoopKey]uint64, only *loopRef) {
-	for key, n := range foldFirstCrossing(counters) {
+	for key, n := range counters {
 		ref := loopRef{key.Func, key.Loop}
 		if !key.Full || (only != nil && ref != *only) {
 			continue

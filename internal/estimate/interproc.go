@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"errors"
 	"fmt"
 
 	"pathprof/internal/cfg"
@@ -12,7 +13,9 @@ import (
 // problem; sites beyond it are reported as skipped rather than estimated.
 const MaxVars = 1 << 20
 
-// ErrTooLarge reports an estimation problem over MaxVars.
+// ErrTooLarge reports an estimation problem over MaxVars, or one whose call
+// site has more routes than profile.MaxRoutesPerSite: the problem is
+// skipped, not failed.
 var ErrTooLarge = fmt.Errorf("estimate: problem exceeds %d variables", MaxVars)
 
 // InterResult is the bound estimate for the interesting paths of one
@@ -68,6 +71,9 @@ func (b *Batch) TypeI(caller *profile.FuncInfo, cs *profile.CallSiteInfo,
 
 	callee := b.info.Funcs[calleeIdx]
 	ps, err := caller.Prefixes(cs)
+	if errors.Is(err, profile.ErrTooManyRoutes) {
+		return nil, ErrTooLarge
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +265,9 @@ func (b *Batch) TypeII(caller *profile.FuncInfo, cs *profile.CallSiteInfo,
 	callee := b.info.Funcs[calleeIdx]
 	_, exitPaths := callee.PathCounts()
 	ss, err := caller.Suffixes(cs)
+	if errors.Is(err, profile.ErrTooManyRoutes) {
+		return nil, ErrTooLarge
+	}
 	if err != nil {
 		return nil, err
 	}

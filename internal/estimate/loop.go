@@ -89,32 +89,6 @@ func (b *Batch) Loop(fi *profile.FuncInfo, li *profile.LoopInfo, k int, mode Mod
 	return &LoopResult{Estimate: est, Li: li}, nil
 }
 
-// foldFirstCrossing projects multi-iteration loop counters (iters > 2,
-// keys with more than one crossing) onto their first crossing. Every
-// closed window's first crossing is exactly one backedge crossing, and
-// every crossing opens exactly one window, so the projection reproduces
-// the two-iteration profile exactly — the estimators' equalities are
-// therefore invariant in the profiled window width. Classic profiles pass
-// through untouched.
-func foldFirstCrossing(counters map[profile.LoopKey]uint64) map[profile.LoopKey]uint64 {
-	widened := false
-	for k := range counters {
-		if k.NumCrossings() > 1 {
-			widened = true
-			break
-		}
-	}
-	if !widened {
-		return counters
-	}
-	out := make(map[profile.LoopKey]uint64, len(counters))
-	for k, n := range counters {
-		fk := k.FirstCrossing()
-		out[fk] = profile.SatAdd(out[fk], n)
-	}
-	return out
-}
-
 // loopOF adds the paper's OF sum equalities from degree-k loop counters:
 // for each first component i and each distinct degree-d cut c, d <= k,
 // the pairs {(i, j) : cut(j) == c} sum to the observed count. The

@@ -33,9 +33,6 @@ type BenchResult struct {
 	// the collection default).
 	Engine string `json:"engine"`
 	Store  string `json:"store"`
-	// Iters is the profiled window width of "run" cells (0 where the axis
-	// is immaterial, e.g. merge and sweep cells).
-	Iters int `json:"iters,omitempty"`
 	// Iterations is how many times the cell ran; the per-op figures
 	// average over them.
 	Iterations  int     `json:"iterations"`
@@ -102,35 +99,14 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	for _, eng := range engines {
 		for _, st := range stores {
 			res, err := measure("run", wb.Name, eng.String(), st.String(), iters, func() error {
-				_, err := p.ExecuteStore(eng, cfg, wb.Seed, nil, profile.NewStore(st, p.Info, 2), 0)
+				_, err := p.ExecuteStore(eng, cfg, wb.Seed, nil, profile.NewStore(st, p.Info), 0)
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
-			res.Iters = 2
 			out = append(out, res)
 		}
-	}
-	// A widened-window cell on the fastest configuration (register engine,
-	// arena store) isolates the marginal cost of the iters axis against the
-	// grid's iters=2 regvm/arena row.
-	{
-		wcfg := cfg
-		wcfg.Iters = 4
-		if _, err := p.RegCode(wcfg); err != nil {
-			return nil, err
-		}
-		res, err := measure("run", wb.Name, pipeline.EngineReg.String(), profile.StoreArena.String(), iters, func() error {
-			_, err := p.ExecuteStore(pipeline.EngineReg, wcfg, wb.Seed, nil,
-				profile.NewStore(profile.StoreArena, p.Info, 4), 0)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Iters = 4
-		out = append(out, res)
 	}
 	// The steady-state cell is the register engine's zero-alloc claim in the
 	// archived numbers: one pooled machine and one arena store reused across
@@ -138,7 +114,7 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	// read). A warm-up run outside the timed region pays the pool's one-time
 	// machine allocation and the first run's slab growth.
 	{
-		store := profile.NewStore(profile.StoreArena, p.Info, 2)
+		store := profile.NewStore(profile.StoreArena, p.Info)
 		if err := p.ExecuteSteady(cfg, wb.Seed, store); err != nil {
 			return nil, err
 		}
@@ -148,7 +124,6 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Iters = 2
 		out = append(out, res)
 	}
 	pool := pipeline.NewPool(1)
@@ -173,7 +148,7 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	snaps := make([]*merge.Snapshot, mergeShards)
 	for i := range snaps {
 		r, err := p.ExecuteStore(pipeline.EngineReg, cfg, wb.Seed+uint64(i), nil,
-			profile.NewStore(profile.StoreNested, p.Info, 2), 0)
+			profile.NewStore(profile.StoreNested, p.Info), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +165,7 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	for _, st := range stores {
 		st := st
 		res, err := measure("merge", wb.Name, pipeline.EngineReg.String(), st.String(), iters, func() error {
-			dst := profile.NewStore(st, p.Info, 2)
+			dst := profile.NewStore(st, p.Info)
 			for _, s := range snaps {
 				if err := merge.IntoStore(dst, s); err != nil {
 					return err

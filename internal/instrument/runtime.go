@@ -27,10 +27,9 @@ type Config struct {
 	Loops bool
 	// Interproc enables Type I / Type II interprocedural profiling.
 	Interproc bool
-	// Iters is the multi-iteration window width for loop overlapping
-	// paths: each profiled path spans up to Iters consecutive iterations.
-	// 0 (the zero value) and 2 both select the paper's two-iteration
-	// setting; values are clamped to [2, olpath.MaxIters]. See EffIters.
+	// Iters is the loop window width, fixed at the paper's two
+	// iterations: 0 and 2 both mean it, and internal/pipeline refuses any
+	// other value. The field is kept for callers that name the width.
 	Iters int
 	// Selection restricts overlapping-path probes to chosen loops and
 	// call sites (nil = everything). Ball-Larus probes are unaffected.
@@ -44,19 +43,6 @@ type Config struct {
 	// with a prior run's BL profile so the hottest edges escape
 	// instrumentation (the two-phase placement Ball-Larus describe).
 	ChordProfile *profile.Counters
-}
-
-// EffIters returns the effective multi-iteration window width: Iters
-// clamped to [2, olpath.MaxIters], with everything below 2 (including the
-// zero value) meaning the classic two-iteration setting.
-func (c Config) EffIters() int {
-	if c.Iters < 2 {
-		return 2
-	}
-	if c.Iters > olpath.MaxIters {
-		return olpath.MaxIters
-	}
-	return c.Iters
 }
 
 // Runtime is the instrumented-run listener. Register it on a machine (via
@@ -110,11 +96,11 @@ type suffixState struct {
 type frProbe struct {
 	plan *funcPlan
 	w    *bl.Walker
-	// loopTr[i] tracks loop i's extension; rings[i] holds loop i's open
-	// multi-iteration windows (at iters=2 a ring degenerates to the
-	// classic single base-path register).
+	// loopTr[i] tracks loop i's extension (the paper's `ol`); bases[i] is
+	// its base register `ro`, the BL path that ended at the backedge the
+	// extension crossed, valid while loopTr[i] is active.
 	loopTr []*olpath.Tracker
-	rings  []olpath.Ring
+	bases  []int64
 	// entryTr tracks the Type I extension until the first path completes.
 	entryTr  *olpath.Tracker
 	entryKey pendingCall
@@ -263,11 +249,9 @@ func (rt *Runtime) OnEnter(fr *interp.Frame) {
 	}
 	if fp.loopExts != nil {
 		ps.loopTr = make([]*olpath.Tracker, len(fp.loopExts))
-		ps.rings = make([]olpath.Ring, len(fp.loopExts))
-		iters := rt.Cfg.EffIters()
+		ps.bases = make([]int64, len(fp.loopExts))
 		for i, x := range fp.loopExts {
 			ps.loopTr[i] = olpath.NewTracker(x)
-			ps.rings[i].Reset(iters)
 		}
 	}
 	if fp.entryExt != nil && rt.pending != nil {
@@ -348,10 +332,10 @@ func (rt *Runtime) OnEdge(fr *interp.Frame, from, to int) {
 			}
 			tr := ps.loopTr[li.Index]
 			if tr.Active {
-				rt.crossLoop(ps, li, tr, false, true)
+				rt.crossLoop(ps, li, tr, true)
 			}
 			tr.Activate()
-			ps.rings[li.Index].Open(inst.PathID)
+			ps.bases[li.Index] = inst.PathID
 			rt.LoopOps += 3 * overhead.RegOp // ro = r + y; r = x; ol = 0
 		}
 	}
@@ -378,7 +362,7 @@ func (rt *Runtime) loopEdge(ps *frProbe, e cfg.Edge, isBackedge bool) {
 			// loop's tails.
 			rt.LoopOps += overhead.GuardOp
 			if tr.Active {
-				rt.crossLoop(ps, li, tr, true, isTailOf(li, e.From))
+				rt.crossLoop(ps, li, tr, isTailOf(li, e.From))
 			}
 		case inFrom && inTo:
 			if isBackedge {
@@ -421,30 +405,17 @@ func isTailOf(li *profile.LoopInfo, v cfg.NodeID) bool {
 	return false
 }
 
-// crossLoop finalizes one backedge/exit crossing of loop li: the tracker's
-// route is appended to every open window of the loop's ring, and the
-// windows the crossing closes become counter increments. On the loop's own
-// backedge (exit=false) only full-width windows close, and the still-open
-// windows pay one register append each; on a loop exit (exit=true) every
-// window closes, truncated or not. fullIter reports that the crossed
-// iteration ran header to tail; an interrupted (Broken) crossing is kept
-// but never full.
-func (rt *Runtime) crossLoop(ps *frProbe, li *profile.LoopInfo, tr *olpath.Tracker, exit, fullIter bool) {
+// crossLoop finalizes one backedge/exit crossing of loop li: the
+// tracker's route, keyed by the loop's base register, becomes one counter
+// increment. fullIter reports that the crossed iteration ran header to
+// tail; an interrupted (Broken) crossing is kept but never full.
+func (rt *Runtime) crossLoop(ps *frProbe, li *profile.LoopInfo, tr *olpath.Tracker, fullIter bool) {
 	full := fullIter && !tr.Broken
-	ext := tr.Finalize()
-	ring := &ps.rings[li.Index]
-	var ws []olpath.Window
-	if exit {
-		ws = ring.FlushAll(ext, full)
-	} else {
-		open := ring.Len()
-		ws = ring.Cross(ext, full)
-		rt.LoopOps += int64(open-len(ws)) * overhead.RegOp
-	}
-	for _, w := range ws {
-		rt.store.IncLoop(profile.LoopKeyOf(ps.plan.fi.Index, li.Index, w))
-		rt.LoopOps += overhead.CounterOp
-	}
+	rt.store.IncLoop(profile.LoopKey{
+		Func: ps.plan.fi.Index, Loop: li.Index,
+		Base: ps.bases[li.Index], Ext: tr.Finalize(), Full: full,
+	})
+	rt.LoopOps += overhead.CounterOp
 }
 
 // extStep advances an interprocedural extension tracker over edge e with

@@ -1,29 +1,22 @@
 // Package limits centralizes the bounds validation every user-facing
-// surface — the pathprof CLI flags and the pathprofd job requests — applies
-// to profiling parameters, so the accepted ranges and the error wording
-// cannot drift between the two. All validators share one message format:
+// surface — the pathprof CLI flags, the pathprofd and coordinator job
+// requests, and every decoder of a width read from outside the process —
+// applies to profiling parameters, so the accepted ranges and the error
+// wording cannot drift between them. The range validators share one
+// message format:
 //
 //	<name> must be in [lo,hi], got <v>
 package limits
 
-import (
-	"fmt"
-
-	"pathprof/internal/olpath"
-)
+import "fmt"
 
 const (
 	// MinK / MaxK bound the overlap degree; -1 means Ball-Larus only.
 	MinK = -1
 	MaxK = 64
-	// MinIters / MaxIters bound the multi-iteration window width; 2 is
-	// the classic two-iteration setting and the widest width is fixed by
-	// the runtime's ring capacity.
-	MinIters = 2
-	MaxIters = olpath.MaxIters
 )
 
-// inRange is the one range check (and the one error format) every
+// inRange is the one range check (and the one error format) every range
 // validator uses.
 func inRange(name string, v, lo, hi int) error {
 	if v < lo || v > hi {
@@ -37,8 +30,15 @@ func inRange(name string, v, lo, hi int) error {
 // the ceiling here only guards against nonsense input.
 func K(v int) error { return inRange("k", v, MinK, MaxK) }
 
-// Iters validates a multi-iteration window width.
-func Iters(v int) error { return inRange("iters", v, MinIters, MaxIters) }
+// Iters validates a loop window width. Overlapping loop paths span the
+// paper's two iterations, so 2 is the only width; 0 stands for an absent
+// field and means the same.
+func Iters(v int) error {
+	if v != 0 && v != 2 {
+		return fmt.Errorf("iters must be 2 (the two-iteration window), got %d", v)
+	}
+	return nil
+}
 
 // Shards validates a per-job shard count against the caller's configured
 // maximum (the daemon's Config.MaxShards).

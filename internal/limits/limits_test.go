@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pathprof/internal/limits"
-	"pathprof/internal/olpath"
 )
 
 func TestK(t *testing.T) {
@@ -24,21 +23,18 @@ func TestK(t *testing.T) {
 }
 
 func TestIters(t *testing.T) {
-	if limits.MaxIters != olpath.MaxIters {
-		t.Fatalf("MaxIters = %d, want the runtime ring capacity %d", limits.MaxIters, olpath.MaxIters)
-	}
-	for v := limits.MinIters; v <= limits.MaxIters; v++ {
+	for _, v := range []int{0, 2} {
 		if err := limits.Iters(v); err != nil {
 			t.Errorf("Iters(%d) = %v, want nil", v, err)
 		}
 	}
-	for _, v := range []int{0, 1, -3, limits.MaxIters + 1} {
+	for _, v := range []int{1, 3, 4, -2, 1 << 20} {
 		if err := limits.Iters(v); err == nil {
 			t.Errorf("Iters(%d) accepted, want error", v)
 		}
 	}
-	if got, want := limits.Iters(9).Error(), "iters must be in [2,4], got 9"; got != want {
-		t.Errorf("Iters(9) message = %q, want %q", got, want)
+	if got, want := limits.Iters(3).Error(), "iters must be 2 (the two-iteration window), got 3"; got != want {
+		t.Errorf("Iters(3) message = %q, want %q", got, want)
 	}
 }
 

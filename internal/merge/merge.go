@@ -13,11 +13,9 @@
 //
 // Compatibility is checked, not assumed: counter route encodings are only
 // meaningful relative to the degree-k extension numbering they were
-// collected under, multi-iteration loop keys only relative to the window
-// width (iters) they were profiled at, and function indices only relative
-// to one program. Merge therefore refuses snapshots whose degree, window
-// width, or function count differ (ErrIncompatible) instead of silently
-// aggregating garbage.
+// collected under, and function indices only relative to one program.
+// Merge therefore refuses snapshots whose degree or function count differ
+// (ErrIncompatible) instead of silently aggregating garbage.
 //
 // What merging preserves, mathematically: every counter family is a pure
 // sum over run events, so counter tables are additive, and with them every
@@ -37,12 +35,13 @@ import (
 	"io"
 	"time"
 
+	"pathprof/internal/limits"
 	"pathprof/internal/obs"
 	"pathprof/internal/profile"
 )
 
 // ErrIncompatible reports a refused merge: the snapshots disagree on the
-// profiled degree, the multi-iteration window width, or the program shape.
+// profiled degree or the program shape.
 var ErrIncompatible = errors.New("merge: incompatible snapshots")
 
 // Snapshot is one run's (or one already-merged fleet's) counters together
@@ -51,8 +50,8 @@ type Snapshot struct {
 	// K is the degree of overlap the counters were collected at
 	// (-1 = Ball-Larus only).
 	K int
-	// Iters is the multi-iteration window width the loop counters were
-	// collected at (2 = the classic two-iteration setting).
+	// Iters is the loop window width, always the paper's two iterations;
+	// kept for callers that read it.
 	Iters int
 	// NumFuncs is the profiled program's function count; function indices
 	// in the counter keys are relative to it.
@@ -62,27 +61,20 @@ type Snapshot struct {
 	Counters *profile.Counters
 }
 
-// New wraps already-collected counters in a snapshot profiled at degree k
-// with iters-iteration windows (values below 2 mean the classic
-// two-iteration setting). The counters are referenced, not copied: callers
-// that keep mutating the source (e.g. a live store) should Clone first.
+// New wraps already-collected counters in a snapshot profiled at degree k.
+// iters is the loop window width, always the paper's two iterations: the
+// parameter is kept for callers, and Decode refuses any other width read
+// from outside the process. The counters are referenced, not copied:
+// callers that keep mutating the source (e.g. a live store) should Clone
+// first.
 func New(k, iters int, c *profile.Counters) *Snapshot {
-	return &Snapshot{K: k, Iters: normIters(iters), NumFuncs: len(c.BL), Counters: c}
+	return &Snapshot{K: k, Iters: 2, NumFuncs: len(c.BL), Counters: c}
 }
 
-// Empty returns the identity snapshot for (k, iters, numFuncs): merging it
-// into anything, or anything into it, is a no-op in the merge algebra.
-func Empty(k, iters, numFuncs int) *Snapshot {
-	return &Snapshot{K: k, Iters: normIters(iters), NumFuncs: numFuncs, Counters: profile.NewCounters(numFuncs)}
-}
-
-// normIters maps every below-minimum window width (including the zero
-// value) to the classic two-iteration setting.
-func normIters(iters int) int {
-	if iters < 2 {
-		return 2
-	}
-	return iters
+// Empty returns the identity snapshot for (k, numFuncs): merging it into
+// anything, or anything into it, is a no-op in the merge algebra.
+func Empty(k, numFuncs int) *Snapshot {
+	return &Snapshot{K: k, Iters: 2, NumFuncs: numFuncs, Counters: profile.NewCounters(numFuncs)}
 }
 
 // Clone deep-copies the snapshot, so the copy can be merged into without
@@ -98,9 +90,6 @@ func (s *Snapshot) Clone() *Snapshot {
 func (s *Snapshot) Compatible(src *Snapshot) error {
 	if s.K != src.K {
 		return fmt.Errorf("%w: degree k=%d vs k=%d", ErrIncompatible, s.K, src.K)
-	}
-	if normIters(s.Iters) != normIters(src.Iters) {
-		return fmt.Errorf("%w: window width iters=%d vs iters=%d", ErrIncompatible, normIters(s.Iters), normIters(src.Iters))
 	}
 	if s.NumFuncs != src.NumFuncs {
 		return fmt.Errorf("%w: %d vs %d functions", ErrIncompatible, s.NumFuncs, src.NumFuncs)
@@ -133,7 +122,7 @@ func MergeAll(snaps ...*Snapshot) (*Snapshot, error) {
 	if obs.DebugEnabled() {
 		start = time.Now()
 	}
-	out := Empty(snaps[0].K, snaps[0].Iters, snaps[0].NumFuncs)
+	out := Empty(snaps[0].K, snaps[0].NumFuncs)
 	for _, s := range snaps {
 		if err := out.Merge(s); err != nil {
 			return nil, err
@@ -232,8 +221,9 @@ type snapshotHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 	K       int    `json:"k"`
-	// Iters is omitted (0) for the classic two-iteration width, so
-	// two-iteration snapshots keep their exact historical bytes.
+	// Iters is never written: every snapshot spans the paper's
+	// two-iteration window. Decode reads it only to refuse a snapshot of
+	// any other width (limits.Iters).
 	Iters    int `json:"iters,omitempty"`
 	NumFuncs int `json:"numFuncs"`
 	// Records is the integrity envelope: the exact number of counter
@@ -260,9 +250,6 @@ const (
 func (s *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	hdr := snapshotHeader{Format: snapFormat, Version: snapVersion, K: s.K, NumFuncs: s.NumFuncs}
-	if it := normIters(s.Iters); it != 2 {
-		hdr.Iters = it
-	}
 	n := s.Counters.NumRecords()
 	hdr.Records = &n
 	if err := json.NewEncoder(bw).Encode(hdr); err != nil {
@@ -294,6 +281,9 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if hdr.Version != snapVersion {
 		return nil, fmt.Errorf("merge: unsupported snapshot version %d", hdr.Version)
 	}
+	if err := limits.Iters(hdr.Iters); err != nil {
+		return nil, fmt.Errorf("merge: snapshot header: %w", err)
+	}
 	c, err := profile.ReadCounters(br)
 	if err != nil {
 		return nil, err
@@ -307,5 +297,5 @@ func Decode(r io.Reader) (*Snapshot, error) {
 				*hdr.Records, got)
 		}
 	}
-	return &Snapshot{K: hdr.K, Iters: normIters(hdr.Iters), NumFuncs: hdr.NumFuncs, Counters: c}, nil
+	return &Snapshot{K: hdr.K, Iters: 2, NumFuncs: hdr.NumFuncs, Counters: c}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"pathprof/internal/core"
@@ -47,7 +48,7 @@ func mergePipeline(t *testing.T) *pipeline.Pipeline {
 func snapshotAt(t *testing.T, p *pipeline.Pipeline, seed uint64, kind profile.StoreKind) *Snapshot {
 	t.Helper()
 	cfg := instrument.Config{K: mergeK, Loops: true, Interproc: true}
-	run, err := p.ExecuteStore(pipeline.EngineReg, cfg, seed, nil, profile.NewStore(kind, p.Info, 2), 0)
+	run, err := p.ExecuteStore(pipeline.EngineReg, cfg, seed, nil, profile.NewStore(kind, p.Info), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMergeIdentity(t *testing.T) {
 	p := mergePipeline(t)
 	a := snapshotAt(t, p, 1, profile.StoreArena)
 	want := encoded(t, a)
-	id := Empty(a.K, a.Iters, a.NumFuncs)
+	id := Empty(a.K, a.NumFuncs)
 	if got := encoded(t, mustMergeAll(t, id, a)); !bytes.Equal(got, want) {
 		t.Fatal("empty+a differs from a")
 	}
@@ -133,7 +134,7 @@ func TestMergeMixedStores(t *testing.T) {
 	}
 	want := encoded(t, mustMergeAll(t, snaps...))
 	for _, kind := range []profile.StoreKind{profile.StoreNested, profile.StoreArena} {
-		dst := profile.NewStore(kind, p.Info, 2)
+		dst := profile.NewStore(kind, p.Info)
 		for _, s := range snaps {
 			if err := IntoStore(dst, s); err != nil {
 				t.Fatalf("IntoStore(%s): %v", kind, err)
@@ -183,61 +184,58 @@ func TestMergeSaturates(t *testing.T) {
 }
 
 func TestMergeIncompatible(t *testing.T) {
-	a := Empty(1, 2, 3)
-	if err := a.Merge(Empty(2, 2, 3)); !errors.Is(err, ErrIncompatible) {
+	a := Empty(1, 3)
+	if err := a.Merge(Empty(2, 3)); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("k mismatch: err = %v, want ErrIncompatible", err)
 	}
-	if err := a.Merge(Empty(1, 2, 4)); !errors.Is(err, ErrIncompatible) {
+	if err := a.Merge(Empty(1, 4)); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("numFuncs mismatch: err = %v, want ErrIncompatible", err)
-	}
-	if err := a.Merge(Empty(1, 3, 3)); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("iters mismatch: err = %v, want ErrIncompatible", err)
-	}
-	// Width 0 normalizes to the classic 2, so pre-iters snapshots stay
-	// mergeable with explicit-width-2 ones.
-	if err := a.Merge(Empty(1, 0, 3)); err != nil {
-		t.Fatalf("iters 0 vs 2: err = %v, want nil", err)
 	}
 	if _, err := MergeAll(); err == nil {
 		t.Fatal("MergeAll() of nothing must error")
 	}
-	if _, err := MergeAll(Empty(1, 2, 3), Empty(0, 2, 3)); !errors.Is(err, ErrIncompatible) {
+	if _, err := MergeAll(Empty(1, 3), Empty(0, 3)); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("MergeAll mismatch: err = %v, want ErrIncompatible", err)
 	}
 }
 
-// TestSnapshotEncodeWidened pins the wire format across the key width axis:
-// a snapshot holding multi-crossing loop keys must round-trip byte-stably
-// with its width intact, and a width-2 snapshot's header must omit the
-// iters field entirely — byte-identical to the pre-iters encoding.
-func TestSnapshotEncodeWidened(t *testing.T) {
+// TestDecodeRefusesWidened pins the width boundary of the wire format: a
+// snapshot spans the paper's two-iteration window, so its header never
+// names a width, a header naming 2 still decodes, and a header naming any
+// other width — or a loop record carrying a second crossing (ext2) — is
+// refused rather than folded onto its two-iteration fields.
+func TestDecodeRefusesWidened(t *testing.T) {
 	c := profile.NewCounters(2)
 	c.BL[0][3] = 9
-	wk := profile.LoopKey{Func: 0, Loop: 0, Base: 4, Ext: 1, Full: true}
-	wk.SetCrossing(1, 2, true)
-	wk.SetCrossing(2, 0, false)
-	c.Loop[wk] = 5
 	c.Loop[profile.LoopKey{Func: 1, Loop: 0, Base: 4, Ext: 1, Full: true}] = 3
-	s := New(2, 4, c)
-	raw := encoded(t, s)
-	rt, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Iters != 4 {
-		t.Fatalf("round-trip width %d, want 4", rt.Iters)
-	}
-	if got := rt.Counters.Loop[wk]; got != 5 {
-		t.Fatalf("widened key count %d after round trip, want 5", got)
-	}
-	if !bytes.Equal(encoded(t, rt), raw) {
-		t.Fatal("widened decode+encode is not byte-stable")
-	}
-
-	classic := encoded(t, Empty(1, 2, 1))
-	header := classic[:bytes.IndexByte(classic, '\n')]
+	raw := encoded(t, New(2, 2, c))
+	header := raw[:bytes.IndexByte(raw, '\n')]
 	if bytes.Contains(header, []byte("iters")) {
-		t.Fatalf("width-2 header %q mentions iters; must match the pre-iters format", header)
+		t.Fatalf("header %q mentions iters; the two-iteration encoding never does", header)
+	}
+	variant := func(old, new string) []byte {
+		t.Helper()
+		if !bytes.Contains(raw, []byte(old)) {
+			t.Fatalf("encoding lacks %q:\n%s", old, raw)
+		}
+		return bytes.Replace(raw, []byte(old), []byte(new), 1)
+	}
+	rt, err := Decode(bytes.NewReader(variant(`"k":2,`, `"k":2,"iters":2,`)))
+	if err != nil {
+		t.Fatalf("header naming iters 2: %v", err)
+	}
+	if rt.Iters != 2 || !bytes.Equal(encoded(t, rt), raw) {
+		t.Fatalf("header naming iters 2 decodes to width %d or other bytes", rt.Iters)
+	}
+	for name, bad := range map[string][]byte{
+		"header iters 3": variant(`"k":2,`, `"k":2,"iters":3,`),
+		"record ext2":    variant(`"ext":1,`, `"ext":1,"ext2":3,`),
+	} {
+		if _, err := Decode(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: decoded, want an error", name)
+		} else if !strings.Contains(err.Error(), "iters") && !strings.Contains(err.Error(), "ext2") {
+			t.Errorf("%s: error %q names neither the width nor the field", name, err)
+		}
 	}
 }
 
@@ -265,7 +263,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 
 func TestIntoStoreRefusesNonBulk(t *testing.T) {
 	var plain minimalStore
-	if err := IntoStore(&plain, Empty(0, 2, 1)); err == nil {
+	if err := IntoStore(&plain, Empty(0, 1)); err == nil {
 		t.Fatal("non-BulkStore must be refused")
 	}
 }

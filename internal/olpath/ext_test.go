@@ -506,3 +506,36 @@ func TestQuickEncodeDecodeOnRandomRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrackerMarkBrokenScope pins the tracker side of the contract: Broken
+// freezes accumulation for the current crossing only, Finalize still returns
+// the pre-interruption route, and the next Activate starts clean.
+func TestTrackerMarkBrokenScope(t *testing.T) {
+	d := mustDAG(t, cfg.PaperCalleeCFG())
+	x, err := NewExt(d, d.G.Entry(), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracker(x)
+	tr.Activate()
+	tr.MarkBroken()
+	if !tr.Frozen || !tr.Broken {
+		t.Fatal("MarkBroken on an active tracker must freeze and mark it")
+	}
+	if got := tr.Finalize(); got != 0 {
+		t.Fatalf("Finalize after immediate break = %d, want the kept (empty) route 0", got)
+	}
+	if tr.Broken || tr.Frozen || tr.Active {
+		t.Fatal("Finalize must fully reset the tracker")
+	}
+	tr.Activate()
+	if tr.Broken {
+		t.Fatal("Activate must clear Broken: the interruption scopes to one crossing")
+	}
+	tr.MarkBroken()
+	tr.Finalize()
+	tr.MarkBroken() // inactive: must stay a no-op
+	if tr.Broken || tr.Frozen {
+		t.Fatal("MarkBroken on an inactive tracker must be a no-op")
+	}
+}

@@ -34,15 +34,12 @@ type Tracker struct {
 // interrupted (a nested loop's backedge fired while this extension was in
 // flight).
 //
-// Its scope is exactly one crossing, even under multi-iteration profiling:
-// the route accumulated before the interruption is kept — Finalize still
-// returns it, and the crossing is recorded with its completeness bit forced
-// to false — and the next Activate clears Broken, so the following crossing
-// starts clean. When a Ring of windows is open mid-stream, a broken crossing
-// therefore lands in every open window as a kept-but-not-full entry; no
-// window is dropped and no earlier (already recorded) crossing is
-// retroactively marked. Crossings recorded before or after the interruption
-// keep their own completeness bits.
+// Its scope is exactly one crossing: the route accumulated before the
+// interruption is kept — Finalize still returns it, and the crossing is
+// recorded with its completeness bit forced to false — and the next
+// Activate clears Broken, so the following crossing starts clean. Crossings
+// recorded before or after the interruption keep their own completeness
+// bits.
 func (t *Tracker) MarkBroken() {
 	if t.Active {
 		t.Frozen = true

@@ -16,21 +16,18 @@ import (
 	"pathprof/internal/trace"
 )
 
-// expectedAt derives the trace-side expected counters of one (degree,
-// window width) cell (cached per pair: they are store-independent; only the
-// loop family depends on the width).
+// expected holds the trace-side expected counters of one degree (cached
+// per degree: they are store- and engine-independent).
 type expected struct {
 	loop map[profile.LoopKey]uint64
 	t1   map[profile.TypeIKey]uint64
 	t2   map[profile.TypeIIKey]uint64
 }
 
-type kiKey struct{ k, iters int }
-
-func (c *checker) expectedAt(k, iters int) (*expected, error) {
-	loop, err := c.tr.ExpectedLoopCountersIters(k, iters)
+func (c *checker) expectedAt(k int) (*expected, error) {
+	loop, err := c.tr.ExpectedLoopCounters(k)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: expected loop counters k=%d iters=%d: %w", k, iters, err)
+		return nil, fmt.Errorf("oracle: expected loop counters k=%d: %w", k, err)
 	}
 	t1, err := c.tr.ExpectedTypeI(k)
 	if err != nil {
@@ -46,30 +43,19 @@ func (c *checker) expectedAt(k, iters int) (*expected, error) {
 // checkCounters validates, for every matrix cell, that the instrumented
 // counters equal the trace-derived expectations key-for-key; that the BL
 // substrate is untouched by OL instrumentation (at k = 0 this is the
-// paper's OL-0 == BL identity); that widened (iters > 2) loop counters
-// project onto the two-iteration profile exactly when folded to their first
-// crossing (the invariant estimate relies on); and that the conservation
-// sums hold: every call contributes exactly one Type I and one Type II
-// pair, and the loop counter mass of a loop equals its backedge-crossing
-// count at every width.
+// paper's OL-0 == BL identity); and that the conservation sums hold: every
+// call contributes exactly one Type I and one Type II pair, and the loop
+// counter mass of a loop equals its backedge-crossing count.
 func (c *checker) checkCounters() error {
-	byKI := map[kiKey]*expected{}
-	get := func(k, iters int) (*expected, error) {
-		want, ok := byKI[kiKey{k, iters}]
+	byK := map[int]*expected{}
+	for _, cl := range c.cells() {
+		want, ok := byK[cl.k]
 		if !ok {
 			var err error
-			want, err = c.expectedAt(k, iters)
-			if err != nil {
-				return nil, err
+			if want, err = c.expectedAt(cl.k); err != nil {
+				return err
 			}
-			byKI[kiKey{k, iters}] = want
-		}
-		return want, nil
-	}
-	for _, cl := range c.cells() {
-		want, err := get(cl.k, cl.iters)
-		if err != nil {
-			return err
+			byK[cl.k] = want
 		}
 		got := c.counters[cl]
 
@@ -93,29 +79,9 @@ func (c *checker) checkCounters() error {
 		if msg := diffMaps(got.Calls, c.tr.Calls); msg != "" {
 			c.violate("counters/calls", cl, "%s", msg)
 		}
-		if cl.iters > 2 {
-			want2, err := get(cl.k, 2)
-			if err != nil {
-				return err
-			}
-			if msg := diffMaps(foldLoop(got.Loop), want2.loop); msg != "" {
-				c.violate("counters/fold", cl, "first-crossing projection: %s", msg)
-			}
-		}
 		c.checkConservation(cl, got)
 	}
 	return nil
-}
-
-// foldLoop projects loop counters onto their first crossing — the same
-// reduction internal/estimate applies to widened profiles.
-func foldLoop(in map[profile.LoopKey]uint64) map[profile.LoopKey]uint64 {
-	out := make(map[profile.LoopKey]uint64, len(in))
-	for k, n := range in {
-		fk := k.FirstCrossing()
-		out[fk] = profile.SatAdd(out[fk], n)
-	}
-	return out
 }
 
 // checkConservation validates the aggregation identities that tie the OL
@@ -170,20 +136,18 @@ func (c *checker) checkConservation(cl cell, got *profile.Counters) {
 // machine must reproduce the listener-dispatched reference key-for-key.
 func (c *checker) checkStores() {
 	for _, k := range c.cfg.Ks {
-		for _, iters := range c.cfg.Iters {
-			ref := cell{k: k, iters: iters, kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}
-			want := c.counters[ref]
-			for _, eng := range c.cfg.Engines {
-				for _, kind := range c.cfg.Stores {
-					cl := cell{k: k, iters: iters, kind: kind, eng: eng}
-					if cl == ref {
-						continue
-					}
-					if !reflect.DeepEqual(want, c.counters[cl]) {
-						c.violate("stores", cl,
-							"canonical counters diverge from %s store on %s engine",
-							ref.kind, ref.eng)
-					}
+		ref := cell{k: k, kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}
+		want := c.counters[ref]
+		for _, eng := range c.cfg.Engines {
+			for _, kind := range c.cfg.Stores {
+				cl := cell{k: k, kind: kind, eng: eng}
+				if cl == ref {
+					continue
+				}
+				if !reflect.DeepEqual(want, c.counters[cl]) {
+					c.violate("stores", cl,
+						"canonical counters diverge from %s store on %s engine",
+						ref.kind, ref.eng)
 				}
 			}
 		}
@@ -196,20 +160,18 @@ func (c *checker) checkStores() {
 // exact bytes.
 func (c *checker) checkSerialization() {
 	for _, k := range c.cfg.Ks {
-		for _, iters := range c.cfg.Iters {
-			ref := cell{k: k, iters: iters, kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}
-			want := c.serialized[ref]
-			for _, eng := range c.cfg.Engines {
-				for _, kind := range c.cfg.Stores {
-					cl := cell{k: k, iters: iters, kind: kind, eng: eng}
-					if cl == ref {
-						continue
-					}
-					if !bytes.Equal(want, c.serialized[cl]) {
-						c.violate("serialize/stores", cl,
-							"serialized form diverges from %s store on %s engine",
-							ref.kind, ref.eng)
-					}
+		ref := cell{k: k, kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}
+		want := c.serialized[ref]
+		for _, eng := range c.cfg.Engines {
+			for _, kind := range c.cfg.Stores {
+				cl := cell{k: k, kind: kind, eng: eng}
+				if cl == ref {
+					continue
+				}
+				if !bytes.Equal(want, c.serialized[cl]) {
+					c.violate("serialize/stores", cl,
+						"serialized form diverges from %s store on %s engine",
+						ref.kind, ref.eng)
 				}
 			}
 		}

@@ -1,8 +1,7 @@
 package oracle_test
 
 // Native Go fuzz targets over the differential oracle. An input is a
-// (generator-seed, interpreter-seed, degree) tuple — plus a window width
-// for FuzzIters — decoded into a randprog
+// (generator-seed, interpreter-seed, degree) tuple decoded into a randprog
 // program; the checked-in corpus under testdata/fuzz/ is harvested from the
 // standard 60-seed randprog sweep (regenerate with
 // `go run ./internal/oracle/gencorpus`). Run with, e.g.:
@@ -23,12 +22,6 @@ import (
 // clampK folds an arbitrary fuzzed degree into the profiled range {0,1,2}.
 func clampK(k int) int {
 	return ((k % 3) + 3) % 3
-}
-
-// clampIters folds an arbitrary fuzzed window width into the supported
-// range {2,3,4}.
-func clampIters(iters int) int {
-	return 2 + ((iters%3)+3)%3
 }
 
 // fuzzOracle decodes one fuzz input and runs the selected battery slice.
@@ -91,27 +84,6 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		fuzzOracle(t, genSeed, interpSeed, oracle.Config{
 			Ks:     []int{clampK(k)},
 			Checks: oracle.CheckSerialization,
-		})
-	})
-}
-
-// FuzzIters validates the multi-iteration axis: at window width iters the
-// instrumented loop counters must match the trace-derived chain
-// expectations key-for-key on every store and engine, and fold back onto
-// the two-iteration profile at their first crossing.
-func FuzzIters(f *testing.F) {
-	f.Add(int64(1), int64(1), 1, 3)
-	f.Add(int64(5), int64(2), 2, 4)
-	f.Add(int64(3), int64(3), 0, 2)
-	f.Fuzz(func(t *testing.T, genSeed, interpSeed int64, k, iters int) {
-		widths := []int{2}
-		if it := clampIters(iters); it != 2 {
-			widths = append(widths, it)
-		}
-		fuzzOracle(t, genSeed, interpSeed, oracle.Config{
-			Ks:     []int{clampK(k)},
-			Iters:  widths,
-			Checks: oracle.CheckCounters | oracle.CheckStores,
 		})
 	})
 }

@@ -2,8 +2,7 @@
 // internal/oracle/testdata/fuzz/ from the standard randprog sweep: it
 // harvests the generator seeds whose programs fit the oracle step budget
 // and writes one Go-fuzz corpus file per (target, seed), cycling the degree
-// through {0, 1, 2} (and, for FuzzIters, the window width through
-// {2, 3, 4}) so every target's corpus covers every profiled cell.
+// through {0, 1, 2} so every target's corpus covers every profiled degree.
 //
 // Usage: go run ./internal/oracle/gencorpus [-n seedsPerTarget] [-dir root]
 package main
@@ -27,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, target := range []string{"FuzzPipeline", "FuzzEstimateBounds", "FuzzSerializeRoundTrip", "FuzzMergeSplit", "FuzzIters"} {
+	for _, target := range []string{"FuzzPipeline", "FuzzEstimateBounds", "FuzzSerializeRoundTrip", "FuzzMergeSplit"} {
 		tdir := filepath.Join(*dir, target)
 		if err := os.MkdirAll(tdir, 0o755); err != nil {
 			log.Fatal(err)
@@ -35,11 +34,6 @@ func main() {
 		for i, s := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\nint64(%d)\nint64(%d)\nint(%d)\n",
 				s.GenSeed, s.GenSeed, i%3)
-			if target == "FuzzIters" {
-				// FuzzIters takes a fourth field, the window width,
-				// cycled through {2, 3, 4}.
-				body += fmt.Sprintf("int(%d)\n", 2+i%3)
-			}
 			name := filepath.Join(tdir, fmt.Sprintf("seed-%03d", s.GenSeed))
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 				log.Fatal(err)

@@ -1,8 +1,8 @@
 // Package oracle is the differential-testing subsystem: given a compiled
 // program and an input seed, it derives ground truth with the
 // interpreter-driven tracer, replays the program through the instrumented
-// pipeline across degrees, window widths, engines, counter stores, and
-// sweep modes, and checks a fixed battery of metamorphic invariants
+// pipeline across degrees, engines, counter stores, and sweep modes, and
+// checks a fixed battery of metamorphic invariants
 // connecting the two. The run cube pairs the fast path with its
 // references: the register engine against the tree-walking interpreter,
 // the arena store against the nested maps. It is the correctness gate
@@ -69,10 +69,6 @@ const (
 type Config struct {
 	// Ks are the profiled degrees (default {0, 1, 2}).
 	Ks []int
-	// Iters are the profiled multi-iteration window widths (default
-	// {2, 3, 4}: the classic two-iteration setting plus every widened
-	// width the runtime ring supports).
-	Iters []int
 	// Stores are the counter-store layouts (default nested and arena: the
 	// nested maps are the reference the paged arena must match).
 	Stores []profile.StoreKind
@@ -100,9 +96,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Ks) == 0 {
 		c.Ks = []int{0, 1, 2}
 	}
-	if len(c.Iters) == 0 {
-		c.Iters = []int{2, 3, 4}
-	}
 	if len(c.Stores) == 0 {
 		c.Stores = []profile.StoreKind{profile.StoreNested, profile.StoreArena}
 	}
@@ -124,27 +117,23 @@ func (c Config) withDefaults() Config {
 	ks := append([]int(nil), c.Ks...)
 	sort.Ints(ks)
 	c.Ks = ks
-	iters := append([]int(nil), c.Iters...)
-	sort.Ints(iters)
-	c.Iters = iters
 	return c
 }
 
 // Violation is one failed invariant. Violations carry enough detail to
-// reproduce: the invariant name, the (k, iters, store, engine) cell of the
-// run matrix, and a human-readable diff fragment.
+// reproduce: the invariant name, the (k, store, engine) cell of the run
+// matrix, and a human-readable diff fragment.
 type Violation struct {
 	Invariant string
 	K         int
-	Iters     int
 	Store     profile.StoreKind
 	Engine    pipeline.Engine
 	Detail    string
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("[%s] k=%d iters=%d store=%s engine=%s: %s",
-		v.Invariant, v.K, v.Iters, v.Store, v.Engine, v.Detail)
+	return fmt.Sprintf("[%s] k=%d store=%s engine=%s: %s",
+		v.Invariant, v.K, v.Store, v.Engine, v.Detail)
 }
 
 // Result is the outcome of one oracle run.
@@ -238,13 +227,11 @@ func Check(p *pipeline.Pipeline, seed uint64, cfg Config) (*Result, error) {
 	return c.res, nil
 }
 
-// cell is one (degree, window width, store, engine) coordinate of the run
-// matrix.
+// cell is one (degree, store, engine) coordinate of the run matrix.
 type cell struct {
-	k     int
-	iters int
-	kind  profile.StoreKind
-	eng   pipeline.Engine
+	k    int
+	kind profile.StoreKind
+	eng  pipeline.Engine
 }
 
 type checker struct {
@@ -266,7 +253,7 @@ type checker struct {
 
 func (c *checker) violate(inv string, cl cell, format string, args ...any) {
 	c.res.Violations = append(c.res.Violations, Violation{
-		Invariant: inv, K: cl.k, Iters: cl.iters, Store: cl.kind, Engine: cl.eng,
+		Invariant: inv, K: cl.k, Store: cl.kind, Engine: cl.eng,
 		Detail: fmt.Sprintf(format, args...),
 	})
 }
@@ -295,22 +282,20 @@ func (c *checker) ground() error {
 // pipeline artifact cache (plans, and compiled code on the register engine),
 // returning its counters and serialized form.
 func (c *checker) run(cl cell) (*profile.Counters, []byte, error) {
-	cfg := instrument.Config{K: cl.k, Loops: true, Interproc: true, Iters: cl.iters}
-	store := profile.NewStore(cl.kind, c.p.Info, cfg.EffIters())
+	cfg := instrument.Config{K: cl.k, Loops: true, Interproc: true}
+	store := profile.NewStore(cl.kind, c.p.Info)
 	if cl.kind == profile.StoreArena {
 		// Sized for the cell's degree, as Pipeline.Execute sizes the
 		// default store.
-		store = profile.NewArenaStoreK(c.p.Info, cl.k, cfg.EffIters())
+		store = profile.NewArenaStoreK(c.p.Info, cl.k)
 	}
 	r, err := c.p.ExecuteStore(cl.eng, cfg, c.seed, nil, store, c.cfg.MaxRunSteps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("oracle: run k=%d iters=%d store=%s engine=%s: %w",
-			cl.k, cl.iters, cl.kind, cl.eng, err)
+		return nil, nil, fmt.Errorf("oracle: run k=%d store=%s engine=%s: %w", cl.k, cl.kind, cl.eng, err)
 	}
 	var buf bytes.Buffer
 	if err := r.Counters.Serialize(&buf); err != nil {
-		return nil, nil, fmt.Errorf("oracle: serialize k=%d iters=%d store=%s engine=%s: %w",
-			cl.k, cl.iters, cl.kind, cl.eng, err)
+		return nil, nil, fmt.Errorf("oracle: serialize k=%d store=%s engine=%s: %w", cl.k, cl.kind, cl.eng, err)
 	}
 	return r.Counters, buf.Bytes(), nil
 }
@@ -334,21 +319,18 @@ func (c *checker) sweep() error {
 func (c *checker) cells() []cell {
 	var out []cell
 	for _, k := range c.cfg.Ks {
-		for _, iters := range c.cfg.Iters {
-			for _, eng := range c.cfg.Engines {
-				for _, kind := range c.cfg.Stores {
-					out = append(out, cell{k: k, iters: iters, kind: kind, eng: eng})
-				}
+		for _, eng := range c.cfg.Engines {
+			for _, kind := range c.cfg.Stores {
+				out = append(out, cell{k: k, kind: kind, eng: eng})
 			}
 		}
 	}
 	return out
 }
 
-// at returns the sequential counters of degree k under the narrowest
-// configured window width and the first configured store and engine (all
-// store/engine combinations are proven identical by checkStores, and
-// estimates are invariant in the width by the counters/fold check).
+// at returns the sequential counters of degree k under the first
+// configured store and engine (all store/engine combinations are proven
+// identical by checkStores).
 func (c *checker) at(k int) *profile.Counters {
-	return c.counters[cell{k: k, iters: c.cfg.Iters[0], kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}]
+	return c.counters[cell{k: k, kind: c.cfg.Stores[0], eng: c.cfg.Engines[0]}]
 }

@@ -76,17 +76,14 @@ func Derive(info *profile.Info, p *Profile) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			for c := 0; c < lk.NumCrossings(); c++ {
-				route, _ := lk.Crossing(c)
-				nodes, err := x.Decode(route)
-				if err != nil {
-					return nil, fmt.Errorf("pgo: func %s loop %d: %w", fi.Fn.Name, lk.Loop, err)
-				}
-				for bi, b := range nodes {
-					blockHeat[lk.Func][b] += n
-					if bi+1 < len(nodes) {
-						edgeHeat[lk.Func][cfg.Edge{From: b, To: nodes[bi+1]}] += n
-					}
+			nodes, err := x.Decode(lk.Ext)
+			if err != nil {
+				return nil, fmt.Errorf("pgo: func %s loop %d: %w", fi.Fn.Name, lk.Loop, err)
+			}
+			for bi, b := range nodes {
+				blockHeat[lk.Func][b] += n
+				if bi+1 < len(nodes) {
+					edgeHeat[lk.Func][cfg.Edge{From: b, To: nodes[bi+1]}] += n
 				}
 			}
 		}
@@ -127,7 +124,7 @@ func Derive(info *profile.Info, p *Profile) (*Plan, error) {
 	}
 
 	// Stages chain + cold-tail, per function.
-	plan := &Plan{K: p.K, Iters: p.Iters}
+	plan := &Plan{K: p.K}
 	for idx, fi := range info.Funcs {
 		order, hot := chainFunc(fi.G, edgeHeat[idx], blockHeat[idx])
 		plan.Funcs = append(plan.Funcs, FuncLayout{

@@ -27,13 +27,11 @@ import (
 )
 
 // Profile is the input to plan derivation: the counters of one run (or a
-// fleet merge) plus the degree and window width they were collected at.
-// core.LoadRun output maps onto it directly.
+// fleet merge) plus the degree they were collected at. core.LoadRun output
+// maps onto it directly.
 type Profile struct {
 	// K is the overlap degree of the counters (-1 = BL only).
 	K int
-	// Iters is the window width the counters were collected at.
-	Iters int
 	// Counters holds the profile's counter maps.
 	Counters *profile.Counters
 }
@@ -67,9 +65,8 @@ func (fl *FuncLayout) Identity() bool {
 // Plan is a whole-program layout plan, one FuncLayout per function in
 // program index order.
 type Plan struct {
-	// K and Iters echo the profile the plan was derived from.
-	K     int `json:"k"`
-	Iters int `json:"iters"`
+	// K echoes the degree of the profile the plan was derived from.
+	K int `json:"k"`
 	// Funcs holds one layout per program function, in index order.
 	Funcs []FuncLayout `json:"funcs"`
 }

@@ -21,7 +21,7 @@ func profileBenchmark(t *testing.T, p *pipeline.Pipeline, b *workload.Benchmark,
 		t.Fatalf("%s: profile run: %v", b.Name, err)
 	}
 	var buf bytes.Buffer
-	if err := core.SaveRun(&buf, core.RunFromCounters(run.K, run.Iters, run.Counters)); err != nil {
+	if err := core.SaveRun(&buf, core.RunFromCounters(run.K, 2, run.Counters)); err != nil {
 		t.Fatalf("%s: save run: %v", b.Name, err)
 	}
 	return buf.Bytes()
@@ -34,7 +34,7 @@ func loadProfile(t *testing.T, raw []byte) *pgo.Profile {
 	if err != nil {
 		t.Fatalf("load run: %v", err)
 	}
-	return &pgo.Profile{K: run.K, Iters: run.Iters, Counters: run.Counters}
+	return &pgo.Profile{K: run.K, Counters: run.Counters}
 }
 
 // TestPlanDeterminism is the repo's byte-identity discipline applied to

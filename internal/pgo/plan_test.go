@@ -7,7 +7,7 @@ import (
 )
 
 func TestPlanHelpers(t *testing.T) {
-	p := &Plan{K: 1, Iters: 2, Funcs: []FuncLayout{
+	p := &Plan{K: 1, Funcs: []FuncLayout{
 		{Func: 0, Name: "main", Order: []int{0, 2, 1}, Hot: 2},
 		{Func: 1, Name: "f", Order: []int{0, 1}, Hot: 0},
 	}}
@@ -23,7 +23,7 @@ func TestPlanHelpers(t *testing.T) {
 }
 
 func TestPlanEncodeRoundTrip(t *testing.T) {
-	p := &Plan{K: 2, Iters: 3, Funcs: []FuncLayout{
+	p := &Plan{K: 2, Funcs: []FuncLayout{
 		{Func: 0, Name: "main", Order: []int{0, 3, 1, 2}, Hot: 3},
 	}}
 	var buf bytes.Buffer

@@ -13,6 +13,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"pathprof/internal/interp"
 	"pathprof/internal/ir"
 	"pathprof/internal/lang"
+	"pathprof/internal/limits"
 	"pathprof/internal/obs"
 	"pathprof/internal/overhead"
 	"pathprof/internal/profile"
@@ -95,7 +97,7 @@ type Pipeline struct {
 // cache by pointer identity: distinct selections (or chord weightings) are
 // distinct plans, and the common nil means "everything"/"uniform".
 type planKey struct {
-	k, iters                  int
+	k                         int
 	loops, interproc, chordBL bool
 	selection                 *profile.Selection
 	chordProfile              *profile.Counters
@@ -104,7 +106,6 @@ type planKey struct {
 func keyOf(cfg instrument.Config) planKey {
 	return planKey{
 		k:            cfg.K,
-		iters:        cfg.EffIters(),
 		loops:        cfg.Loops,
 		interproc:    cfg.Interproc,
 		chordBL:      cfg.ChordBL,
@@ -168,22 +169,28 @@ func (p *Pipeline) Pool() *Pool {
 	return Shared()
 }
 
-// NewStore allocates a counter store of the pipeline's configured kind,
-// sized for iters-iteration loop windows (only the arena layout is
-// sensitive to the width; see profile.NewStore).
-func (p *Pipeline) NewStore(iters int) profile.CounterStore {
-	return profile.NewStore(p.opts.Store, p.Info, iters)
+// NewStore allocates a counter store of the pipeline's configured kind
+// (see profile.NewStore).
+func (p *Pipeline) NewStore() profile.CounterStore {
+	return profile.NewStore(p.opts.Store, p.Info)
 }
 
 // Plan returns the instrumentation plan for cfg, building it at most once
-// per configuration even under concurrent callers.
+// per configuration even under concurrent callers. A loop window width
+// other than the paper's two iterations (Config.Iters outside {0, 2}) is
+// refused.
 func (p *Pipeline) Plan(cfg instrument.Config) (*instrument.Plan, error) {
 	e := p.planSlot(cfg)
 	return e.plan, e.err
 }
 
-// planSlot returns cfg's plan cache slot with the plan built.
+// planSlot returns cfg's plan cache slot with the plan built, or a slot
+// holding only the error when cfg names a window width the plans do not
+// profile.
 func (p *Pipeline) planSlot(cfg instrument.Config) *planEntry {
+	if err := limits.Iters(cfg.Iters); err != nil {
+		return &planEntry{err: fmt.Errorf("pipeline: %w", err)}
+	}
 	key := keyOf(cfg)
 	p.mu.Lock()
 	e := p.plans[key]
@@ -285,8 +292,8 @@ func (p *Pipeline) CachedCodes() int {
 type Run struct {
 	// K is the profiled degree (-1 = Ball-Larus only).
 	K int
-	// Iters is the multi-iteration window width the loop counters were
-	// collected at (2 = the classic two-iteration setting).
+	// Iters is the loop window width, always the paper's two iterations;
+	// kept for callers that pass it on.
 	Iters int
 	// Selection is the structure selection the run used (nil = all).
 	Selection *profile.Selection
@@ -311,7 +318,7 @@ type Run struct {
 // and returned, so no result aliases a pooled store.
 func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*Run, error) {
 	if p.opts.Store != profile.StoreArena {
-		return p.ExecuteStore(p.opts.Engine, cfg, seed, out, p.NewStore(cfg.EffIters()), p.opts.MaxSteps)
+		return p.ExecuteStore(p.opts.Engine, cfg, seed, out, p.NewStore(), p.opts.MaxSteps)
 	}
 	e := p.planSlot(cfg)
 	if e.err != nil {
@@ -323,7 +330,7 @@ func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*
 		if !cfg.Loops && !cfg.Interproc {
 			k = -1
 		}
-		store = profile.NewArenaStoreK(p.Info, k, cfg.EffIters())
+		store = profile.NewArenaStoreK(p.Info, k)
 	}
 	run, err := p.ExecuteStore(p.opts.Engine, cfg, seed, out, store, p.opts.MaxSteps)
 	store.Reset()
@@ -359,7 +366,7 @@ func (p *Pipeline) ExecuteStore(eng Engine, cfg instrument.Config, seed uint64, 
 		}
 		return &Run{
 			K:         cfg.K,
-			Iters:     cfg.EffIters(),
+			Iters:     2,
 			Selection: cfg.Selection,
 			Counters:  store.Counters(),
 			Overhead:  m.Report(),
@@ -394,7 +401,7 @@ func (p *Pipeline) ExecuteStore(eng Engine, cfg instrument.Config, seed uint64, 
 	}
 	return &Run{
 		K:         cfg.K,
-		Iters:     cfg.EffIters(),
+		Iters:     2,
 		Selection: cfg.Selection,
 		Counters:  rt.Counters(),
 		Overhead:  rt.Report(m.BaseOps),

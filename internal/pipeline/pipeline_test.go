@@ -2,11 +2,11 @@ package pipeline_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"pathprof/internal/experiments"
 	"pathprof/internal/instrument"
 	"pathprof/internal/interp"
 	"pathprof/internal/pipeline"
@@ -221,10 +221,9 @@ func TestParallelSweepDeterminism(t *testing.T) {
 }
 
 // TestEnginesAgreeOnBundledPrograms runs every bundled program with its
-// bundled seed on both engines at every degree k in [-1, max] with
-// two-iteration windows, and at its chosen degree with three-iteration
-// windows: the serialized counters, the op-count report and the step count
-// must be identical. The randprog corpus the oracle sweeps never reaches
+// bundled seed on both engines at every degree k in [-1, max]: the
+// serialized counters, the op-count report and the step count must be
+// identical. The randprog corpus the oracle sweeps never reaches
 // these programs' call depth and per-function path counts.
 func TestEnginesAgreeOnBundledPrograms(t *testing.T) {
 	for _, b := range workload.All() {
@@ -236,31 +235,51 @@ func TestEnginesAgreeOnBundledPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxK := p.Info.MaxDegree()
-		type cell struct{ k, iters int }
-		var cells []cell
-		for k := -1; k <= maxK; k++ {
-			cells = append(cells, cell{k, 2})
-		}
-		cells = append(cells, cell{(&experiments.BenchRun{MaxK: maxK}).KChosen(), 3})
-		for _, c := range cells {
-			cfg := instrument.Config{K: c.k, Loops: true, Interproc: true, Iters: c.iters}
-			tree, err := p.ExecuteStore(pipeline.EngineTree, cfg, b.Seed, nil, profile.NewStore(profile.StoreNested, p.Info, c.iters), 0)
+		for k := -1; k <= p.Info.MaxDegree(); k++ {
+			cfg := instrument.Config{K: k, Loops: true, Interproc: true}
+			tree, err := p.ExecuteStore(pipeline.EngineTree, cfg, b.Seed, nil, profile.NewStore(profile.StoreNested, p.Info), 0)
 			if err != nil {
-				t.Fatalf("%s k=%d iters=%d: tree: %v", b.Name, c.k, c.iters, err)
+				t.Fatalf("%s k=%d: tree: %v", b.Name, k, err)
 			}
-			reg, err := p.ExecuteStore(pipeline.EngineReg, cfg, b.Seed, nil, p.NewStore(c.iters), 0)
+			reg, err := p.ExecuteStore(pipeline.EngineReg, cfg, b.Seed, nil, p.NewStore(), 0)
 			if err != nil {
-				t.Fatalf("%s k=%d iters=%d: regvm: %v", b.Name, c.k, c.iters, err)
+				t.Fatalf("%s k=%d: regvm: %v", b.Name, k, err)
 			}
 			if tree.Steps != reg.Steps || tree.Overhead != reg.Overhead {
-				t.Fatalf("%s k=%d iters=%d: steps/overhead: tree=%d %+v regvm=%d %+v",
-					b.Name, c.k, c.iters, tree.Steps, tree.Overhead, reg.Steps, reg.Overhead)
+				t.Fatalf("%s k=%d: steps/overhead: tree=%d %+v regvm=%d %+v",
+					b.Name, k, tree.Steps, tree.Overhead, reg.Steps, reg.Overhead)
 			}
 			if !bytes.Equal(serialize(t, tree.Counters), serialize(t, reg.Counters)) {
-				t.Fatalf("%s k=%d iters=%d: serialized counters differ", b.Name, c.k, c.iters)
+				t.Fatalf("%s k=%d: serialized counters differ", b.Name, k)
 			}
 		}
+	}
+}
+
+// TestPlanRefusesWidenedWindow: the plans profile the two-iteration window
+// only, so Config.Iters 0 and 2 share one cached plan and any other width is
+// refused — without poisoning the cache slot the valid widths use.
+func TestPlanRefusesWidenedWindow(t *testing.T) {
+	p, err := pipeline.Compile(workload.ByName("130.li").Source, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, iters := range []int{3, 4, 1} {
+		cfg := instrument.Config{K: 1, Loops: true, Interproc: true, Iters: iters}
+		if _, err := p.Plan(cfg); err == nil || !strings.Contains(err.Error(), "iters") {
+			t.Fatalf("Plan with iters=%d: err = %v, want a width error", iters, err)
+		}
+		if _, err := p.Execute(cfg, 1, nil); err == nil {
+			t.Fatalf("Execute with iters=%d ran", iters)
+		}
+	}
+	for _, iters := range []int{0, 2} {
+		if _, err := p.Execute(instrument.Config{K: 1, Loops: true, Interproc: true, Iters: iters}, 1, nil); err != nil {
+			t.Fatalf("iters=%d: %v", iters, err)
+		}
+	}
+	if n := p.CachedPlans(); n != 1 {
+		t.Fatalf("%d cached plans, want the one both widths share", n)
 	}
 }
 

@@ -1,7 +1,5 @@
 package profile
 
-import "pathprof/internal/olpath"
-
 // ArenaStore is the default counter store: per overlap region (loop,
 // Type I entry, Type II suffix) it lays the region's counters out behind a
 // perfect (base, route) slot mapping, so the hot increment path is one
@@ -87,60 +85,31 @@ func (p pagedSlots) reset() {
 	}
 }
 
-// loopArena is the dense counter block of one (func, loop) region. At
-// iters = n a full-width key carries m = n-1 crossings and maps to
-//
-//	slot = ((base*routes + e_0)*routes + ... + e_{m-1})<<m | fullbits
-//
-// with crossing i's completeness bit at position i of fullbits. At the
-// two-iteration default this is exactly the historical
-// (base*routes + ext)*2 + full layout. Truncated windows (fewer than m
-// crossings, possible only at iters > 2) take the overflow map.
+// loopArena is the dense counter block of one (func, loop) region: key
+// (base, ext, full) lives at slot (base*routes + ext)*2 + full.
 type loopArena struct {
-	iters  int   // window width the slot layout is built for
 	total  int64 // base-path dimension (caller's BL path count)
 	routes int64 // route dimension (the sizing degree's extension routes)
 	slots  pagedSlots
 }
 
-// slot maps a full-width key into the arena's dense index; ok is false when
-// the key needs the overflow map (truncated width or out-of-range
-// coordinates).
+// slot maps a key into the arena's dense index; ok is false when the key's
+// coordinates are out of range and it needs the overflow map.
 func (a *loopArena) slot(k LoopKey) (slot int64, ok bool) {
-	m := a.iters - 1
-	if k.NumCrossings() != m || k.Base < 0 || k.Base >= a.total {
+	if k.Base < 0 || k.Base >= a.total || k.Ext < 0 || k.Ext >= a.routes {
 		return 0, false
 	}
-	slot = k.Base
-	var fulls int64
-	for i := 0; i < m; i++ {
-		route, full := k.Crossing(i)
-		if route < 0 || route >= a.routes {
-			return 0, false
-		}
-		slot = slot*a.routes + route
-		if full {
-			fulls |= 1 << i
-		}
+	slot = (k.Base*a.routes + k.Ext) * 2
+	if k.Full {
+		slot++
 	}
-	return slot<<m | fulls, true
+	return slot, true
 }
 
 // key decodes a dense slot index back into the counter key it encodes.
 func (a *loopArena) key(fn, loop int, slot int64) LoopKey {
-	m := a.iters - 1
-	fulls := slot & (1<<m - 1)
-	rest := slot >> m
-	var routes [3]int64
-	for i := m - 1; i >= 0; i-- {
-		routes[i] = rest % a.routes
-		rest /= a.routes
-	}
-	k := LoopKey{Func: fn, Loop: loop, Base: rest}
-	for i := 0; i < m; i++ {
-		k.SetCrossing(i, routes[i], fulls>>i&1 == 1)
-	}
-	return k
+	rest := slot >> 1
+	return LoopKey{Func: fn, Loop: loop, Base: rest / a.routes, Ext: rest % a.routes, Full: slot&1 == 1}
 }
 
 // tupleArena is the dense counter block of one call site's Type I or
@@ -189,19 +158,17 @@ type ArenaStore struct {
 }
 
 // NewArenaStore sizes every region by its maximum useful degree, so the
-// store accepts the keys of any configuration profiling iters-iteration
-// windows (iters outside [2, olpath.MaxIters] is clamped). It never fails:
-// a region that cannot be densely sized simply starts in overflow.
-func NewArenaStore(info *Info, iters int) *ArenaStore {
-	return NewArenaStoreK(info, info.MaxDegree(), iters)
+// store accepts the keys of any configuration. It never fails: a region
+// that cannot be densely sized simply starts in overflow.
+func NewArenaStore(info *Info) *ArenaStore {
+	return NewArenaStoreK(info, info.MaxDegree())
 }
 
 // NewArenaStoreK sizes the store for degree-k runs from the same cached
 // extension regions a degree-k instrumentation plan uses (k < 0: only
 // Ball-Larus and call counters are dense). Keys of a larger degree still
 // land, in overflow.
-func NewArenaStoreK(info *Info, k, iters int) *ArenaStore {
-	iters = min(max(iters, 2), olpath.MaxIters)
+func NewArenaStoreK(info *Info, k int) *ArenaStore {
 	n := len(info.Funcs)
 	s := &ArenaStore{
 		dense:    make([]pagedSlots, n),
@@ -232,32 +199,17 @@ func NewArenaStoreK(info *Info, k, iters int) *ArenaStore {
 			continue
 		}
 
-		m := iters - 1
 		for l, li := range fi.Loops {
 			x, err := li.Ext(li.EffectiveK(k))
 			if err != nil {
 				continue
 			}
 			routes := x.Routes()
-			if total <= 0 || total > ArenaSlotLimit || routes <= 0 || routes > ArenaSlotLimit {
+			if total <= 0 || total > ArenaSlotLimit || routes <= 0 || routes > ArenaSlotLimit ||
+				total*routes*2 > ArenaSlotLimit {
 				continue
 			}
-			// Dense size: total * routes^m * 2^m, checked stepwise so the
-			// product cannot overflow before the limit comparison.
-			slots := total
-			for i := 0; i < m && slots >= 0; i++ {
-				slots *= routes
-				if slots > ArenaSlotLimit {
-					slots = -1
-				}
-			}
-			if slots < 0 || slots<<m > ArenaSlotLimit {
-				continue
-			}
-			s.loops[f][l] = &loopArena{
-				iters: iters, total: total, routes: routes,
-				slots: newPagedSlots(slots << m),
-			}
+			s.loops[f][l] = &loopArena{total: total, routes: routes, slots: newPagedSlots(total * routes * 2)}
 		}
 
 		for c, cs := range fi.CallSites {

@@ -41,14 +41,12 @@ func bundledPrograms(t *testing.T) []arenaProgram {
 	return out
 }
 
-// arenaConfigs is the k ∈ {-1, KChosen, max} × iters ∈ {2, 3, 4} grid.
+// arenaConfigs is the k ∈ {-1, KChosen, max} grid.
 func arenaConfigs(info *profile.Info) []instrument.Config {
 	maxK := info.MaxDegree()
 	var out []instrument.Config
 	for _, k := range []int{-1, (&experiments.BenchRun{MaxK: maxK}).KChosen(), maxK} {
-		for iters := 2; iters <= 4; iters++ {
-			out = append(out, instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0, Iters: iters})
-		}
+		out = append(out, instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0})
 	}
 	return out
 }
@@ -76,7 +74,7 @@ func runInto(t *testing.T, ap arenaProgram, cfg instrument.Config, seed uint64, 
 	t.Helper()
 	run, err := ap.p.ExecuteStore(pipeline.EngineReg, cfg, seed, nil, store, 0)
 	if err != nil {
-		t.Fatalf("%s k=%d iters=%d seed=%d: %v", ap.wb.Name, cfg.K, cfg.Iters, seed, err)
+		t.Fatalf("%s k=%d seed=%d: %v", ap.wb.Name, cfg.K, seed, err)
 	}
 	return run
 }
@@ -88,7 +86,7 @@ func TestArenaPooledReuseMatchesFresh(t *testing.T) {
 	overflowed := map[string]bool{}
 	for _, ap := range bundledPrograms(t) {
 		for _, cfg := range arenaConfigs(ap.p.Info) {
-			store := profile.NewArenaStoreK(ap.p.Info, cfg.K, cfg.EffIters())
+			store := profile.NewArenaStoreK(ap.p.Info, cfg.K)
 			runInto(t, ap, cfg, ap.wb.Seed+1, store)
 			if numKeys(store.Overflow()) > 0 {
 				overflowed[ap.wb.Name] = true
@@ -97,8 +95,7 @@ func TestArenaPooledReuseMatchesFresh(t *testing.T) {
 			got := runInto(t, ap, cfg, ap.wb.Seed, store)
 			want := runInto(t, ap, cfg, ap.wb.Seed, profile.NewNestedStore(len(ap.p.Info.Funcs)))
 			if !bytes.Equal(serialized(t, got.Counters), serialized(t, want.Counters)) {
-				t.Errorf("%s k=%d iters=%d: reused arena store diverges from a fresh nested store",
-					ap.wb.Name, cfg.K, cfg.Iters)
+				t.Errorf("%s k=%d: reused arena store diverges from a fresh nested store", ap.wb.Name, cfg.K)
 			}
 		}
 	}
@@ -114,12 +111,11 @@ func TestArenaPooledReuseMatchesFresh(t *testing.T) {
 func TestArenaPagesHoldCounters(t *testing.T) {
 	for _, ap := range bundledPrograms(t) {
 		for _, cfg := range arenaConfigs(ap.p.Info) {
-			store := profile.NewArenaStoreK(ap.p.Info, cfg.K, cfg.EffIters())
+			store := profile.NewArenaStoreK(ap.p.Info, cfg.K)
 			runInto(t, ap, cfg, ap.wb.Seed, store)
 			allocated, empty := store.Pages()
 			if allocated == 0 || empty != 0 {
-				t.Errorf("%s k=%d iters=%d: %d pages allocated, %d of them empty",
-					ap.wb.Name, cfg.K, cfg.Iters, allocated, empty)
+				t.Errorf("%s k=%d: %d pages allocated, %d of them empty", ap.wb.Name, cfg.K, allocated, empty)
 			}
 		}
 	}
@@ -127,28 +123,24 @@ func TestArenaPagesHoldCounters(t *testing.T) {
 
 // TestArenaDegreeStoreKeepsDense: a store sized for degree k sends no key
 // of a degree-k run to overflow that a store sized for every degree keeps
-// dense (route counts are monotone in k). At the two-iteration default
-// every bundled region fits its arena, so there only indirect call sites,
-// which have no static callee dimension, may overflow.
+// dense (route counts are monotone in k). Every bundled region fits its
+// arena, so only indirect call sites, which have no static callee
+// dimension, may overflow.
 func TestArenaDegreeStoreKeepsDense(t *testing.T) {
 	for _, ap := range bundledPrograms(t) {
 		for k := -1; k <= ap.p.Info.MaxDegree(); k++ {
-			for iters := 2; iters <= 4; iters++ {
-				cfg := instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0, Iters: iters}
-				deg := profile.NewArenaStoreK(ap.p.Info, k, iters)
-				all := profile.NewArenaStore(ap.p.Info, iters)
-				runInto(t, ap, cfg, ap.wb.Seed, deg)
-				runInto(t, ap, cfg, ap.wb.Seed, all)
-				if extra := overflowOnly(deg.Overflow(), all.Overflow()); len(extra) > 0 {
-					t.Errorf("%s k=%d iters=%d: degree-sized store overflows keys the max-degree store keeps dense: %v",
-						ap.wb.Name, k, iters, extra)
-				}
-				if iters == 2 {
-					if direct := directOverflow(ap.p.Info, deg.Overflow()); len(direct) > 0 {
-						t.Errorf("%s k=%d: keys overflow at direct call sites or outside call sites: %v",
-							ap.wb.Name, k, direct)
-					}
-				}
+			cfg := instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0}
+			deg := profile.NewArenaStoreK(ap.p.Info, k)
+			all := profile.NewArenaStore(ap.p.Info)
+			runInto(t, ap, cfg, ap.wb.Seed, deg)
+			runInto(t, ap, cfg, ap.wb.Seed, all)
+			if extra := overflowOnly(deg.Overflow(), all.Overflow()); len(extra) > 0 {
+				t.Errorf("%s k=%d: degree-sized store overflows keys the max-degree store keeps dense: %v",
+					ap.wb.Name, k, extra)
+			}
+			if direct := directOverflow(ap.p.Info, deg.Overflow()); len(direct) > 0 {
+				t.Errorf("%s k=%d: keys overflow at direct call sites or outside call sites: %v",
+					ap.wb.Name, k, direct)
 			}
 		}
 	}

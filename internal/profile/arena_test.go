@@ -52,7 +52,7 @@ func main() {
 // huge, wrong callee) that must route through overflow.
 func TestArenaStoreMatchesNested(t *testing.T) {
 	info := analyzeSrc(t, arenaSrc)
-	a := profile.NewArenaStore(info, 2)
+	a := profile.NewArenaStore(info)
 	n := profile.NewNestedStore(len(info.Funcs))
 
 	keysLoop := []profile.LoopKey{
@@ -108,7 +108,7 @@ func TestArenaStoreMatchesNested(t *testing.T) {
 // refresh the cached Counters, in every counter family.
 func TestArenaStoreMemoInvalidation(t *testing.T) {
 	info := analyzeSrc(t, arenaSrc)
-	s := profile.NewArenaStore(info, 2)
+	s := profile.NewArenaStore(info)
 	lk := profile.LoopKey{Func: 0, Loop: 0, Base: 0, Ext: 0, Full: true}
 	s.IncLoop(lk)
 	if got := s.Counters().Loop[lk]; got != 1 {

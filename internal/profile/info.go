@@ -95,8 +95,13 @@ type CallSiteInfo struct {
 	exts    map[int]*olpath.Ext
 	classes map[int]*CutClasses
 
-	prefixes *PrefixSet
-	suffixes *SuffixSet
+	// prefixes and suffixes cache the site's enumerations; prefixErr and
+	// suffixErr cache an enumeration's error (only an overflow of
+	// MaxRoutesPerSite can fail one).
+	prefixes  *PrefixSet
+	suffixes  *SuffixSet
+	prefixErr error
+	suffixErr error
 }
 
 // SuffixExt returns (and caches) the degree-k Type II suffix region rooted

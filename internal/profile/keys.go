@@ -1,7 +1,5 @@
 package profile
 
-import "pathprof/internal/olpath"
-
 // This file defines the counter key types exchanged between the
 // instrumented runtime, the ground-truth tracer, and the estimators. All
 // indices are static: Func/Caller/Callee are program function indices, Loop
@@ -15,81 +13,12 @@ import "pathprof/internal/olpath"
 // header-to-tail sequence — when it did, the counter contributes to the
 // paper's OF sums; truncated extensions (the loop was exited mid-body) are
 // kept separate so the estimation equalities stay exact on loops with
-// mid-body exits.
-// Under multi-iteration profiling (iters > 2, see olpath.MaxIters) the key
-// widens in place: Ext/Full describe the first crossing after Base, and
-// Ext2/Full2, Ext3/Full3 describe the second and third. The extra route
-// fields are stored offset by one (route r is stored as r+1) so that zero
-// means "crossing absent" — every two-iteration key therefore keeps its
-// exact historical shape, and a zero-valued tail never collides with a real
-// route 0.
+// mid-body exits. A key spans the paper's two-iteration window: Base is the
+// `ro` register's path, Ext the `ol` route of the one crossing after it.
 type LoopKey struct {
 	Func, Loop int
 	Base, Ext  int64
 	Full       bool
-	// Ext2, Ext3 are the offset-by-one routes of crossings 2 and 3
-	// (0 = absent); Full2, Full3 are their completeness bits.
-	Ext2, Ext3   int64
-	Full2, Full3 bool
-}
-
-// NumCrossings returns how many backedge/exit crossings the key records
-// (1 for a classic two-iteration key, up to olpath.MaxIters-1).
-func (k LoopKey) NumCrossings() int {
-	switch {
-	case k.Ext3 != 0:
-		return 3
-	case k.Ext2 != 0:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// Crossing returns crossing i's route and completeness bit (i in
-// [0, NumCrossings())).
-func (k LoopKey) Crossing(i int) (route int64, full bool) {
-	switch i {
-	case 0:
-		return k.Ext, k.Full
-	case 1:
-		return k.Ext2 - 1, k.Full2
-	default:
-		return k.Ext3 - 1, k.Full3
-	}
-}
-
-// SetCrossing records crossing i's route and completeness bit, applying the
-// offset-by-one encoding for crossings beyond the first.
-func (k *LoopKey) SetCrossing(i int, route int64, full bool) {
-	switch i {
-	case 0:
-		k.Ext, k.Full = route, full
-	case 1:
-		k.Ext2, k.Full2 = route+1, full
-	default:
-		k.Ext3, k.Full3 = route+1, full
-	}
-}
-
-// FirstCrossing projects the key onto its first crossing: the exact
-// two-iteration key of the window's opening adjacency. Because every
-// multi-iteration window opens at exactly one backedge crossing, summing
-// counters by FirstCrossing reproduces the iters=2 profile exactly — the
-// marginalization the estimators rely on.
-func (k LoopKey) FirstCrossing() LoopKey {
-	return LoopKey{Func: k.Func, Loop: k.Loop, Base: k.Base, Ext: k.Ext, Full: k.Full}
-}
-
-// LoopKeyOf builds the counter key of one closed multi-iteration window w
-// observed on loop (fn, loop). Window capacity (olpath.MaxIters-1 crossings)
-// and key capacity agree by construction.
-func LoopKeyOf(fn, loop int, w olpath.Window) LoopKey {
-	k := LoopKey{Func: fn, Loop: loop, Base: w.Base}
-	for i := 0; i < w.N; i++ {
-		k.SetCrossing(i, w.Routes[i], w.Fulls[i])
-	}
-	return k
 }
 
 // TypeIKey identifies one Type I interprocedural counter: the caller prefix

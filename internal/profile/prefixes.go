@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 
 	"pathprof/internal/bl"
@@ -9,6 +10,12 @@ import (
 
 // MaxRoutesPerSite bounds prefix/suffix enumeration per call site.
 const MaxRoutesPerSite = 200_000
+
+// ErrTooManyRoutes is wrapped by the error Prefixes or Suffixes returns for
+// a call site with more than MaxRoutesPerSite routes. The overflow is
+// cached on the site like a finished enumeration, so asking again costs
+// nothing.
+var ErrTooManyRoutes = errors.New("profile: call site exceeds the route bound")
 
 // PrefixRoute is one way a BL path can reach a call site: the caller-side
 // first component of a Type I interesting path.
@@ -45,8 +52,8 @@ func (ps *PrefixSet) IndexOfAccum(a int64) int {
 func (fi *FuncInfo) Prefixes(cs *CallSiteInfo) (*PrefixSet, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.prefixes != nil {
-		return cs.prefixes, nil
+	if cs.prefixes != nil || cs.prefixErr != nil {
+		return cs.prefixes, cs.prefixErr
 	}
 	d := fi.DAG
 	// Restrict the walk to nodes that reach the site through DAG edges.
@@ -71,8 +78,8 @@ func (fi *FuncInfo) Prefixes(cs *CallSiteInfo) (*PrefixSet, error) {
 		defer func() { blocks = blocks[:len(blocks)-1] }()
 		if v == cs.Block {
 			if len(ps.Items) >= MaxRoutesPerSite {
-				return fmt.Errorf("profile: more than %d prefixes at %s.%s",
-					MaxRoutesPerSite, fi.Fn.Name, fi.G.Label(cs.Block))
+				return fmt.Errorf("%w: more than %d prefixes at %s.%s",
+					ErrTooManyRoutes, MaxRoutesPerSite, fi.Fn.Name, fi.G.Label(cs.Block))
 			}
 			ps.byAccum[accum] = len(ps.Items)
 			ps.Items = append(ps.Items, PrefixRoute{
@@ -105,6 +112,7 @@ func (fi *FuncInfo) Prefixes(cs *CallSiteInfo) (*PrefixSet, error) {
 		return nil
 	}
 	if err := walk(fi.G.Entry(), 0, cfg.None); err != nil {
+		cs.prefixErr = err
 		return nil, err
 	}
 	cs.prefixes = ps
@@ -152,8 +160,8 @@ func (ss *SuffixSet) IndexOfRemainder(rem int64) int {
 func (fi *FuncInfo) Suffixes(cs *CallSiteInfo) (*SuffixSet, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.suffixes != nil {
-		return cs.suffixes, nil
+	if cs.suffixes != nil || cs.suffixErr != nil {
+		return cs.suffixes, cs.suffixErr
 	}
 	d := fi.DAG
 	ss := &SuffixSet{Site: cs.Block, index: map[string]int{}, byRemainder: map[int64]int32{}}
@@ -184,6 +192,7 @@ func (fi *FuncInfo) Suffixes(cs *CallSiteInfo) (*SuffixSet, error) {
 		return nil
 	}
 	if err := walk(cs.Block, 0); err != nil {
+		cs.suffixErr = err
 		return nil, err
 	}
 	cs.suffixes = ss
@@ -192,8 +201,8 @@ func (fi *FuncInfo) Suffixes(cs *CallSiteInfo) (*SuffixSet, error) {
 
 func (ss *SuffixSet) record(fi *FuncInfo, cs *CallSiteInfo, blocks []cfg.NodeID, rem int64) error {
 	if len(ss.Seqs) >= MaxRoutesPerSite {
-		return fmt.Errorf("profile: more than %d suffixes at %s.%s",
-			MaxRoutesPerSite, fi.Fn.Name, fi.G.Label(cs.Block))
+		return fmt.Errorf("%w: more than %d suffixes at %s.%s",
+			ErrTooManyRoutes, MaxRoutesPerSite, fi.Fn.Name, fi.G.Label(cs.Block))
 	}
 	key := bl.SeqKey(blocks)
 	if i, dup := ss.index[key]; dup {

@@ -24,15 +24,8 @@ type Record struct {
 	Ext    int64 `json:"ext,omitempty"`
 	Prefix int64 `json:"prefix,omitempty"`
 	Full   bool  `json:"full,omitempty"`
-	// Ext2/Full2 and Ext3/Full3 carry the second and third crossings of
-	// multi-iteration loop keys, in LoopKey's offset-by-one route encoding
-	// (0 = crossing absent). Two-iteration records omit all four, keeping
-	// the serialized form byte-identical to the single-Ext format.
-	Ext2  int64  `json:"ext2,omitempty"`
-	Full2 bool   `json:"full2,omitempty"`
-	Ext3  int64  `json:"ext3,omitempty"`
-	Full3 bool   `json:"full3,omitempty"`
-	N     uint64 `json:"n"`
+	// N is the counter's count.
+	N uint64 `json:"n"`
 }
 
 // RecordLess is the canonical total order on records. Every field that is
@@ -71,19 +64,7 @@ func RecordLess(a, b Record) bool {
 	if a.Ext != b.Ext {
 		return a.Ext < b.Ext
 	}
-	if a.Full != b.Full {
-		return !a.Full && b.Full
-	}
-	if a.Ext2 != b.Ext2 {
-		return a.Ext2 < b.Ext2
-	}
-	if a.Full2 != b.Full2 {
-		return !a.Full2 && b.Full2
-	}
-	if a.Ext3 != b.Ext3 {
-		return a.Ext3 < b.Ext3
-	}
-	return !a.Full3 && b.Full3
+	return !a.Full && b.Full
 }
 
 // Records flattens the counters into the canonical sorted record list. Only
@@ -97,10 +78,7 @@ func (c *Counters) Records() []Record {
 		}
 	}
 	for k, n := range c.Loop {
-		recs = append(recs, Record{
-			Kind: "loop", Func: k.Func, Loop: k.Loop, Base: k.Base, Ext: k.Ext, Full: k.Full,
-			Ext2: k.Ext2, Full2: k.Full2, Ext3: k.Ext3, Full3: k.Full3, N: n,
-		})
+		recs = append(recs, Record{Kind: "loop", Func: k.Func, Loop: k.Loop, Base: k.Base, Ext: k.Ext, Full: k.Full, N: n})
 	}
 	for k, n := range c.TypeI {
 		recs = append(recs, Record{Kind: "t1", Caller: k.Caller, Site: k.Site, Callee: k.Callee, Prefix: k.Prefix, Ext: k.Ext, N: n})

@@ -4,38 +4,33 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"pathprof/internal/profile"
 )
 
-// randLoopKey draws a random loop key of random window width (1..3
-// crossings), always through SetCrossing so the offset-by-one invariant
-// (Ext3 set implies Ext2 set) holds by construction.
+// randLoopKey draws a random loop key.
 func randLoopKey(rng *rand.Rand) profile.LoopKey {
-	k := profile.LoopKey{
+	return profile.LoopKey{
 		Func: rng.Intn(3),
 		Loop: rng.Intn(2),
 		Base: int64(rng.Intn(5)),
+		Ext:  int64(rng.Intn(4)),
+		Full: rng.Intn(2) == 0,
 	}
-	width := 1 + rng.Intn(3)
-	for i := 0; i < width; i++ {
-		k.SetCrossing(i, int64(rng.Intn(4)), rng.Intn(2) == 0)
-	}
-	return k
 }
 
 func randLoopRecord(rng *rand.Rand) profile.Record {
 	k := randLoopKey(rng)
 	return profile.Record{
 		Kind: "loop", Func: k.Func, Loop: k.Loop, Base: k.Base,
-		Ext: k.Ext, Full: k.Full, Ext2: k.Ext2, Full2: k.Full2,
-		Ext3: k.Ext3, Full3: k.Full3, N: uint64(1 + rng.Intn(9)),
+		Ext: k.Ext, Full: k.Full, N: uint64(1 + rng.Intn(9)),
 	}
 }
 
 // TestRecordLessStrictTotalOrder property-tests the canonical comparator
-// over randomly generated multi-iteration keys: irreflexive, antisymmetric,
+// over randomly generated loop keys: irreflexive, antisymmetric,
 // transitive, and total on distinct keys — the properties a sort-stable
 // serialization needs. Records differing only in N compare equal both ways
 // (N is a value, not part of the key).
@@ -62,10 +57,10 @@ func TestRecordLessStrictTotalOrder(t *testing.T) {
 	}
 }
 
-// TestSerializeMultiIterRoundTripByteStable proves the widened key format
-// survives a serialize -> read -> serialize cycle byte-for-byte, with keys
-// spanning every supported window width mixed into one profile.
-func TestSerializeMultiIterRoundTripByteStable(t *testing.T) {
+// TestSerializeRandomRoundTripByteStable proves a profile of random loop
+// keys, mixed with every other counter family, survives a serialize -> read
+// -> serialize cycle byte-for-byte.
+func TestSerializeRandomRoundTripByteStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := profile.NewCounters(3)
 	c.BL[0][4] = 10
@@ -90,7 +85,7 @@ func TestSerializeMultiIterRoundTripByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("multi-iteration profile did not round-trip byte-stably")
+		t.Fatal("random profile did not round-trip byte-stably")
 	}
 	// The flattening must already be sorted by the canonical order — a
 	// comparator/flattening mismatch would surface as unstable output.
@@ -100,33 +95,30 @@ func TestSerializeMultiIterRoundTripByteStable(t *testing.T) {
 	}
 }
 
-// TestLoopKeyCrossingAccessors pins the offset-by-one encoding: zero-valued
-// tails mean absent crossings, and Crossing/SetCrossing invert each other.
-func TestLoopKeyCrossingAccessors(t *testing.T) {
-	var k profile.LoopKey
-	if n := k.NumCrossings(); n != 1 {
-		t.Fatalf("zero key has %d crossings, want 1 (the classic shape)", n)
+// TestReadCountersRefusesWidenedRecord: a loop record carrying a field of a
+// multi-iteration window (ext2, full2, ...) is refused with the record
+// named, not folded onto the two-iteration key its other fields spell, and
+// so is a header naming a window width.
+func TestReadCountersRefusesWidenedRecord(t *testing.T) {
+	c := profile.NewCounters(1)
+	c.Loop[profile.LoopKey{Base: 3, Ext: 1, Full: true}] = 4
+	var buf bytes.Buffer
+	if err := c.Serialize(&buf); err != nil {
+		t.Fatal(err)
 	}
-	k.SetCrossing(0, 0, false)
-	k.SetCrossing(1, 0, true)
-	k.SetCrossing(2, 7, false)
-	if k.Ext2 != 1 || k.Ext3 != 8 {
-		t.Fatalf("offset encoding broken: Ext2=%d Ext3=%d, want 1 and 8", k.Ext2, k.Ext3)
+	if _, err := profile.ReadCounters(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("two-iteration record refused: %v", err)
 	}
-	if n := k.NumCrossings(); n != 3 {
-		t.Fatalf("NumCrossings = %d, want 3", n)
-	}
-	for i, want := range []struct {
-		route int64
-		full  bool
-	}{{0, false}, {0, true}, {7, false}} {
-		route, full := k.Crossing(i)
-		if route != want.route || full != want.full {
-			t.Fatalf("Crossing(%d) = (%d, %v), want (%d, %v)", i, route, full, want.route, want.full)
+	for _, field := range []string{`"ext2":2,`, `"full2":true,`} {
+		bad := bytes.Replace(buf.Bytes(), []byte(`"ext":1,`), []byte(`"ext":1,`+field), 1)
+		_, err := profile.ReadCounters(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("record with %s: err = %v, want the record refused", field, err)
 		}
 	}
-	if p := k.FirstCrossing(); p != (profile.LoopKey{Func: k.Func, Loop: k.Loop, Base: k.Base}) {
-		t.Fatalf("FirstCrossing = %+v, want the bare two-iteration projection", p)
+	bad := bytes.Replace(buf.Bytes(), []byte(`"numFuncs":1`), []byte(`"numFuncs":1,"iters":3`), 1)
+	if _, err := profile.ReadCounters(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Errorf("header naming iters 3: err = %v, want the header refused", err)
 	}
 }
 

@@ -42,9 +42,13 @@ func (c *Counters) Serialize(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCounters deserializes counters written by Serialize.
+// ReadCounters deserializes counters written by Serialize. A header or
+// record with a field Serialize never writes — such as the iters of a
+// multi-iteration window or the ext2/full2 of its second crossing — is
+// refused, not folded into the two-iteration keys its other fields spell.
 func ReadCounters(r io.Reader) (*Counters, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
+	dec.DisallowUnknownFields()
 	var hdr serializedHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("profile: reading header: %w", err)
@@ -76,10 +80,7 @@ func ReadCounters(r io.Reader) (*Counters, error) {
 			}
 			c.BL[rec.Func][rec.Path] += rec.N
 		case "loop":
-			c.Loop[LoopKey{
-				Func: rec.Func, Loop: rec.Loop, Base: rec.Base, Ext: rec.Ext, Full: rec.Full,
-				Ext2: rec.Ext2, Full2: rec.Full2, Ext3: rec.Ext3, Full3: rec.Full3,
-			}] += rec.N
+			c.Loop[LoopKey{Func: rec.Func, Loop: rec.Loop, Base: rec.Base, Ext: rec.Ext, Full: rec.Full}] += rec.N
 		case "t1":
 			c.TypeI[TypeIKey{Caller: rec.Caller, Site: rec.Site, Callee: rec.Callee, Prefix: rec.Prefix, Ext: rec.Ext}] += rec.N
 		case "t2":

@@ -79,19 +79,14 @@ type BulkStore interface {
 	AddCall(k CallKey, n uint64)
 }
 
-// NewStore builds a store of the requested kind for info's program,
-// profiled with iters-iteration windows (2 is the classic two-iteration
-// setting; values below 2 are treated as 2). Only the arena layout is
-// sensitive to iters — its dense loop slots are sized for full-width
-// multi-iteration keys — but every caller threads the axis through so a
-// store always matches the run it collects. An arena built here is sized
-// for any degree (NewArenaStore); runs of one known degree size theirs
-// with NewArenaStoreK.
-func NewStore(kind StoreKind, info *Info, iters int) CounterStore {
+// NewStore builds a store of the requested kind for info's program. An
+// arena built here is sized for any degree (NewArenaStore); runs of one
+// known degree size theirs with NewArenaStoreK.
+func NewStore(kind StoreKind, info *Info) CounterStore {
 	if kind == StoreNested {
 		return NewNestedStore(len(info.Funcs))
 	}
-	return NewArenaStore(info, iters)
+	return NewArenaStore(info)
 }
 
 // NestedStore is the map-backed store; its Counters are live (no

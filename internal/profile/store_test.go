@@ -37,7 +37,7 @@ func main() {
 		t.Fatal(err)
 	}
 	for _, kind := range storeKinds {
-		s := profile.NewStore(kind, info, 2)
+		s := profile.NewStore(kind, info)
 		s.IncBL(0, 0)
 		s.IncBL(0, 0)
 		s.IncBL(0, 1<<40) // far outside any dense window
@@ -78,7 +78,7 @@ func main() { print(f(1)); }
 	t2 := profile.TypeIIKey{Caller: 1, Site: 0, Callee: 0, Path: 5, Ext: 6}
 	ck := profile.CallKey{Caller: 1, Site: 0, Callee: 0}
 	for _, kind := range storeKinds {
-		s := profile.NewStore(kind, info, 2)
+		s := profile.NewStore(kind, info)
 		s.IncLoop(lk)
 		s.IncTypeI(t1)
 		s.IncTypeII(t2)

@@ -210,7 +210,7 @@ func reloadBases(cells map[CellKey]*merge.Snapshot, upTo map[CellKey]uint64, dea
 		if err != nil {
 			continue
 		}
-		key := CellKey{Bench: hdr.Benchmark, K: hdr.K, Iters: hdr.Iters}
+		key := CellKey{Bench: hdr.Benchmark, K: hdr.K}
 		upTo[key] = hdr.UpToSeq
 		if hdr.Deleted {
 			dead[key] = true
@@ -267,13 +267,9 @@ func (s *Store) foldSegment(seq uint64, cells map[CellKey]*merge.Snapshot, upTo 
 // cellKeyOf resolves the cell a record addresses.
 func cellKeyOf(meta recordMeta, snap *merge.Snapshot) CellKey {
 	if meta.Op == OpDelete {
-		iters := 2
-		if meta.Iters != nil {
-			iters = *meta.Iters
-		}
-		return CellKey{Bench: meta.Benchmark, K: meta.K, Iters: iters}
+		return CellKey{Bench: meta.Benchmark, K: meta.K}
 	}
-	return CellKey{Bench: meta.Benchmark, K: snap.K, Iters: snap.Iters}
+	return CellKey{Bench: meta.Benchmark, K: snap.K}
 }
 
 // writeBaseFile writes one base profile (or tombstone, when snap is nil) to
@@ -286,7 +282,7 @@ func writeBaseFile(path string, key CellKey, snap *merge.Snapshot, upToSeq uint6
 	defer f.Close()
 	hdr := baseHeader{
 		Format: BaseFormatName, Version: FormatVersion,
-		Benchmark: key.Bench, K: key.K, Iters: key.Iters,
+		Benchmark: key.Bench, K: key.K, Iters: 2,
 		UpToSeq: upToSeq, Deleted: snap == nil,
 	}
 	if err := writeJSONLine(f, hdr); err != nil {

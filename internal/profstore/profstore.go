@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"pathprof/internal/limits"
 	"pathprof/internal/merge"
 	"pathprof/internal/obs"
 	"pathprof/internal/profile"
@@ -124,19 +125,19 @@ func FormatTokens() []string {
 }
 
 // CellKey identifies one fleet profile cell, the store's unit of
-// aggregation: snapshots only fold within a (benchmark, degree, width) cell.
+// aggregation: snapshots only fold within a (benchmark, degree) cell. The
+// daemon's and the coordinator's fleet maps key by it too.
 type CellKey struct {
 	// Bench is the benchmark name the profiles were collected for.
 	Bench string
 	// K is the profiled degree of overlap (-1 = Ball-Larus only).
 	K int
-	// Iters is the multi-iteration window width (2 = classic).
-	Iters int
 }
 
-// String renders the cell in the same "bench|k=K|iters=I" shape the cluster
-// ring uses for placement.
-func (c CellKey) String() string { return fmt.Sprintf("%s|k=%d|iters=%d", c.Bench, c.K, c.Iters) }
+// String renders the cell as "bench|k=K|iters=2", the cluster ring's
+// placement key. The fixed iters=2 keeps the bytes every cell was placed
+// by, so no cell moves to another worker.
+func (c CellKey) String() string { return fmt.Sprintf("%s|k=%d|iters=2", c.Bench, c.K) }
 
 // Corruption is one blamed record: a checksum mismatch, a decode failure, or
 // an unreadable base file found during replay or compaction. Corrupt records
@@ -317,8 +318,9 @@ func (s *Store) Install(bench string, snap *merge.Snapshot) error {
 }
 
 // Delete durably journals a cell retirement.
-func (s *Store) Delete(bench string, k, iters int) error {
-	return s.journal(recordMeta{Op: OpDelete, Benchmark: bench, K: k, Iters: &iters}, nil)
+func (s *Store) Delete(bench string, k int) error {
+	two := 2
+	return s.journal(recordMeta{Op: OpDelete, Benchmark: bench, K: k, Iters: &two}, nil)
 }
 
 // journal frames, writes, and applies one record.
@@ -563,9 +565,11 @@ type recordMeta struct {
 	Op string `json:"op"`
 	// Benchmark names the cell's benchmark.
 	Benchmark string `json:"benchmark"`
-	// K and Iters address the cell for OpDelete, which carries no snapshot
-	// (append/install read them from the snapshot header instead).
-	K     int  `json:"k,omitempty"`
+	// K addresses the cell for OpDelete, which carries no snapshot
+	// (append/install read it from the snapshot header instead).
+	K int `json:"k,omitempty"`
+	// Iters is the loop window width a delete names: always written as 2,
+	// and any other width is refused on decode (limits.Iters).
 	Iters *int `json:"iters,omitempty"`
 }
 
@@ -605,6 +609,11 @@ func decodePayload(payload []byte) (recordMeta, *merge.Snapshot, error) {
 		}
 		return meta, snap, nil
 	case OpDelete:
+		if meta.Iters != nil {
+			if err := limits.Iters(*meta.Iters); err != nil {
+				return recordMeta{}, nil, fmt.Errorf("profstore: delete record: %w", err)
+			}
+		}
 		return meta, nil, nil
 	}
 	return recordMeta{}, nil, fmt.Errorf("profstore: unknown record op %q", meta.Op)
@@ -675,7 +684,8 @@ type segmentHeader struct {
 // is already folded into (or superseded by) this base, so replay and
 // compaction skip those records instead of double-counting them. Deleted
 // marks a tombstone — the cell's last covered operation was OpDelete — kept
-// only until the covered segments are gone.
+// only until the covered segments are gone. Iters is always written as 2; a
+// base naming another width is refused (limits.Iters).
 type baseHeader struct {
 	Format    string `json:"format"`
 	Version   int    `json:"version"`
@@ -697,10 +707,7 @@ func sortedCellKeys[V any](m map[CellKey]V) []CellKey {
 		if a.Bench != b.Bench {
 			return a.Bench < b.Bench
 		}
-		if a.K != b.K {
-			return a.K < b.K
-		}
-		return a.Iters < b.Iters
+		return a.K < b.K
 	})
 	return keys
 }

@@ -16,7 +16,7 @@ import (
 // populated, content derived from seed so different seeds carry different
 // mass. Synthetic counters keep the battery fast — the byte-stability of
 // real pipeline-produced snapshots is the merge package's own test surface.
-func testSnap(k, iters int, seed uint64) *merge.Snapshot {
+func testSnap(k int, seed uint64) *merge.Snapshot {
 	c := profile.NewCounters(3)
 	c.BL[0][int64(seed%5)] = seed + 1
 	c.BL[1][int64(seed%3)] = 2*seed + 1
@@ -25,7 +25,7 @@ func testSnap(k, iters int, seed uint64) *merge.Snapshot {
 	c.TypeI[profile.TypeIKey{Caller: 0, Site: 1, Callee: 2, Prefix: int64(seed % 2), Ext: 3}] = seed + 3
 	c.TypeII[profile.TypeIIKey{Caller: 1, Site: 0, Callee: 2, Path: 5, Ext: int64(seed % 3)}] = seed + 4
 	c.Calls[profile.CallKey{Caller: 0, Site: 1, Callee: 2}] = seed + 5
-	return merge.New(k, iters, c)
+	return merge.New(k, 2, c)
 }
 
 // snapBytes is the byte-stable encoding equality check both restarts and
@@ -70,16 +70,16 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	s := mustOpen(t, dir, Config{})
 	var want []*merge.Snapshot
 	for seed := uint64(1); seed <= 5; seed++ {
-		snap := testSnap(1, 2, seed)
+		snap := testSnap(1, seed)
 		want = append(want, snap)
 		mustAppend(t, s, "bench.a", snap)
 	}
-	mustAppend(t, s, "bench.b", testSnap(2, 3, 9))
+	mustAppend(t, s, "bench.b", testSnap(2, 9))
 	control, err := merge.MergeAll(want...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s, key)); !bytes.Equal(got, snapBytes(t, control)) {
 		t.Fatal("live fold differs from MergeAll control")
 	}
@@ -93,7 +93,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, control)) {
 		t.Fatal("replayed fold differs from MergeAll control")
 	}
-	if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 2, Iters: 3}); !ok {
+	if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 2}); !ok {
 		t.Fatal("second cell lost across reopen")
 	}
 	if len(s2.Corruptions()) != 0 {
@@ -104,25 +104,25 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 func TestInstallAndDeleteReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{})
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
-	installed := testSnap(1, 2, 42)
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
+	installed := testSnap(1, 42)
 	if err := s.Install("bench.a", installed); err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, s, "bench.b", testSnap(0, 2, 7))
-	if err := s.Delete("bench.b", 0, 2); err != nil {
+	mustAppend(t, s, "bench.b", testSnap(0, 7))
+	if err := s.Delete("bench.b", 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
 	s2 := mustOpen(t, dir, Config{})
 	defer s2.Close()
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	// Install is replacement: the earlier append must not survive in the fold.
 	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, installed)) {
 		t.Fatal("install did not replay as replacement")
 	}
-	if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 0, Iters: 2}); ok {
+	if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 0}); ok {
 		t.Fatal("deleted cell resurrected by replay")
 	}
 }
@@ -134,17 +134,17 @@ func TestTornTailTruncation(t *testing.T) {
 	build := func(t *testing.T) (string, string, int64, []byte) {
 		dir := t.TempDir()
 		s := mustOpen(t, dir, Config{})
-		mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
-		mustAppend(t, s, "bench.a", testSnap(1, 2, 2))
+		mustAppend(t, s, "bench.a", testSnap(1, 1))
+		mustAppend(t, s, "bench.a", testSnap(1, 2))
 		seg := filepath.Join(dir, segName(1))
 		st, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		preLen := st.Size()
-		mustAppend(t, s, "bench.a", testSnap(1, 2, 3))
+		mustAppend(t, s, "bench.a", testSnap(1, 3))
 		s.Close()
-		ctl, err := merge.MergeAll(testSnap(1, 2, 1), testSnap(1, 2, 2))
+		ctl, err := merge.MergeAll(testSnap(1, 1), testSnap(1, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestTornTailTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	// Cut points span the torn frame: mid-length-prefix, mid-CRC, mid-payload.
 	for _, cut := range []int64{preLen, preLen + 3, preLen + 7, preLen + 9,
 		(preLen + int64(len(full))) / 2, int64(len(full)) - 1} {
@@ -171,7 +171,7 @@ func TestTornTailTruncation(t *testing.T) {
 			t.Fatalf("cut at %d: torn tail blamed instead of truncated: %v", cut, s.Corruptions())
 		}
 		// The truncated store must keep working.
-		mustAppend(t, s, "bench.a", testSnap(1, 2, 4))
+		mustAppend(t, s, "bench.a", testSnap(1, 4))
 		s.Close()
 		// Restore the full segment for the next cut point.
 		if err := os.WriteFile(seg, full, 0o644); err != nil {
@@ -195,7 +195,7 @@ func TestFlippedCRCBlame(t *testing.T) {
 		} else {
 			offsets = append(offsets, 0)
 		}
-		mustAppend(t, s, "bench.a", testSnap(1, 2, seed))
+		mustAppend(t, s, "bench.a", testSnap(1, seed))
 	}
 	s.Close()
 
@@ -222,11 +222,11 @@ func TestFlippedCRCBlame(t *testing.T) {
 		t.Fatalf("blame string %q does not name the checksum failure", corr[0].String())
 	}
 	// Records 0 and 2 survive; the corrupt one contributes nothing.
-	ctl, err := merge.MergeAll(testSnap(1, 2, 1), testSnap(1, 2, 3))
+	ctl, err := merge.MergeAll(testSnap(1, 1), testSnap(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 		t.Fatal("fold after skip-with-blame differs from the two good records")
 	}
@@ -241,7 +241,7 @@ func TestFlippedCRCBlame(t *testing.T) {
 func TestTruncatedSnapshotBlame(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{})
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
 	s.Close()
 
 	seg := filepath.Join(dir, segName(1))
@@ -284,9 +284,9 @@ func TestTruncatedSnapshotBlame(t *testing.T) {
 func TestMidLogCorruptionDoesNotRepair(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: 1}) // every append rolls
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 2))
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 3))
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
+	mustAppend(t, s, "bench.a", testSnap(1, 2))
+	mustAppend(t, s, "bench.a", testSnap(1, 3))
 	s.Close()
 
 	seg := filepath.Join(dir, segName(1))
@@ -311,11 +311,11 @@ func TestMidLogCorruptionDoesNotRepair(t *testing.T) {
 		t.Fatal("recovery modified a sealed segment")
 	}
 	// Records 2 and 3 still fold.
-	ctl, err := merge.MergeAll(testSnap(1, 2, 2), testSnap(1, 2, 3))
+	ctl, err := merge.MergeAll(testSnap(1, 2), testSnap(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 		t.Fatal("surviving records lost alongside the blamed one")
 	}
@@ -326,7 +326,7 @@ func TestCompactionFoldsAndDeletesSegments(t *testing.T) {
 	s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100}) // roll every append, no auto-compact
 	var want []*merge.Snapshot
 	for seed := uint64(1); seed <= 6; seed++ {
-		snap := testSnap(1, 2, seed)
+		snap := testSnap(1, seed)
 		want = append(want, snap)
 		mustAppend(t, s, "bench.a", snap)
 	}
@@ -344,7 +344,7 @@ func TestCompactionFoldsAndDeletesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 		t.Fatal("compaction changed the live fold")
 	}
@@ -368,12 +368,12 @@ func TestCompactionCrashWindows(t *testing.T) {
 			s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100})
 			var want []*merge.Snapshot
 			for seed := uint64(1); seed <= 5; seed++ {
-				snap := testSnap(1, 2, seed)
+				snap := testSnap(1, seed)
 				want = append(want, snap)
 				mustAppend(t, s, "bench.a", snap)
 			}
-			mustAppend(t, s, "bench.b", testSnap(0, 3, 11))
-			if err := s.Delete("bench.b", 0, 3); err != nil {
+			mustAppend(t, s, "bench.b", testSnap(0, 11))
+			if err := s.Delete("bench.b", 0); err != nil {
 				t.Fatal(err)
 			}
 			ctl, err := merge.MergeAll(want...)
@@ -400,11 +400,11 @@ func TestCompactionCrashWindows(t *testing.T) {
 			// abandoning s without Close (Close would be orderly shutdown).
 
 			s2 := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100})
-			key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+			key := CellKey{Bench: "bench.a", K: 1}
 			if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 				t.Fatalf("crash at %s: replay fold differs from control", step)
 			}
-			if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 0, Iters: 3}); ok {
+			if _, ok := s2.Cell(CellKey{Bench: "bench.b", K: 0}); ok {
 				t.Fatalf("crash at %s: deleted cell resurrected", step)
 			}
 			// A second, uninterrupted compaction must converge cleanly.
@@ -429,20 +429,20 @@ func TestCompactionCrashWindows(t *testing.T) {
 func TestDecayHalvesBaseMass(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100, DecayShift: 1})
-	old := testSnap(1, 2, 100)
+	old := testSnap(1, 100)
 	mustAppend(t, s, "bench.a", old)
 	// First compaction: the record is new mass, folded at full weight.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if gotB := snapBytes(t, requireCell(t, s, key)); !bytes.Equal(gotB, snapBytes(t, old)) {
 		t.Fatal("first compaction decayed brand-new mass")
 	}
 
 	// Second compaction: the old mass is now base history and halves; the
 	// fresh record keeps full weight on top.
-	fresh := testSnap(1, 2, 200)
+	fresh := testSnap(1, 200)
 	mustAppend(t, s, "bench.a", fresh)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -472,7 +472,7 @@ func TestRetentionTriggersBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 2})
 	for seed := uint64(1); seed <= 10; seed++ {
-		mustAppend(t, s, "bench.a", testSnap(1, 2, seed))
+		mustAppend(t, s, "bench.a", testSnap(1, seed))
 	}
 	s.Close() // waits for the background round
 	m := s.MetricsSnapshot()
@@ -483,13 +483,13 @@ func TestRetentionTriggersBackgroundCompaction(t *testing.T) {
 	defer s2.Close()
 	var want []*merge.Snapshot
 	for seed := uint64(1); seed <= 10; seed++ {
-		want = append(want, testSnap(1, 2, seed))
+		want = append(want, testSnap(1, seed))
 	}
 	ctl, err := merge.MergeAll(want...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 		t.Fatal("background compaction lost mass")
 	}
@@ -498,18 +498,18 @@ func TestRetentionTriggersBackgroundCompaction(t *testing.T) {
 func TestReadOnlyStore(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{})
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
 	s.Close()
 
 	ro := mustOpen(t, dir, Config{ReadOnly: true})
 	defer ro.Close()
-	if err := ro.Append("bench.a", testSnap(1, 2, 2)); err != ErrReadOnly {
+	if err := ro.Append("bench.a", testSnap(1, 2)); err != ErrReadOnly {
 		t.Fatalf("read-only append error = %v, want ErrReadOnly", err)
 	}
 	if err := ro.Compact(); err != ErrReadOnly {
 		t.Fatalf("read-only compact error = %v, want ErrReadOnly", err)
 	}
-	if _, ok := ro.Cell(CellKey{Bench: "bench.a", K: 1, Iters: 2}); !ok {
+	if _, ok := ro.Cell(CellKey{Bench: "bench.a", K: 1}); !ok {
 		t.Fatal("read-only open lost the cell")
 	}
 
@@ -539,8 +539,8 @@ func TestReadOnlyStore(t *testing.T) {
 func TestBasesOnlyStoreAdvancesSeq(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100})
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 1))
-	mustAppend(t, s, "bench.a", testSnap(1, 2, 2))
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
+	mustAppend(t, s, "bench.a", testSnap(1, 2))
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestBasesOnlyStoreAdvancesSeq(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir, Config{})
-	fresh := testSnap(1, 2, 3)
+	fresh := testSnap(1, 3)
 	mustAppend(t, s2, "bench.a", fresh)
 	s2.Close()
 
@@ -564,11 +564,11 @@ func TestBasesOnlyStoreAdvancesSeq(t *testing.T) {
 	// Both early records were compacted into the base before the tail was
 	// pruned, so all three survive — the fresh one proves the post-prune
 	// segment opened above the base's covered seq.
-	ctl, err := merge.MergeAll(testSnap(1, 2, 1), testSnap(1, 2, 2), fresh)
+	ctl, err := merge.MergeAll(testSnap(1, 1), testSnap(1, 2), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Bench: "bench.a", K: 1, Iters: 2}
+	key := CellKey{Bench: "bench.a", K: 1}
 	if got := snapBytes(t, requireCell(t, s3, key)); !bytes.Equal(got, snapBytes(t, ctl)) {
 		t.Fatal("append into a bases-only store was skipped as covered")
 	}
@@ -606,6 +606,92 @@ func TestSegNameRoundTrip(t *testing.T) {
 	for _, bad := range []string{"seg-.log", "seg-12x4.log", "base", "seg-1.txt", "x-00000001.log"} {
 		if _, ok := segSeq(bad); ok {
 			t.Fatalf("segSeq accepted %q", bad)
+		}
+	}
+}
+
+// widenedSnapBytes is snap's wire encoding with its header naming a window
+// width other than the paper's two iterations — what a store written while
+// the multi-iteration axis existed holds for a widened cell.
+func widenedSnapBytes(t *testing.T, snap *merge.Snapshot) []byte {
+	t.Helper()
+	raw := snapBytes(t, snap)
+	at := fmt.Sprintf(`"k":%d,`, snap.K)
+	if !bytes.Contains(raw, []byte(at)) {
+		t.Fatalf("snapshot header lacks %s", at)
+	}
+	return bytes.Replace(raw, []byte(at), []byte(at+`"iters":3,`), 1)
+}
+
+// TestReplayQuarantinesWidenedRecords: a store holding a widened append, a
+// widened delete and a widened (@i3) base replays each into the blamed
+// quarantine — counted in store_corrupt_records, never folded into a cell —
+// and its two-iteration cells replay byte-identical to a control store that
+// never held them.
+func TestReplayQuarantinesWidenedRecords(t *testing.T) {
+	fill := func(dir string) {
+		s := mustOpen(t, dir, Config{})
+		for seed := uint64(1); seed <= 3; seed++ {
+			mustAppend(t, s, "bench.a", testSnap(1, seed))
+		}
+		mustAppend(t, s, "bench.b", testSnap(0, 5))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	control, dir := t.TempDir(), t.TempDir()
+	fill(control)
+	fill(dir)
+
+	// Widened log records, appended whole (length and CRC valid) to the
+	// final segment.
+	var frames []byte
+	meta := []byte(`{"op":"append","benchmark":"bench.a"}` + "\n")
+	frames = append(frames, frameRecord(append(meta, widenedSnapBytes(t, testSnap(1, 9))...))...)
+	frames = append(frames, frameRecord([]byte(`{"op":"delete","benchmark":"bench.b","iters":3}`+"\n"))...)
+	seg, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A widened base for a cell of its own.
+	if err := os.MkdirAll(filepath.Join(dir, BaseDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	base := fmt.Sprintf(`{"format":%q,"version":%d,"benchmark":"bench.c","k":1,"iters":3,"upToSeq":0}`+"\n",
+		BaseFormatName, FormatVersion)
+	body := append([]byte(base), frameRecord(widenedSnapBytes(t, testSnap(1, 4)))...)
+	if err := os.WriteFile(filepath.Join(dir, BaseDirName, "bench.c@k1@i3"+BaseSuffix), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustOpen(t, dir, Config{})
+	defer s.Close()
+	blames := s.Corruptions()
+	if len(blames) != 3 || s.MetricsSnapshot().CorruptRecords != 3 {
+		t.Fatalf("blamed %d records (metric %d), want the widened append, delete and base: %v",
+			len(blames), s.MetricsSnapshot().CorruptRecords, blames)
+	}
+	for _, c := range blames {
+		if !strings.Contains(c.Err, "iters must be 2") {
+			t.Errorf("blame %q does not name the refused width", c)
+		}
+	}
+	ctl := mustOpen(t, control, Config{})
+	defer ctl.Close()
+	got, want := s.Cells(), ctl.Cells()
+	if len(got) != len(want) {
+		t.Fatalf("replayed cells %v, control cells %v", sortedCellKeys(got), sortedCellKeys(want))
+	}
+	for key, w := range want {
+		g, ok := got[key]
+		if !ok || !bytes.Equal(snapBytes(t, g), snapBytes(t, w)) {
+			t.Fatalf("cell %s replays differently from the control", key)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"pathprof/internal/limits"
 	"pathprof/internal/merge"
 )
 
@@ -56,19 +57,7 @@ func parseFrame(data []byte, off int) (payload []byte, next int, err error) {
 // (seq <= upTo[cell]) is part of the base and must not be counted again.
 // It reports whether the record was applied.
 func applyRecord(cells map[CellKey]*merge.Snapshot, upTo map[CellKey]uint64, seq uint64, meta recordMeta, snap *merge.Snapshot) bool {
-	var key CellKey
-	switch meta.Op {
-	case OpAppend, OpInstall:
-		key = CellKey{Bench: meta.Benchmark, K: snap.K, Iters: snap.Iters}
-	case OpDelete:
-		iters := 2
-		if meta.Iters != nil {
-			iters = *meta.Iters
-		}
-		key = CellKey{Bench: meta.Benchmark, K: meta.K, Iters: iters}
-	default:
-		return false
-	}
+	key := cellKeyOf(meta, snap)
 	if seq <= upTo[key] {
 		return false
 	}
@@ -249,7 +238,7 @@ func (s *Store) loadBases() error {
 			s.blame(rel, -1, err)
 			continue
 		}
-		key := CellKey{Bench: hdr.Benchmark, K: hdr.K, Iters: hdr.Iters}
+		key := CellKey{Bench: hdr.Benchmark, K: hdr.K}
 		s.baseUpTo[key] = hdr.UpToSeq
 		if !hdr.Deleted {
 			s.cells[key] = snap
@@ -279,6 +268,9 @@ func readBaseFile(path string) (baseHeader, *merge.Snapshot, error) {
 	if hdr.Version != FormatVersion {
 		return hdr, nil, fmt.Errorf("profstore: base version %d, want %d", hdr.Version, FormatVersion)
 	}
+	if err := limits.Iters(hdr.Iters); err != nil {
+		return hdr, nil, fmt.Errorf("profstore: base header: %w", err)
+	}
 	if hdr.Deleted {
 		return hdr, nil, nil
 	}
@@ -293,8 +285,9 @@ func readBaseFile(path string) (baseHeader, *merge.Snapshot, error) {
 	return hdr, snap, nil
 }
 
-// baseName renders a cell's base-profile file name. @ separates the three
-// key components; benchmark names in this repo ("181.mcf") never contain it.
+// baseName renders a cell's base-profile file name. @ separates the key
+// components, the last the fixed window width i2; benchmark names in this
+// repo ("181.mcf") never contain it.
 func baseName(key CellKey) string {
-	return fmt.Sprintf("%s@k%d@i%d%s", key.Bench, key.K, key.Iters, BaseSuffix)
+	return fmt.Sprintf("%s@k%d@i2%s", key.Bench, key.K, BaseSuffix)
 }

@@ -210,7 +210,6 @@ func (c *fnCompiler) compile(idx int) (*compiledFunc, error) {
 	}
 
 	if c.plan != nil {
-		cf.iters = c.plan.Cfg.EffIters()
 		if c.loopExts != nil {
 			cf.numLoops = len(c.loopExts)
 			cf.maskExact = cf.numLoops <= 64

@@ -9,7 +9,6 @@ import (
 	"pathprof/internal/interp"
 	"pathprof/internal/ir"
 	"pathprof/internal/obs"
-	"pathprof/internal/olpath"
 	"pathprof/internal/overhead"
 	"pathprof/internal/profile"
 )
@@ -19,13 +18,16 @@ const (
 	defaultMaxDepth = 4096
 )
 
-// trk is the run-time state of one loop tracker.
+// trk is the run-time state of one loop tracker: the paper's `ol` route
+// register (accum) and, beside it, the base register `ro` — the BL path
+// that ended at the backedge the active crossing started from.
 type trk struct {
 	active bool
 	frozen bool
 	broken bool
 	accum  int64
 	preds  int
+	base   int64
 }
 
 // suffix is one in-flight Type II region: the call site it resumes after,
@@ -41,7 +43,7 @@ type suffix struct {
 
 // frame is one procedure activation. Frames live in a machine-owned value
 // slab; registers live in the machine's register stack at [base,
-// base+numRegs). Each slab slot keeps its loops/rings/suffixes capacity
+// base+numRegs). Each slab slot keeps its loops/suffixes capacity
 // across reuse, so re-activation allocates nothing once warm.
 type frame struct {
 	fn    *compiledFunc
@@ -55,14 +57,12 @@ type frame struct {
 	r      int64
 	lastID int64
 
-	// Loop trackers; rings[i] holds loop i's open multi-iteration
-	// windows. activeMask and liveMask summarize the tracker states as
-	// modulo-64 loop-index bitsets (active, and active-and-unfrozen) so the
-	// dispatch loop can prove a probe record inert without walking its
+	// Loop trackers. activeMask and liveMask summarize the tracker states
+	// as modulo-64 loop-index bitsets (active, and active-and-unfrozen) so
+	// the dispatch loop can prove a probe record inert without walking its
 	// acts. Beyond 64 loops the masks are sticky over-approximations
 	// (set-only).
 	loops      []trk
-	rings      []olpath.Ring
 	activeMask uint64
 	liveMask   uint64
 
@@ -267,13 +267,8 @@ func (m *Machine) pushFrame(cf *compiledFunc, depth int) *frame {
 		for i := range fr.loops {
 			fr.loops[i] = trk{}
 		}
-		fr.rings = fr.rings[:cf.numLoops]
 	} else {
 		fr.loops = make([]trk, cf.numLoops)
-		fr.rings = make([]olpath.Ring, cf.numLoops)
-	}
-	for i := range fr.rings {
-		fr.rings[i].Reset(cf.iters)
 	}
 	fr.suffixes = fr.suffixes[:0]
 	return fr
@@ -729,10 +724,10 @@ func (m *Machine) run() error {
 }
 
 // runProbe executes one probe record: static charges, the loop-tracker
-// transitions, and — on backedges — the Ball-Larus path completion and
-// loop-window rotation. The
-// dispatch loop's r/blOps/loopOps locals thread through as arguments and
-// return values so the whole record costs one call.
+// transitions, and — on backedges — the Ball-Larus path completion and the
+// loop's crossing. The dispatch loop's r/blOps/loopOps locals thread
+// through as arguments and return values so the whole record costs one
+// call.
 func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (int64, int64, int64) {
 	blOps += rec.blOps
 	loopOps += rec.loopOps
@@ -766,7 +761,7 @@ func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (i
 		case actExit:
 			if fr.activeMask&bit != 0 && fr.loops[a.loop].active {
 				m.LoopOps = loopOps
-				m.crossLoop(fr, int(a.loop), true, a.sub != 0)
+				m.crossLoop(fr, int(a.loop), a.sub != 0)
 				loopOps = m.LoopOps
 			}
 		default: // actBroken
@@ -789,27 +784,21 @@ func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (i
 	if rec.beLoop >= 0 {
 		lt := &fr.loops[rec.beLoop]
 		if lt.active {
-			if fr.fn.iters == 2 {
-				// Inline two-iteration crossing: reactivation below
-				// overwrites the whole tracker and re-sets the mask bits, so
-				// the tracker clear and mask clears crossLoop would do are
-				// dead stores here.
-				if base, ok := fr.rings[rec.beLoop].Take(); ok {
-					m.incLoop(profile.LoopKey{
-						Func: fr.fn.idx, Loop: int(rec.beLoop),
-						Base: base, Ext: lt.accum, Full: !lt.broken,
-					})
-					m.LoopOps += overhead.CounterOp
-				}
-			} else {
-				m.crossLoop(fr, int(rec.beLoop), false, true)
-			}
+			// Inline crossing: reactivation below overwrites the whole
+			// tracker and re-sets the mask bits, so the tracker clear and
+			// mask clears crossLoop would do are dead stores here.
+			m.incLoop(profile.LoopKey{
+				Func: fr.fn.idx, Loop: int(rec.beLoop),
+				Base: lt.base, Ext: lt.accum, Full: !lt.broken,
+			})
+			m.LoopOps += overhead.CounterOp
 		}
 		lt.active = true
 		lt.frozen = fr.fn.loopRoot[rec.beLoop] >= fr.fn.loopFreeze[rec.beLoop]
 		lt.broken = false
 		lt.accum = 0
 		lt.preds = fr.fn.loopRoot[rec.beLoop]
+		lt.base = id
 		bit := uint64(1) << uint(int(rec.beLoop)&63)
 		fr.activeMask |= bit
 		if !lt.frozen {
@@ -817,7 +806,6 @@ func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (i
 		} else if fr.fn.maskExact {
 			fr.liveMask &^= bit
 		}
-		fr.rings[rec.beLoop].Open(id)
 		m.LoopOps += 3 * overhead.RegOp // ro = r + y; r = x; ol = 0
 	}
 	return rec.entryVal, m.BLOps, m.LoopOps
@@ -831,44 +819,19 @@ func (m *Machine) freezeMask(fr *frame, loop int) {
 	}
 }
 
-// crossLoop finalizes one backedge/exit crossing of one loop: the tracker's
-// route is appended to every open window of the loop's ring, closed windows
-// become counter increments, and — on the loop's own backedge (exit=false)
-// — still-open windows pay one register append each. An interrupted
-// (broken) crossing is kept but never full.
-func (m *Machine) crossLoop(fr *frame, loop int, exit, fullIter bool) {
+// crossLoop finalizes one loop-exit crossing of one loop: the tracker's
+// route, keyed by its base register, becomes one counter increment and the
+// tracker deactivates. An interrupted (broken) crossing is kept but never
+// full.
+func (m *Machine) crossLoop(fr *frame, loop int, fullIter bool) {
 	t := &fr.loops[loop]
-	full := fullIter && !t.broken
-	ext := t.accum
+	m.incLoop(profile.LoopKey{Func: fr.fn.idx, Loop: loop, Base: t.base, Ext: t.accum, Full: fullIter && !t.broken})
+	m.LoopOps += overhead.CounterOp
 	*t = trk{}
 	if fr.fn.maskExact {
 		bit := uint64(1) << uint(loop&63)
 		fr.activeMask &^= bit
 		fr.liveMask &^= bit
-	}
-	ring := &fr.rings[loop]
-	if fr.fn.iters == 2 {
-		// Two-iteration fast path: the ring holds at most one open window
-		// and every crossing closes it, so Cross and FlushAll coincide, the
-		// open-minus-closed register charge is always zero, and the closed
-		// window's key is just (base, ext, full) — no Window materializes.
-		if base, ok := ring.Take(); ok {
-			m.incLoop(profile.LoopKey{Func: fr.fn.idx, Loop: loop, Base: base, Ext: ext, Full: full})
-			m.LoopOps += overhead.CounterOp
-		}
-		return
-	}
-	var ws []olpath.Window
-	if exit {
-		ws = ring.FlushAll(ext, full)
-	} else {
-		open := ring.Len()
-		ws = ring.Cross(ext, full)
-		m.LoopOps += int64(open-len(ws)) * overhead.RegOp
-	}
-	for _, w := range ws {
-		m.incLoop(profile.LoopKeyOf(fr.fn.idx, loop, w))
-		m.LoopOps += overhead.CounterOp
 	}
 }
 
@@ -921,7 +884,7 @@ func (m *Machine) incBL(fn int, path int64) {
 	m.pendBLFn, m.pendBLPath, m.pendBLN = fn, path, 1
 }
 
-// incLoop records one overlapping-path window, batching consecutive
+// incLoop records one overlapping loop path, batching consecutive
 // completions of the same key. The comparison is spelled field-by-field,
 // most-discriminating first, so the common mismatch (a new base path) costs
 // one compare instead of a full struct memequal.
@@ -933,9 +896,7 @@ func (m *Machine) incLoop(k profile.LoopKey) {
 	if m.pendLoopN != 0 {
 		p := &m.pendLoopKey
 		if k.Base == p.Base && k.Ext == p.Ext && k.Full == p.Full &&
-			k.Loop == p.Loop && k.Func == p.Func &&
-			k.Ext2 == p.Ext2 && k.Full2 == p.Full2 &&
-			k.Ext3 == p.Ext3 && k.Full3 == p.Full3 {
+			k.Loop == p.Loop && k.Func == p.Func {
 			m.pendLoopN++
 			return
 		}

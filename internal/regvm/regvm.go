@@ -35,12 +35,12 @@
 //     path completion through compile-time route tables (routes.go).
 //
 //   - Batched counter charges and zero-alloc steady state. Consecutive
-//     completions of the same Ball-Larus path, the same loop window, and
+//     completions of the same Ball-Larus path, the same loop path, and
 //     the same call edge accumulate in machine registers and flush through
 //     profile.BulkStore once per key change (and finally at run end),
 //     collapsing the hot loop's per-iteration store-interface calls.
-//     All run state — frames, register stack, loop trackers, rings,
-//     suffix lists, print scratch — lives in machine-owned slabs that
+//     All run state — frames, register stack, loop trackers, suffix
+//     lists, print scratch — lives in machine-owned slabs that
 //     Reset reuses, so a pooled Machine executes with zero heap
 //     allocations in steady state.
 //
@@ -255,7 +255,6 @@ type compiledFunc struct {
 	// loops the masks stay sticky over-approximations (set-only), which is
 	// still sound — a stale bit only forces the slow path.
 	maskExact  bool
-	iters      int
 	loopFreeze []int
 	loopRoot   []int
 

@@ -99,13 +99,13 @@ func assertParity(t *testing.T, source string, seed uint64, cfg instrument.Confi
 	}
 	tc, rc := rt.Counters(), st.Counters()
 	if !reflect.DeepEqual(tc, rc) {
-		t.Fatalf("counters differ (k=%d loops=%v inter=%v iters=%d)", cfg.K, cfg.Loops, cfg.Interproc, cfg.Iters)
+		t.Fatalf("counters differ (k=%d loops=%v inter=%v)", cfg.K, cfg.Loops, cfg.Interproc)
 	}
 }
 
 // TestCorpusParity runs randprog corpus programs on both engines across
-// degrees and window widths and checks byte-identical behavior: output,
-// step counts, probe-op tallies, and counters.
+// degrees and checks byte-identical behavior: output, step counts, probe-op
+// tallies, and counters.
 func TestCorpusParity(t *testing.T) {
 	seeds, err := randprog.HarvestCorpus(8, randprog.MaxOracleSteps)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestCorpusParity(t *testing.T) {
 	}
 	for _, s := range seeds {
 		src := randprog.SeedSource(s.GenSeed)
-		for _, c := range []struct{ k, iters int }{{0, 0}, {2, 0}, {2, 4}} {
+		for _, c := range []struct{ k, iters int }{{0, 0}, {2, 0}} {
 			cfg := instrument.Config{K: c.k, Loops: true, Interproc: true, Iters: c.iters}
 			t.Run(fmt.Sprintf("seed%d/k%d/iters%d", s.GenSeed, c.k, c.iters), func(t *testing.T) {
 				assertParity(t, src, uint64(s.GenSeed), cfg)
@@ -357,7 +357,7 @@ func TestMachineResetReuse(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState checks a warmed machine re-run through Reset
-// allocates nothing: every frame, register window, ring, suffix list, and
+// allocates nothing: every frame, register window, suffix list, and
 // print buffer comes from machine-owned slabs, and counter increments hit
 // existing store keys.
 func TestZeroAllocSteadyState(t *testing.T) {

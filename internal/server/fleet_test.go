@@ -8,6 +8,7 @@ import (
 
 	"pathprof/internal/merge"
 	"pathprof/internal/profile"
+	"pathprof/internal/profstore"
 )
 
 // put PUTs body to path and returns the status and response body.
@@ -38,16 +39,17 @@ func encodeSnap(t *testing.T, s *merge.Snapshot) []byte {
 
 // TestFleetInstallValidation: an install is checked against the
 // benchmark's program. Unknown benchmarks, wrong function counts, degrees
-// above the program's maximum, widths outside internal/limits and records
-// naming a function, loop, call site or path the program lacks answer 400
-// with the reason; a snapshot a job could have produced installs.
+// above the program's maximum, a snapshot naming a window width other than
+// two iterations and records naming a function, loop, call site or path the
+// program lacks answer 400 with the reason; a snapshot a job could have
+// produced installs.
 func TestFleetInstallValidation(t *testing.T) {
 	d := newDaemon(t, Config{Runners: 1}, true)
 	// with returns an empty 130.li snapshot holding one record. 130.li's
 	// functions are evalAtom, apply, eval, readForm and main (4, the one
 	// with loops and call sites).
 	with := func(add func(c *profile.Counters)) *merge.Snapshot {
-		s := merge.Empty(1, 2, 5)
+		s := merge.Empty(1, 5)
 		add(s.Counters)
 		return s
 	}
@@ -56,11 +58,10 @@ func TestFleetInstallValidation(t *testing.T) {
 		snap        *merge.Snapshot
 		blame       string
 	}{
-		{"unknown benchmark", "999.none", merge.Empty(1, 2, 5), "unknown benchmark"},
-		{"function count", "130.li", merge.Empty(1, 2, 2), "2 functions, the program has 5"},
-		{"k above max", "130.li", merge.Empty(7, 2, 5), "maximum degree 6"},
-		{"k below min", "130.li", merge.Empty(-2, 2, 5), "k must be in"},
-		{"iters above max", "130.li", merge.Empty(1, 9, 5), "iters must be in"},
+		{"unknown benchmark", "999.none", merge.Empty(1, 5), "unknown benchmark"},
+		{"function count", "130.li", merge.Empty(1, 2), "2 functions, the program has 5"},
+		{"k above max", "130.li", merge.Empty(7, 5), "maximum degree 6"},
+		{"k below min", "130.li", merge.Empty(-2, 5), "k must be in"},
 		{"bl path", "130.li", with(func(c *profile.Counters) { c.BL[0][1<<40] = 1 }),
 			"bl record names path 1099511627776 of"},
 		{"loop func", "130.li", with(func(c *profile.Counters) { c.Loop[profile.LoopKey{Func: 999}] = 1 }),
@@ -86,11 +87,17 @@ func TestFleetInstallValidation(t *testing.T) {
 			t.Errorf("%s: status %d %q, want 400 naming %q", tc.name, code, msg, tc.blame)
 		}
 	}
-	if code, msg := d.put(t, "/v1/profiles/130.li", encodeSnap(t, merge.Empty(6, 3, 5))); code != http.StatusNoContent {
+	wide := bytes.Replace(encodeSnap(t, merge.Empty(6, 5)), []byte(`"k":6,`), []byte(`"k":6,"iters":3,`), 1)
+	if code, msg := d.put(t, "/v1/profiles/130.li", wide); code != http.StatusBadRequest || !strings.Contains(msg, "iters must be 2") {
+		t.Errorf("widened snapshot: status %d %q, want 400 naming the width", code, msg)
+	}
+	if code, msg := d.put(t, "/v1/profiles/130.li", encodeSnap(t, merge.Empty(6, 5))); code != http.StatusNoContent {
 		t.Fatalf("valid install: status %d %s", code, msg)
 	}
-	if code, _ := d.get(t, "/v1/profiles/130.li?k=6&iters=3"); code != http.StatusOK {
-		t.Fatalf("installed cell does not serve: status %d", code)
+	for _, q := range []string{"?k=6", "?k=6&iters=2"} {
+		if code, _ := d.get(t, "/v1/profiles/130.li"+q); code != http.StatusOK {
+			t.Fatalf("installed cell does not serve %s: status %d", q, code)
+		}
 	}
 }
 
@@ -99,9 +106,10 @@ func TestFleetInstallValidation(t *testing.T) {
 // it held — the job's mass never vanishes behind a done state.
 func TestJobFoldErrorFailsJob(t *testing.T) {
 	d := newDaemon(t, Config{Runners: 1}, true)
-	bad := merge.Empty(1, 2, 2) // 130.li has 5 functions
+	bad := merge.Empty(1, 2) // 130.li has 5 functions
+	key := profstore.CellKey{Bench: "130.li", K: 1}
 	d.s.fleetMu.Lock()
-	d.s.fleet[fleetKey{bench: "130.li", k: 1, iters: 2}] = bad
+	d.s.fleet[key] = bad
 	d.s.fleetMu.Unlock()
 	before := d.s.metricsSnapshot().FleetFoldErrors
 	code, out := d.post(t, JobRequest{Benchmark: "130.li", Seed: 1, K: 1})
@@ -117,7 +125,7 @@ func TestJobFoldErrorFailsJob(t *testing.T) {
 	}
 	d.s.fleetMu.Lock()
 	defer d.s.fleetMu.Unlock()
-	if f := d.s.fleet[fleetKey{bench: "130.li", k: 1, iters: 2}]; f != bad || f.Mass() != 0 {
+	if f := d.s.fleet[key]; f != bad || f.Mass() != 0 {
 		t.Fatal("failed fold changed the cell")
 	}
 }

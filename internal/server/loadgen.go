@@ -28,9 +28,6 @@ type LoadConfig struct {
 	// Shards/K parameterize every submitted job (defaults 4 and 1).
 	Shards int
 	K      int
-	// Iters is the multi-iteration window width per job (0 = the classic
-	// two-iteration setting).
-	Iters int
 	// Benchmarks cycles the submitted programs (default: all bundled
 	// workload benchmarks).
 	Benchmarks []string
@@ -222,7 +219,6 @@ func runOne(ctx context.Context, cfg LoadConfig, i int) (time.Duration, int, err
 		Benchmark: cfg.Benchmarks[i%len(cfg.Benchmarks)],
 		Seed:      uint64(1000 + i*cfg.Shards), // seed ranges of sharded jobs stay disjoint
 		K:         cfg.K,
-		Iters:     cfg.Iters,
 		Shards:    cfg.Shards,
 	}
 	body, err := json.Marshal(req)

@@ -95,7 +95,7 @@ func TestNestedStoreConfigRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store := p.NewStore(2); !isNested(store) {
+	if store := p.NewStore(); !isNested(store) {
 		t.Fatalf("shards of a nested-store daemon run on %T", store)
 	}
 }

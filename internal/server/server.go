@@ -8,8 +8,9 @@
 // API:
 //
 //	POST   /v1/jobs                  submit {benchmark|source, seed, k, iters,
-//	                                 shards}; 202 {id} | 429 when the queue is
-//	                                 full | 503 while draining
+//	                                 shards}; 202 {id} | 400 for iters other
+//	                                 than 2 | 429 when the queue is full | 503
+//	                                 while draining
 //	POST   /v1/chunks                run the same body as one cluster chunk and
 //	                                 block until it settles; 200 with a status
 //	                                 line (state, errors, steps, span tree) and,
@@ -17,13 +18,14 @@
 //	GET    /v1/jobs/{id}             job status, shard errors, result + estimate
 //	GET    /v1/jobs/{id}/profile     the job's merged counter snapshot
 //	GET    /v1/jobs/{id}/trace       the job's span tree
-//	GET    /v1/profiles/{benchmark}  the fleet-wide merged snapshot (?k=N,
-//	                                 ?iters=N when several cells exist)
+//	GET    /v1/profiles/{benchmark}  the fleet-wide merged snapshot (?k=N
+//	                                 when several cells exist; ?iters=2 is
+//	                                 accepted, any other width is 400)
 //	GET    /v1/pgo/{benchmark}       the same cell exported in pathprof's
 //	                                 saved-run format, ready for -pgo's
 //	                                 layout report
 //	PUT    /v1/profiles/{benchmark}  install (replace) a fleet cell
-//	DELETE /v1/profiles/{benchmark}  drop a fleet cell (?k=N, ?iters=N)
+//	DELETE /v1/profiles/{benchmark}  drop a fleet cell (?k=N, ?iters=2)
 //	GET    /metrics                  expvar-style counters (see MetricsSnapshot)
 //	GET    /healthz                  "ok", or "draining" during shutdown
 //
@@ -138,9 +140,9 @@ type JobRequest struct {
 	// K is the requested degree of overlap (-1 = Ball-Larus only). It is
 	// clamped to the program's maximum useful degree.
 	K int `json:"k"`
-	// Iters is the multi-iteration window width (default 2, the classic
-	// two-iteration overlapping-path setting). Snapshots only merge — per
-	// job and fleet-wide — within one width.
+	// Iters is the loop window width: absent, 0 or 2 select the paper's
+	// two-iteration window, and any other width is refused with 400. Kept
+	// for clients that name the width.
 	Iters int `json:"iters,omitempty"`
 	// Shards is the number of independent runs to fan out and merge
 	// (default 1).
@@ -162,7 +164,7 @@ type JobResult struct {
 	MaxDegree int `json:"maxDegree"`
 	// K is the effective profiled degree after clamping.
 	K int `json:"k"`
-	// Iters is the profiled multi-iteration window width.
+	// Iters is the profiled loop window width, always 2.
 	Iters int `json:"iters"`
 	// Steps totals executed blocks across every shard.
 	Steps int64 `json:"steps"`
@@ -243,16 +245,6 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// fleetKey identifies one fleet-wide merged profile: snapshots only merge
-// within a (benchmark, degree, window width) cell.
-type fleetKey struct {
-	bench string
-	k     int
-	iters int
-}
-
-func (k fleetKey) String() string { return fmt.Sprintf("%s|k=%d|iters=%d", k.bench, k.k, k.iters) }
-
 // pipeEntry is a singleflight slot for one program's pipeline.
 type pipeEntry struct {
 	once sync.Once
@@ -280,7 +272,7 @@ type Server struct {
 	pipes   map[string]*pipeEntry
 
 	fleetMu sync.Mutex
-	fleet   map[fleetKey]*merge.Snapshot
+	fleet   map[profstore.CellKey]*merge.Snapshot
 
 	// drainMu serializes enqueue against the drain flip: once Drain holds
 	// the write lock, every later submission observes accepting == false,
@@ -308,7 +300,7 @@ func New(cfg Config) *Server {
 		log:       lg,
 		jobs:      map[string]*job{},
 		pipes:     map[string]*pipeEntry{},
-		fleet:     map[fleetKey]*merge.Snapshot{},
+		fleet:     map[profstore.CellKey]*merge.Snapshot{},
 		accepting: true,
 	}
 	// Prime the fleet from the store's recovery replay: every cell the
@@ -316,9 +308,7 @@ func New(cfg Config) *Server {
 	// fold is associative and commutative, so the replayed order of the
 	// log's records cannot change the bytes).
 	if cfg.Persist != nil {
-		for key, snap := range cfg.Persist.Cells() {
-			s.fleet[fleetKey{bench: key.Bench, k: key.K, iters: key.Iters}] = snap
-		}
+		s.fleet = cfg.Persist.Cells()
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -451,9 +441,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (JobReque
 	if req.Shards == 0 {
 		req.Shards = 1
 	}
-	if req.Iters == 0 {
-		req.Iters = 2
-	}
 	for _, err := range []error{
 		limits.Shards(req.Shards, s.cfg.MaxShards),
 		limits.K(req.K),
@@ -464,6 +451,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (JobReque
 			return req, false
 		}
 	}
+	req.Iters = 2
 	return req, true
 }
 
@@ -494,7 +482,7 @@ func (s *Server) enqueue(w http.ResponseWriter, j *job) bool {
 	case s.queue <- j:
 		s.metrics.jobsAccepted.Add(1)
 		s.log.Info("job.accepted", "job_id", j.id, "benchmark", j.req.Benchmark,
-			"k", j.req.K, "iters", j.req.Iters, "shards", j.req.Shards)
+			"k", j.req.K, "shards", j.req.Shards)
 		return true
 	default:
 		s.jobWG.Done()
@@ -605,101 +593,98 @@ func (s *Server) handleFleetProfile(w http.ResponseWriter, r *http.Request) {
 	bench := r.PathValue("benchmark")
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
-	snap, _, status, msg := s.fleetCell(r, bench)
-	if snap == nil {
+	key, status, msg := SelectCell(r, bench, s.fleet)
+	if status != 0 {
 		writeError(w, status, msg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	cw := &countingWriter{w: w}
-	snap.Encode(cw) //nolint:errcheck // client went away
+	s.fleet[key].Encode(cw) //nolint:errcheck // client went away
 	s.metrics.snapshotBytes.Observe(float64(cw.n))
 }
 
-// fleetCell resolves the single fleet cell for bench addressed by the
-// request's optional ?k=/?iters= query. The caller holds fleetMu. A nil
-// snapshot means no unique cell matched; status and msg then carry the
-// HTTP error to write (400 malformed, 404 empty, 409 ambiguous).
-func (s *Server) fleetCell(r *http.Request, bench string) (*merge.Snapshot, fleetKey, int, string) {
-	var cells []fleetKey
-	for key := range s.fleet {
-		if key.bench == bench {
-			cells = append(cells, key)
+// SelectCell resolves which of fleet's cells for bench a profile read or
+// PGO export addresses: its optional ?k= picks one, and ?iters= may name
+// the two-iteration window and nothing else. The caller holds the lock
+// guarding fleet. A zero status means success; otherwise status and msg
+// carry the HTTP error to write: 400 for a malformed k or iters or a
+// refused width, 404 when no cell matches, 409 when several cells exist
+// and no ?k= picks one. The daemon and the cluster coordinator both answer
+// through it.
+func SelectCell[V any](r *http.Request, bench string, fleet map[profstore.CellKey]V) (profstore.CellKey, int, string) {
+	q := r.URL.Query()
+	if err := queryIters(q.Get("iters")); err != nil {
+		return profstore.CellKey{}, http.StatusBadRequest, err.Error()
+	}
+	var ks []int
+	for key := range fleet {
+		if key.Bench == bench {
+			ks = append(ks, key.K)
 		}
 	}
-	if len(cells) == 0 {
-		return nil, fleetKey{}, http.StatusNotFound, fmt.Sprintf("no fleet profile for %q", bench)
+	if len(ks) == 0 {
+		return profstore.CellKey{}, http.StatusNotFound, fmt.Sprintf("no fleet profile for %q", bench)
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].k != cells[j].k {
-			return cells[i].k < cells[j].k
-		}
-		return cells[i].iters < cells[j].iters
-	})
-	// The query may pin either axis; whatever remains ambiguous after
-	// filtering is a 409, an empty remainder a 404.
-	for _, axis := range []struct {
-		name string
-		get  func(fleetKey) int
-	}{
-		{"k", func(c fleetKey) int { return c.k }},
-		{"iters", func(c fleetKey) int { return c.iters }},
-	} {
-		q := r.URL.Query().Get(axis.name)
-		if q == "" {
-			continue
-		}
-		v, err := strconv.Atoi(q)
+	if v := q.Get("k"); v != "" {
+		k, err := strconv.Atoi(v)
 		if err != nil {
-			return nil, fleetKey{}, http.StatusBadRequest, "malformed " + axis.name
+			return profstore.CellKey{}, http.StatusBadRequest, "malformed k"
 		}
-		kept := cells[:0]
-		for _, c := range cells {
-			if axis.get(c) == v {
-				kept = append(kept, c)
-			}
+		key := profstore.CellKey{Bench: bench, K: k}
+		if _, ok := fleet[key]; !ok {
+			return profstore.CellKey{}, http.StatusNotFound,
+				fmt.Sprintf("no fleet profile for %q matching the query", bench)
 		}
-		cells = kept
+		return key, 0, ""
 	}
-	if len(cells) == 0 {
-		return nil, fleetKey{}, http.StatusNotFound,
-			fmt.Sprintf("no fleet profile for %q matching the query", bench)
-	}
-	if len(cells) > 1 {
-		names := make([]string, len(cells))
-		for i, c := range cells {
-			names[i] = fmt.Sprintf("(k=%d,iters=%d)", c.k, c.iters)
+	if len(ks) > 1 {
+		sort.Ints(ks)
+		names := make([]string, len(ks))
+		for i, k := range ks {
+			names[i] = fmt.Sprintf("(k=%d)", k)
 		}
-		return nil, fleetKey{}, http.StatusConflict,
-			fmt.Sprintf("fleet profiles exist at cells %s; select one with ?k= and ?iters=",
-				strings.Join(names, " "))
+		return profstore.CellKey{}, http.StatusConflict,
+			fmt.Sprintf("fleet profiles exist at cells %s; select one with ?k=", strings.Join(names, " "))
 	}
-	return s.fleet[cells[0]], cells[0], 0, ""
+	return profstore.CellKey{Bench: bench, K: ks[0]}, 0, ""
+}
+
+// queryIters validates an optional ?iters= query value: absent or the
+// two-iteration width.
+func queryIters(v string) error {
+	if v == "" {
+		return nil
+	}
+	it, err := strconv.Atoi(v)
+	if err != nil {
+		return fmt.Errorf("malformed iters")
+	}
+	return limits.Iters(it)
 }
 
 // handlePGOExport serves one fleet cell in pathprof's saved-run format —
 // the exact bytes `pathprof -pgo` and pgo derivation accept — so a
 // fleet-trained profile feeds the layout report without conversion.
-// Cell addressing matches GET /v1/profiles/{benchmark}: optional ?k= and
-// ?iters= pin a cell, an empty match is 404, an ambiguous one 409.
+// Cell addressing matches GET /v1/profiles/{benchmark} (SelectCell).
 func (s *Server) handlePGOExport(w http.ResponseWriter, r *http.Request) {
 	bench := r.PathValue("benchmark")
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
-	snap, key, status, msg := s.fleetCell(r, bench)
-	if snap == nil {
+	key, status, msg := SelectCell(r, bench, s.fleet)
+	if status != 0 {
 		writeError(w, status, msg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	cw := &countingWriter{w: w}
-	core.SaveRun(cw, core.RunFromCounters(key.k, key.iters, snap.Counters)) //nolint:errcheck // client went away
+	core.SaveRun(cw, core.RunFromCounters(key.K, 2, s.fleet[key].Counters)) //nolint:errcheck // client went away
 	s.metrics.snapshotBytes.Observe(float64(cw.n))
 }
 
 // handleFleetInstall replaces one fleet cell with the snapshot in the
 // request body — the cluster coordinator's install/handoff path. The cell
-// key is (benchmark from the path, k and iters from the snapshot header);
+// key is (benchmark from the path, k from the snapshot header);
 // install is replacement, not merge, so a re-push after a lost update is
 // self-healing rather than double-counting. A snapshot no job of the
 // benchmark could fold into is refused with 400 (checkInstall), so a bad
@@ -719,7 +704,7 @@ func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid snapshot for %s: %v", bench, err))
 		return
 	}
-	key := fleetKey{bench: bench, k: snap.K, iters: snap.Iters}
+	key := profstore.CellKey{Bench: bench, K: snap.K}
 	s.fleetMu.Lock()
 	// Journal before publishing: an install the coordinator saw acked must
 	// survive a restart, and holding fleetMu across both keeps the served
@@ -734,15 +719,15 @@ func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 	s.fleet[key] = snap
 	s.fleetMu.Unlock()
 	s.metrics.fleetInstalls.Add(1)
-	s.log.Debug("fleet.install", "benchmark", bench, "k", snap.K, "iters", snap.Iters, "mass", snap.Mass())
+	s.log.Debug("fleet.install", "benchmark", bench, "k", snap.K, "mass", snap.Mass())
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // checkInstall validates a snapshot installed for bench against the
 // benchmark's program, resolved through the cached per-benchmark pipeline:
-// its function count must be the program's, k in [-1, the program's
-// maximum degree] (jobs clamp k to it), iters inside internal/limits — the
-// cells a job of the benchmark can fold into — and every record must name
+// its function count must be the program's and k in [-1, the program's
+// maximum degree] (jobs clamp k to it) — the cells a job of the benchmark
+// can fold into — and every record must name
 // functions, loops, call sites and Ball-Larus paths the program has
 // (checkRecords), so the cell's profile and PGO exports stay readable.
 func (s *Server) checkInstall(bench string, snap *merge.Snapshot) error {
@@ -758,9 +743,6 @@ func (s *Server) checkInstall(bench string, snap *merge.Snapshot) error {
 	}
 	if max := p.Info.MaxDegree(); snap.K > max {
 		return fmt.Errorf("k=%d is above the program's maximum degree %d", snap.K, max)
-	}
-	if err := limits.Iters(snap.Iters); err != nil {
-		return err
 	}
 	return checkRecords(p.Info, snap.Counters)
 }
@@ -837,8 +819,8 @@ func checkRecords(info *profile.Info, c *profile.Counters) error {
 	return nil
 }
 
-// handleFleetDelete drops one fleet cell (?k= and ?iters= select it; iters
-// defaults to the classic width 2) — how a coordinator retires a cell from
+// handleFleetDelete drops one fleet cell (?k= selects it; ?iters= may name
+// only the two-iteration window) — how a coordinator retires a cell from
 // its previous owner after a ring handoff. Deleting an absent cell is a
 // no-op 204, so retried handoffs stay idempotent.
 func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
@@ -847,17 +829,14 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed or missing k")
 		return
 	}
-	iters := 2
-	if q := r.URL.Query().Get("iters"); q != "" {
-		if iters, err = strconv.Atoi(q); err != nil {
-			writeError(w, http.StatusBadRequest, "malformed iters")
-			return
-		}
+	if err := queryIters(r.URL.Query().Get("iters")); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	key := fleetKey{bench: r.PathValue("benchmark"), k: k, iters: iters}
+	key := profstore.CellKey{Bench: r.PathValue("benchmark"), K: k}
 	s.fleetMu.Lock()
 	if s.cfg.Persist != nil {
-		if err := s.cfg.Persist.Delete(key.bench, k, iters); err != nil {
+		if err := s.cfg.Persist.Delete(key.Bench, k); err != nil {
 			s.fleetMu.Unlock()
 			writeError(w, http.StatusInternalServerError, "persisting delete: "+err.Error())
 			return
@@ -865,7 +844,7 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	delete(s.fleet, key)
 	s.fleetMu.Unlock()
-	s.log.Debug("fleet.delete", "benchmark", key.bench, "k", k, "iters", iters)
+	s.log.Debug("fleet.delete", "benchmark", key.Bench, "k", k)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -994,8 +973,7 @@ func (s *Server) fanOut(j *job) *merged {
 	if max := p.Info.MaxDegree(); k > max {
 		k = max
 	}
-	iters := j.req.Iters
-	cfg := instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0, Iters: iters}
+	cfg := instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0}
 
 	// Fan the shards out; each holds one pool slot while executing. Shard
 	// errors carry the shard index both structurally (ShardError.Shard)
@@ -1027,7 +1005,7 @@ func (s *Server) fanOut(j *job) *merged {
 					outs[i].err = fmt.Errorf("shard %d: %w", i, rerr)
 					return
 				}
-				outs[i].snap = merge.New(k, iters, run.Counters)
+				outs[i].snap = merge.New(k, 2, run.Counters)
 				outs[i].steps = run.Steps
 			})
 			if perr != nil {
@@ -1079,14 +1057,14 @@ func (s *Server) fanOut(j *job) *merged {
 	s.metrics.mergeMs.Observe(float64(mergeNs) / float64(time.Millisecond))
 	s.log.Debug("job.merge", "job_id", j.id, "snapshots", len(snaps), "mass", snap.Mass())
 	return &merged{p: p, snap: snap, res: JobResult{
-		Funcs: snap.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: iters,
+		Funcs: snap.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: 2,
 		Steps: steps, Mass: snap.Mass(), MergeNs: mergeNs,
 	}}
 }
 
 // failFold fails a job whose snapshot cannot fold into fleet cell key,
 // naming the cell, and counts it on fleet_fold_errors.
-func (s *Server) failFold(j *job, key fleetKey, err error) {
+func (s *Server) failFold(j *job, key profstore.CellKey, err error) {
 	s.metrics.foldErrors.Add(1)
 	s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, err))
 }
@@ -1097,7 +1075,7 @@ func (s *Server) failFold(j *job, key fleetKey, err error) {
 func (s *Server) jobTail(j *job, m *merged) {
 	snap, res := m.snap, m.res
 	estSpan := j.span.Child(StageEstimate)
-	pe, err := core.FromPipeline(m.p).EstimateMode(core.RunFromCounters(res.K, res.Iters, snap.Counters), estimate.Paper)
+	pe, err := core.FromPipeline(m.p).EstimateMode(core.RunFromCounters(res.K, 2, snap.Counters), estimate.Paper)
 	estSpan.End()
 	s.metrics.estimateMs.Observe(float64(estSpan.Duration()) / float64(time.Millisecond))
 	if err != nil {
@@ -1109,7 +1087,7 @@ func (s *Server) jobTail(j *job, m *merged) {
 	res.Definite, res.Potential, res.Skipped = pe.Definite(), pe.Potential(), pe.Skipped
 
 	if j.req.Benchmark != "" && !s.cfg.FleetIngestOnly {
-		key := fleetKey{bench: j.req.Benchmark, k: res.K, iters: res.Iters}
+		key := profstore.CellKey{Bench: j.req.Benchmark, K: res.K}
 		// A cell the snapshot cannot fold into fails the job, naming the
 		// cell, before anything is journaled: a done job's mass is in its
 		// cell.

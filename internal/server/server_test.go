@@ -93,6 +93,21 @@ func (d *testDaemon) get(t *testing.T, path string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
+// del sends DELETE to path and returns the status.
+func (d *testDaemon) del(t *testing.T, path string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, d.ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := d.cli.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // await polls the job until it leaves the queued/running states.
 func (d *testDaemon) await(t *testing.T, id string) JobStatus {
 	t.Helper()
@@ -185,6 +200,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"too many shards", JobRequest{Source: testSrc, Shards: 10_000}},
 		{"negative shards", JobRequest{Source: testSrc, Shards: -2}},
 		{"bad k", JobRequest{Source: testSrc, K: -5}},
+		{"widened window", JobRequest{Source: testSrc, Iters: 3}},
+		{"narrowed window", JobRequest{Source: testSrc, Iters: 1}},
 	}
 	for _, tc := range cases {
 		if code, _ := d.post(t, tc.req); code != http.StatusBadRequest {
@@ -345,6 +362,23 @@ func TestFleetProfile(t *testing.T) {
 	if code, _ := two.get(t, "/v1/profiles/"+bench+"?k=7"); code != http.StatusNotFound {
 		t.Fatalf("missing-degree fleet profile: status %d, want 404", code)
 	}
+
+	// The window width: ?iters=2 names the one width cells have, any
+	// other is refused — on reads and on deletes, which then drop nothing.
+	if code, raw := two.get(t, "/v1/profiles/"+bench+"?k=1&iters=2"); code != http.StatusOK || !bytes.Equal(raw, fleetRaw) {
+		t.Fatalf("?k=1&iters=2 fleet profile: status %d, stable %v", code, bytes.Equal(raw, fleetRaw))
+	}
+	for _, q := range []string{"?k=1&iters=3", "?iters=4", "?k=1&iters=x"} {
+		if code, _ := two.get(t, "/v1/profiles/"+bench+q); code != http.StatusBadRequest {
+			t.Errorf("fleet profile %s: status %d, want 400", q, code)
+		}
+		if code := two.del(t, "/v1/profiles/"+bench+q); code != http.StatusBadRequest {
+			t.Errorf("fleet delete %s: status %d, want 400", q, code)
+		}
+	}
+	if code, raw := two.get(t, "/v1/profiles/"+bench+"?k=1"); code != http.StatusOK || !bytes.Equal(raw, fleetRaw) {
+		t.Fatalf("refused deletes changed the cell: status %d", code)
+	}
 }
 
 // TestPGOExport closes the fleet half of the PGO loop over the wire: a
@@ -377,7 +411,7 @@ func TestPGOExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pgo.Derive(s.Info, &pgo.Profile{K: run.K, Iters: run.Iters, Counters: run.Counters})
+	plan, err := pgo.Derive(s.Info, &pgo.Profile{K: run.K, Counters: run.Counters})
 	if err != nil {
 		t.Fatalf("deriving a layout from the export: %v", err)
 	}
@@ -393,6 +427,12 @@ func TestPGOExport(t *testing.T) {
 	}
 	if code, _ := d.get(t, "/v1/pgo/"+bench+"?k=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("malformed degree: status %d, want 400", code)
+	}
+	if code, _ := d.get(t, "/v1/pgo/"+bench+"?iters=3"); code != http.StatusBadRequest {
+		t.Fatalf("widened window: status %d, want 400", code)
+	}
+	if code, again := d.get(t, "/v1/pgo/"+bench+"?k=1&iters=2"); code != http.StatusOK || !bytes.Equal(again, raw) {
+		t.Fatalf("?k=1&iters=2 export: status %d, stable %v", code, bytes.Equal(again, raw))
 	}
 }
 

@@ -14,7 +14,6 @@ type cellKey struct {
 	Bench  string
 	Engine string
 	Store  string
-	Iters  int
 }
 
 // refKey is the grid's slowest stable cell: every other cell is gated on
@@ -22,10 +21,10 @@ type cellKey struct {
 // absolute nanoseconds — a faster or slower CI box rescales every cell by
 // the same factor and the ratios cancel. The reference itself is therefore
 // ungated.
-var refKey = cellKey{Name: "run", Engine: "tree", Store: "nested", Iters: 2}
+var refKey = cellKey{Name: "run", Engine: "tree", Store: "nested"}
 
 func keyOf(r experiments.BenchResult) cellKey {
-	return cellKey{Name: r.Name, Bench: r.Bench, Engine: r.Engine, Store: r.Store, Iters: r.Iters}
+	return cellKey{Name: r.Name, Bench: r.Bench, Engine: r.Engine, Store: r.Store}
 }
 
 // index maps each result set by cell, remembering the reference cell's
@@ -36,8 +35,7 @@ func index(rs []experiments.BenchResult) (map[cellKey]experiments.BenchResult, f
 	for _, r := range rs {
 		k := keyOf(r)
 		m[k] = r
-		if k.Name == refKey.Name && k.Engine == refKey.Engine &&
-			k.Store == refKey.Store && k.Iters == refKey.Iters {
+		if k.Name == refKey.Name && k.Engine == refKey.Engine && k.Store == refKey.Store {
 			ref = r.NsPerOp
 		}
 	}
@@ -67,21 +65,21 @@ func Gate(baseline, current []experiments.BenchResult, threshold float64) []stri
 		if k.Name != "run" {
 			continue
 		}
-		if k.Engine == refKey.Engine && k.Store == refKey.Store && k.Iters == refKey.Iters {
+		if k.Engine == refKey.Engine && k.Store == refKey.Store {
 			continue
 		}
 		c, ok := cur[k]
 		if !ok {
 			out = append(out, fmt.Sprintf(
-				"run cell %s/%s/iters=%d disappeared from the measured grid", k.Engine, k.Store, k.Iters))
+				"run cell %s/%s disappeared from the measured grid", k.Engine, k.Store))
 			continue
 		}
 		bn := b.NsPerOp / baseRef
 		cn := c.NsPerOp / curRef
 		if cn > bn*(1+threshold) {
 			out = append(out, fmt.Sprintf(
-				"run cell %s/%s/iters=%d regressed: %.3fx the tree/nested reference vs %.3fx committed (+%.0f%% > %.0f%% gate)",
-				k.Engine, k.Store, k.Iters, cn, bn, (cn/bn-1)*100, threshold*100))
+				"run cell %s/%s regressed: %.3fx the tree/nested reference vs %.3fx committed (+%.0f%% > %.0f%% gate)",
+				k.Engine, k.Store, cn, bn, (cn/bn-1)*100, threshold*100))
 		}
 	}
 	sort.Strings(out)

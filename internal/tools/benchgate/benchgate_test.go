@@ -9,20 +9,17 @@ import (
 	"pathprof/internal/experiments"
 )
 
-func cell(name, engine, store string, iters int, ns float64) experiments.BenchResult {
-	return experiments.BenchResult{
-		Name: name, Bench: "300.twolf", Engine: engine, Store: store,
-		Iters: iters, NsPerOp: ns,
-	}
+func cell(name, engine, store string, ns float64) experiments.BenchResult {
+	return experiments.BenchResult{Name: name, Bench: "300.twolf", Engine: engine, Store: store, NsPerOp: ns}
 }
 
 func grid(scale float64) []experiments.BenchResult {
 	return []experiments.BenchResult{
-		cell("run", "tree", "nested", 2, 24e6*scale),
-		cell("run", "tree", "arena", 2, 20e6*scale),
-		cell("run", "regvm", "arena", 2, 2.4e6*scale),
-		cell("steady", "regvm", "arena", 2, 2.4e6*scale),
-		cell("sweep", "tree", "arena", 0, 250e6*scale),
+		cell("run", "tree", "nested", 24e6*scale),
+		cell("run", "tree", "arena", 20e6*scale),
+		cell("run", "regvm", "arena", 2.4e6*scale),
+		cell("steady", "regvm", "arena", 2.4e6*scale),
+		cell("sweep", "tree", "arena", 250e6*scale),
 	}
 }
 
@@ -42,7 +39,7 @@ func TestGateCatchesRelativeRegression(t *testing.T) {
 	cur := grid(1)
 	cur[2].NsPerOp *= 1.5 // regvm/arena run: +50% while the reference holds
 	got := Gate(base, cur, 0.20)
-	if len(got) != 1 || !strings.Contains(got[0], "regvm/arena/iters=2 regressed") {
+	if len(got) != 1 || !strings.Contains(got[0], "regvm/arena regressed") {
 		t.Fatalf("regressed cell not caught: %v", got)
 	}
 }
@@ -69,7 +66,7 @@ func TestGateCatchesVanishedCell(t *testing.T) {
 	base := grid(1)
 	cur := grid(1)[:2] // regvm run cell gone
 	got := Gate(base, cur, 0.20)
-	if len(got) != 1 || !strings.Contains(got[0], "regvm/arena/iters=2 disappeared") {
+	if len(got) != 1 || !strings.Contains(got[0], "regvm/arena disappeared") {
 		t.Fatalf("vanished cell not caught: %v", got)
 	}
 }
@@ -86,8 +83,8 @@ func TestGateRequiresReferenceCell(t *testing.T) {
 
 // TestCommittedGridGatesItself pins the committed BENCH_pipeline.json: it
 // must contain the reference cell and pass its own gate, so the CI check
-// can never be red on an untouched tree, and its iters=2 run cells must be
-// exactly the tree/regvm x nested/arena grid the microbenchmark measures.
+// can never be red on an untouched tree, and its run cells must be exactly
+// the tree/regvm x nested/arena grid the microbenchmark measures.
 func TestCommittedGridGatesItself(t *testing.T) {
 	rs, err := load("../../../BENCH_pipeline.json")
 	if err != nil {
@@ -98,12 +95,12 @@ func TestCommittedGridGatesItself(t *testing.T) {
 	}
 	var runs []string
 	for _, r := range rs {
-		if r.Name == "run" && r.Iters == 2 {
+		if r.Name == "run" {
 			runs = append(runs, r.Engine+"/"+r.Store)
 		}
 	}
 	sort.Strings(runs)
 	if want := []string{"regvm/arena", "regvm/nested", "tree/arena", "tree/nested"}; !reflect.DeepEqual(runs, want) {
-		t.Fatalf("committed grid's iters=2 run cells are %v, want %v", runs, want)
+		t.Fatalf("committed grid's run cells are %v, want %v", runs, want)
 	}
 }

@@ -10,10 +10,8 @@ import (
 	"strings"
 
 	"pathprof/internal/cluster"
-	"pathprof/internal/limits"
 	"pathprof/internal/obs"
 	"pathprof/internal/pgo"
-	"pathprof/internal/profile"
 	"pathprof/internal/profstore"
 	"pathprof/internal/regvm"
 	"pathprof/internal/server"
@@ -144,52 +142,6 @@ func CheckService(md string) []string {
 			out = append(out, fmt.Sprintf(
 				"DESIGN.md §11 documents %q but the daemon serves no such endpoint", name))
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WidenedLoopKeyFields returns, via reflection, the names of the
-// profile.LoopKey fields that exist only under multi-iteration profiling
-// (everything beyond the classic {Func, Loop, Base, Ext, Full} encoding) —
-// the code-side truth DESIGN.md §13 must document.
-func WidenedLoopKeyFields() []string {
-	classic := toSet([]string{"Func", "Loop", "Base", "Ext", "Full"})
-	rt := reflect.TypeOf(profile.LoopKey{})
-	var out []string
-	for i := 0; i < rt.NumField(); i++ {
-		if name := rt.Field(i).Name; !classic[name] {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// CheckIters cross-references DESIGN.md's §13 against the code: every
-// widened LoopKey field must appear backticked, the documented window-width
-// range must be exactly the one internal/limits enforces, and the
-// ring-capacity constant that fixes the ceiling must be named. Renaming a
-// field, retuning the limits, or resizing the ring without updating the
-// design doc fails the build.
-func CheckIters(md string) []string {
-	sec, err := Section(md, 13)
-	if err != nil {
-		return []string{"DESIGN.md: " + err.Error()}
-	}
-	var out []string
-	for _, name := range WidenedLoopKeyFields() {
-		if !strings.Contains(sec, "`"+name+"`") {
-			out = append(out, fmt.Sprintf(
-				"DESIGN.md §13: widened LoopKey field %q is undocumented", name))
-		}
-	}
-	if want := fmt.Sprintf("[%d,%d]", limits.MinIters, limits.MaxIters); !strings.Contains(sec, "`"+want+"`") {
-		out = append(out, fmt.Sprintf(
-			"DESIGN.md §13 does not state the validated window-width range `%s`", want))
-	}
-	if !strings.Contains(sec, "`olpath.MaxIters`") {
-		out = append(out,
-			"DESIGN.md §13 does not name the ring-capacity constant `olpath.MaxIters`")
 	}
 	sort.Strings(out)
 	return out

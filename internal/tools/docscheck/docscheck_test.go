@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pathprof/internal/cluster"
-	"pathprof/internal/limits"
 	"pathprof/internal/pgo"
 	"pathprof/internal/profstore"
 	"pathprof/internal/regvm"
@@ -31,13 +30,8 @@ func goodDesign() string {
 	for _, m := range server.HistogramMetricNames {
 		fmt.Fprintf(&b, "| `%s` | ms |\n", m)
 	}
-	b.WriteString("\n## 13. Multi-iteration\n\nWidths in `")
-	fmt.Fprintf(&b, "[%d,%d]", limits.MinIters, limits.MaxIters)
-	b.WriteString("` up to `olpath.MaxIters`; widened key fields:")
-	for _, f := range WidenedLoopKeyFields() {
-		fmt.Fprintf(&b, " `%s`", f)
-	}
-	b.WriteString(".\n\n## 14. Cluster\n\nRing uses `cluster.DefaultVnodes` vnodes.\n\n")
+	b.WriteString("\n## 13. Two-iteration window\n\n")
+	b.WriteString("## 14. Cluster\n\nRing uses `cluster.DefaultVnodes` vnodes.\n\n")
 	b.WriteString("| endpoint | behavior |\n|---|---|\n")
 	for _, e := range cluster.Endpoints {
 		fmt.Fprintf(&b, "| `%s` | ... |\n", e)
@@ -122,8 +116,8 @@ func TestCheckDesignCatchesDrift(t *testing.T) {
 		t.Fatalf("dropped metric not caught: %v", got)
 	}
 
-	stale := strings.Replace(goodDesign(), "## 13. Multi-iteration",
-		"| `old_stage_name` | gone |\n\n## 13. Multi-iteration", 1)
+	stale := strings.Replace(goodDesign(), "## 13. Two-iteration window",
+		"| `old_stage_name` | gone |\n\n## 13. Two-iteration window", 1)
 	got = CheckDesign(stale)
 	if len(got) != 1 || !strings.Contains(got[0], `"old_stage_name"`) {
 		t.Fatalf("stale documented name not caught: %v", got)
@@ -155,31 +149,6 @@ func TestCheckServiceCatchesDrift(t *testing.T) {
 	}
 
 	if got := CheckService("## 1. Intro\n"); len(got) != 1 || !strings.Contains(got[0], "no section 11") {
-		t.Fatalf("missing section not caught: %v", got)
-	}
-}
-
-func TestCheckItersAccepts(t *testing.T) {
-	if got := CheckIters(goodDesign()); len(got) != 0 {
-		t.Fatalf("complaints on a faithful §13:\n%s", strings.Join(got, "\n"))
-	}
-}
-
-func TestCheckItersCatchesDrift(t *testing.T) {
-	// Dropping a widened key field, the validated range, or the ring
-	// constant must each produce exactly one complaint naming the loss.
-	for token, want := range map[string]string{
-		"`Full3`": `field "Full3" is undocumented`,
-		fmt.Sprintf("`[%d,%d]`", limits.MinIters, limits.MaxIters): "window-width range",
-		"`olpath.MaxIters`": "ring-capacity constant",
-	} {
-		broken := strings.Replace(goodDesign(), token, "redacted", 1)
-		got := CheckIters(broken)
-		if len(got) != 1 || !strings.Contains(got[0], want) {
-			t.Errorf("dropping %s: want one complaint containing %q, got %v", token, want, got)
-		}
-	}
-	if got := CheckIters("## 1. Intro\n"); len(got) != 1 || !strings.Contains(got[0], "no section 13") {
 		t.Fatalf("missing section not caught: %v", got)
 	}
 }
@@ -269,17 +238,6 @@ func TestCheckPGOCatchesDrift(t *testing.T) {
 	}
 }
 
-func TestWidenedLoopKeyFields(t *testing.T) {
-	// The reflection walk must surface the offset-by-one route fields and
-	// their completeness bits — the §13 check has no teeth without them.
-	got := strings.Join(WidenedLoopKeyFields(), " ")
-	for _, f := range []string{"Ext2", "Full2", "Ext3", "Full3"} {
-		if !strings.Contains(got, f) {
-			t.Errorf("WidenedLoopKeyFields() = %q, missing %s", got, f)
-		}
-	}
-}
-
 func TestSnapshotHistogramTagsMatchExportedNames(t *testing.T) {
 	tags := SnapshotHistogramTags()
 	if len(tags) != len(server.HistogramMetricNames) {
@@ -332,9 +290,6 @@ func TestRepoDocsPass(t *testing.T) {
 	}
 	if got := CheckDesign(string(raw)); len(got) != 0 {
 		t.Errorf("DESIGN.md drift:\n%s", strings.Join(got, "\n"))
-	}
-	if got := CheckIters(string(raw)); len(got) != 0 {
-		t.Errorf("DESIGN.md §13 drift:\n%s", strings.Join(got, "\n"))
 	}
 	if got := CheckCluster(string(raw)); len(got) != 0 {
 		t.Errorf("DESIGN.md §14 drift:\n%s", strings.Join(got, "\n"))

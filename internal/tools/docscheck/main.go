@@ -7,9 +7,6 @@
 //     differs from what internal/server exports (server.SpanStages,
 //     server.HistogramMetricNames, and MetricsSnapshot's histogram JSON
 //     tags — checked verbatim, in both directions),
-//   - DESIGN.md §13 stops documenting the multi-iteration surface (the
-//     widened profile.LoopKey fields, the window-width range internal/limits
-//     enforces, or the olpath.MaxIters ring capacity),
 //   - DESIGN.md §14 drifts from the cluster surface (the coordinator
 //     endpoints in cluster.Endpoints, the coordinator span stages in
 //     cluster.SpanStages — both directions — or the cluster.DefaultVnodes
@@ -53,7 +50,6 @@ func main() {
 	}
 	complaints := CheckService(string(raw))
 	complaints = append(complaints, CheckDesign(string(raw))...)
-	complaints = append(complaints, CheckIters(string(raw))...)
 	complaints = append(complaints, CheckCluster(string(raw))...)
 	complaints = append(complaints, CheckEngine(string(raw))...)
 	complaints = append(complaints, CheckPGO(string(raw))...)

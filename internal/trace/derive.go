@@ -5,7 +5,6 @@ import (
 
 	"pathprof/internal/bl"
 	"pathprof/internal/cfg"
-	"pathprof/internal/olpath"
 	"pathprof/internal/profile"
 )
 
@@ -69,75 +68,6 @@ func (t *Tracer) ExpectedLoopCounters(k int) (map[profile.LoopKey]uint64, error)
 			Base: adj.A, Ext: ext,
 			Full: occ.Full && occ.SeqIndex >= 0,
 		}] += n
-	}
-	return out, nil
-}
-
-// ExpectedLoopCountersIters derives the loop counters a degree-k,
-// iters-iteration instrumented run must produce. At iters = 2 it is exactly
-// ExpectedLoopCounters; beyond that it prefix-slices the recorded
-// maximal-width chains: each chain contributes its first min(N, iters-1)
-// crossings, each descriptor resolved to the (route, full) pair the runtime
-// registers for that crossing via the same per-path loop-occurrence
-// analysis the two-iteration derivation uses.
-func (t *Tracer) ExpectedLoopCountersIters(k, iters int) (map[profile.LoopKey]uint64, error) {
-	if iters <= 2 {
-		return t.ExpectedLoopCounters(k)
-	}
-	if iters > olpath.MaxIters {
-		iters = olpath.MaxIters
-	}
-	type loopID struct{ f, l int }
-	type descID struct {
-		f, l int
-		id   int64
-	}
-	type routeFull struct {
-		route int64
-		full  bool
-	}
-	exts := map[loopID]*olpath.Ext{}
-	cache := map[descID]routeFull{}
-	out := map[profile.LoopKey]uint64{}
-	for chain, n := range t.LoopChain {
-		fi := t.Info.Funcs[chain.Func]
-		li := fi.Loops[chain.Loop]
-		x := exts[loopID{chain.Func, chain.Loop}]
-		if x == nil {
-			var err error
-			x, err = li.Ext(li.EffectiveK(k))
-			if err != nil {
-				return nil, err
-			}
-			exts[loopID{chain.Func, chain.Loop}] = x
-		}
-		key := profile.LoopKey{Func: chain.Func, Loop: chain.Loop, Base: chain.Base}
-		width := chain.N
-		if width > iters-1 {
-			width = iters - 1
-		}
-		for i := 0; i < width; i++ {
-			d := descID{chain.Func, chain.Loop, chain.Succ[i]}
-			v, ok := cache[d]
-			if !ok {
-				pb := t.path(fi, d.id)
-				if pb == nil {
-					return nil, t.Err
-				}
-				occ, okOcc := bl.AnalyzeLoop(pb, li.LP, fi.DAG)
-				if !okOcc {
-					return nil, fmt.Errorf("trace: crossing descriptor path %d misses loop head", d.id)
-				}
-				ext, err := x.Encode(x.CutSeq(occ.BlocksOf(pb)))
-				if err != nil {
-					return nil, fmt.Errorf("trace: encoding extension of path %d: %w", d.id, err)
-				}
-				v = routeFull{route: ext, full: occ.Full && occ.SeqIndex >= 0}
-				cache[d] = v
-			}
-			key.SetCrossing(i, v.route, v.full)
-		}
-		out[key] += n
 	}
 	return out, nil
 }

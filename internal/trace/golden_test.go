@@ -42,9 +42,8 @@ func goldenSection(b *strings.Builder, name string, rows []goldenRow) {
 	}
 }
 
-// goldenText renders every recorded tracer output — BL, LoopAdj,
-// LoopChain, T1, T2, Calls and Attr — one entry a line, each section in
-// key order.
+// goldenText renders every recorded tracer output — BL, LoopAdj, T1, T2,
+// Calls and Attr — one entry a line, each section in key order.
 func goldenText(tr *Tracer) []byte {
 	var b strings.Builder
 	var rows []goldenRow
@@ -59,12 +58,6 @@ func goldenText(tr *Tracer) []byte {
 		rows = append(rows, goldenRow{[]int64{int64(k.Func), int64(k.Loop), k.A, k.B}, n})
 	}
 	goldenSection(&b, "LoopAdj", rows)
-	rows = rows[:0]
-	for k, n := range tr.LoopChain {
-		key := []int64{int64(k.Func), int64(k.Loop), k.Base, int64(k.N)}
-		rows = append(rows, goldenRow{append(key, k.Succ[:]...), n})
-	}
-	goldenSection(&b, "LoopChain", rows)
 	rows = rows[:0]
 	for k, n := range tr.T1 {
 		rows = append(rows, goldenRow{[]int64{int64(k.Caller), int64(k.Site), int64(k.Callee), k.Prefix, k.Q}, n})

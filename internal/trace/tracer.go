@@ -11,7 +11,6 @@ import (
 	"pathprof/internal/bl"
 	"pathprof/internal/cfg"
 	"pathprof/internal/interp"
-	"pathprof/internal/olpath"
 	"pathprof/internal/profile"
 )
 
@@ -21,23 +20,6 @@ import (
 type LoopAdjKey struct {
 	Func, Loop int
 	A, B       int64
-}
-
-// LoopChainKey records one maximal multi-iteration window observed on loop
-// (Func, Loop): the window opened when BL path Base completed at one of the
-// loop's backedges, and then collected the descriptors Succ[0..N-1] of its
-// next N backedge/exit crossings. A crossing's descriptor is the first BL
-// path that completed after the crossing began — the path whose loop
-// occurrence fully determines the route and completeness the instrumented
-// runtime registers for that crossing (the same per-path analysis the
-// two-iteration derivation applies to adjacency successors). Chains are
-// recorded at the maximum width (olpath.MaxIters-1 descriptors); expected
-// counters at any iters in [2, olpath.MaxIters] derive by prefix-slicing.
-type LoopChainKey struct {
-	Func, Loop int
-	Base       int64
-	N          int
-	Succ       [olpath.MaxIters - 1]int64
 }
 
 // T1AdjKey records a Type I crossing: at call Site of Caller (prefix
@@ -98,10 +80,6 @@ type Tracer struct {
 	LoopAdj map[LoopAdjKey]uint64
 	T1      map[T1AdjKey]uint64
 	T2      map[T2AdjKey]uint64
-	// LoopChain holds the maximal-width multi-iteration window chains
-	// (see LoopChainKey); multi-iteration expected counters derive from
-	// these.
-	LoopChain map[LoopChainKey]uint64
 	// Calls counts calls per (caller, site, callee).
 	Calls map[profile.CallKey]uint64
 	// Attr is the Table 1 attribution tally.
@@ -172,35 +150,6 @@ type pendLoop struct {
 	rec  instRec
 }
 
-// chainWin is one open multi-iteration window of the tracer, mirroring the
-// runtime's olpath.Window but holding crossing descriptors (BL path ids)
-// instead of resolved routes.
-type chainWin struct {
-	base int64
-	n    int
-	succ [olpath.MaxIters - 1]int64
-}
-
-// loopTraceState is one loop's per-frame chain-recording state.
-type loopTraceState struct {
-	// open are the loop's open windows, oldest first (at most
-	// olpath.MaxIters-1, like the runtime's ring).
-	open []chainWin
-	// awaiting marks a crossing in progress: the loop's tracker activated
-	// at a backedge completion and has not yet crossed again or exited.
-	awaiting bool
-	// desc/haveDesc capture the in-progress crossing's descriptor — the
-	// first path that completed after activation (a path ending at another
-	// loop's backedge inside the body; it breaks and freezes the tracker,
-	// so later paths cannot influence the crossing's route).
-	desc     int64
-	haveDesc bool
-	// pendExit marks windows flushed at a loop exit before any path
-	// completed since activation: their final descriptor is the path in
-	// flight at the exit edge, adopted when it completes.
-	pendExit bool
-}
-
 // frState is the tracer's state for one activation. Records are held by
 // value and slices keep their backing arrays across reuse.
 type frState struct {
@@ -218,8 +167,6 @@ type frState struct {
 	// pendII are Type II crossings awaiting the enclosing path's
 	// completion.
 	pendII []pendT2
-	// loopSt is the per-loop multi-iteration chain state.
-	loopSt []loopTraceState
 	// lastID is the id of the frame's final (exit) instance.
 	lastID int64
 }
@@ -231,15 +178,6 @@ func (fs *frState) reset(fi *profile.FuncInfo) {
 	fs.cur = instRec{}
 	fs.haveBase, fs.haveFirst = false, false
 	fs.pendII = fs.pendII[:0]
-	n := len(fi.Loops)
-	if cap(fs.loopSt) < n {
-		fs.loopSt = make([]loopTraceState, n)
-	}
-	fs.loopSt = fs.loopSt[:n]
-	for i := range fs.loopSt {
-		st := &fs.loopSt[i]
-		*st = loopTraceState{open: st.open[:0]}
-	}
 	fs.lastID = 0
 }
 
@@ -249,7 +187,6 @@ func NewTracer(info *profile.Info, m *interp.Machine) *Tracer {
 		Info:      info,
 		BL:        make([]map[int64]uint64, len(info.Funcs)),
 		LoopAdj:   map[LoopAdjKey]uint64{},
-		LoopChain: map[LoopChainKey]uint64{},
 		T1:        map[T1AdjKey]uint64{},
 		T2:        map[T2AdjKey]uint64{},
 		Calls:     map[profile.CallKey]uint64{},
@@ -344,25 +281,6 @@ func (t *Tracer) OnEnter(fr *interp.Frame) {
 // OnEdge implements interp.Listener.
 func (t *Tracer) OnEdge(fr *interp.Frame, from, to int) {
 	fs := t.frames[fr.Depth]
-	// Loop exit edges flush the runtime's windows before the walker
-	// consumes the edge; the chains close with the crossing's descriptor —
-	// already captured, or pending until the in-flight path completes.
-	for i := range fs.loopSt {
-		st := &fs.loopSt[i]
-		if !st.awaiting {
-			continue
-		}
-		l := fs.fi.Loops[i].Loop
-		if !l.Contains(cfg.NodeID(from)) || l.Contains(cfg.NodeID(to)) {
-			continue
-		}
-		if st.haveDesc {
-			t.closeChains(fs, i, st, st.desc)
-		} else {
-			st.pendExit = true
-		}
-		st.awaiting, st.haveDesc = false, false
-	}
 	inst, done, err := fs.w.Step(cfg.NodeID(to))
 	if err != nil {
 		t.setErr(err)
@@ -457,37 +375,6 @@ func (t *Tracer) completed(fs *frState, inst bl.Instance) {
 	}
 	fs.pendII = fs.pendII[:0]
 
-	// Multi-iteration chain recording. A pending exit flush resolves
-	// first (its descriptor is this path); then a completion at a loop's
-	// own backedge closes that loop's in-progress crossing and opens a new
-	// window; and for every other loop awaiting a descriptor, this path —
-	// the first to complete since activation — is it.
-	beLoop := -1
-	if !inst.AtExit {
-		beLoop = int(pf.endLoop)
-	}
-	for i := range fs.loopSt {
-		st := &fs.loopSt[i]
-		if st.pendExit {
-			t.closeChains(fs, i, st, inst.PathID)
-			st.pendExit = false
-		}
-		switch {
-		case i == beLoop:
-			if st.awaiting {
-				d := inst.PathID
-				if st.haveDesc {
-					d = st.desc
-				}
-				t.advanceChains(fs, i, st, d)
-			}
-			st.open = append(st.open, chainWin{base: inst.PathID})
-			st.awaiting, st.haveDesc = true, false
-		case st.awaiting && !st.haveDesc:
-			st.desc, st.haveDesc = inst.PathID, true
-		}
-	}
-
 	// Loop pairing with the previous backedge-terminated instance: an
 	// interesting pair when both hold full iteration sequences of the
 	// loop.
@@ -502,6 +389,7 @@ func (t *Tracer) completed(fs *frState, inst bl.Instance) {
 		fs.haveBase = false
 	}
 	if !inst.AtExit {
+		beLoop := int(pf.endLoop)
 		if beLoop < 0 {
 			t.setErr(errNoLoop(fi, inst.EndBackedge))
 			return
@@ -515,35 +403,6 @@ func (t *Tracer) completed(fs *frState, inst bl.Instance) {
 		fs.haveBase = true
 	}
 	// Exit instances are tallied by OnExit (main) or OnReturn (callees).
-}
-
-// closeChains appends the final crossing descriptor d to every open window
-// of loop and records them all as chains (truncated or not) — the tracer's
-// analogue of the runtime ring's FlushAll.
-func (t *Tracer) closeChains(fs *frState, loop int, st *loopTraceState, d int64) {
-	for _, w := range st.open {
-		w.succ[w.n] = d
-		w.n++
-		t.LoopChain[LoopChainKey{Func: fs.fi.Index, Loop: loop, Base: w.base, N: w.n, Succ: w.succ}]++
-	}
-	st.open = st.open[:0]
-}
-
-// advanceChains appends crossing descriptor d to every open window of loop
-// and records those reaching the maximum width — the tracer's analogue of
-// the runtime ring's Cross.
-func (t *Tracer) advanceChains(fs *frState, loop int, st *loopTraceState, d int64) {
-	kept := st.open[:0]
-	for _, w := range st.open {
-		w.succ[w.n] = d
-		w.n++
-		if w.n >= olpath.MaxIters-1 {
-			t.LoopChain[LoopChainKey{Func: fs.fi.Index, Loop: loop, Base: w.base, N: w.n, Succ: w.succ}]++
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	st.open = kept
 }
 
 func (t *Tracer) tally(r *instRec) {
