@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -44,29 +43,16 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // attempt; the last attempt's cause is wrapped alongside it.
 var ErrAttemptsExhausted = errors.New("cluster: dispatch attempts exhausted")
 
-// backoff computes the bounded, jittered retry delay for attempt n (0-based):
-// exponential from base, capped, then multiplied by a random factor in
-// [0.5, 1.5). The jitter matters under fault storms — deterministic lockstep
-// backoff makes every concurrent retrier hammer the worker at the same
-// instants, re-creating the very burst that got them 429'd.
-func backoff(rng *rand.Rand, n int, base, cap time.Duration) time.Duration {
-	d := base << uint(n)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return time.Duration((0.5 + rng.Float64()) * float64(d))
-}
-
 // workerClient is the coordinator's HTTP client for one worker daemon. It
 // carries the per-worker load gauge least-loaded dispatch reads and its own
-// jitter source (rand.Rand is not safe for concurrent use, so the client
-// serializes access).
+// jitter stream for 429 retries, so concurrent retriers on different
+// workers do not fire in lockstep.
 type workerClient struct {
-	base string
-	cli  *http.Client
+	base    string
+	cli     *http.Client
+	backoff *server.Backoff
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	inFlight int
 }
 
@@ -74,7 +60,7 @@ func newWorkerClient(base string, cli *http.Client, seed int64) *workerClient {
 	if cli == nil {
 		cli = http.DefaultClient
 	}
-	return &workerClient{base: base, cli: cli, rng: rand.New(rand.NewSource(seed))}
+	return &workerClient{base: base, cli: cli, backoff: server.NewBackoff(seed)}
 }
 
 // load returns the worker's current in-flight chunk count.
@@ -88,19 +74,6 @@ func (w *workerClient) addLoad(d int) {
 	w.mu.Lock()
 	w.inFlight += d
 	w.mu.Unlock()
-}
-
-// sleep backs off attempt n, honoring ctx cancellation.
-func (w *workerClient) sleep(ctx context.Context, n int, base, cap time.Duration) error {
-	w.mu.Lock()
-	d := backoff(w.rng, n, base, cap)
-	w.mu.Unlock()
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // maxAnswerBytes bounds how much of a chunk answer the coordinator reads,
@@ -142,7 +115,7 @@ func (w *workerClient) chunk(ctx context.Context, req server.JobRequest, span *o
 		case http.StatusOK:
 			return decodeAnswer(raw, arrived, span)
 		case http.StatusTooManyRequests:
-			if err := w.sleep(ctx, attempt, 2*time.Millisecond, 100*time.Millisecond); err != nil {
+			if err := w.backoff.Sleep(ctx, attempt, 2*time.Millisecond, 100*time.Millisecond); err != nil {
 				return nil, 0, fmt.Errorf("chunk: %w after %d backpressure bounces", err, attempt+1)
 			}
 		default:
@@ -220,7 +193,7 @@ func (w *workerClient) installFleet(ctx context.Context, bench string, snap *mer
 		case http.StatusNoContent:
 			return nil
 		case http.StatusTooManyRequests:
-			if err := w.sleep(ctx, attempt, 2*time.Millisecond, 100*time.Millisecond); err != nil {
+			if err := w.backoff.Sleep(ctx, attempt, 2*time.Millisecond, 100*time.Millisecond); err != nil {
 				return fmt.Errorf("install fleet %s: %w", bench, err)
 			}
 		default:

@@ -2,28 +2,19 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"pathprof/internal/core"
-	"pathprof/internal/estimate"
-	"pathprof/internal/limits"
 	"pathprof/internal/merge"
 	"pathprof/internal/obs"
-	"pathprof/internal/pipeline"
 	"pathprof/internal/profstore"
 	"pathprof/internal/server"
-	"pathprof/internal/workload"
 )
 
 // Stable coordinator span stage names, the cluster-side analogue of the
@@ -116,16 +107,9 @@ type Config struct {
 	Persist *profstore.Store
 }
 
+// withDefaults fills the dispatch defaults; the job front-end applies its
+// own (QueueCap, Runners, MaxShards, JobTimeout).
 func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 256
-	}
-	if c.Runners <= 0 {
-		c.Runners = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 64
-	}
 	if c.ChunkShards <= 0 {
 		c.ChunkShards = 1
 	}
@@ -134,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 2 * time.Minute
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x70617468 // arbitrary fixed default; only decorrelates jitter
@@ -158,82 +139,25 @@ type cell struct {
 	pushMu sync.Mutex
 }
 
-// cjob is one coordinator-side job record.
-type cjob struct {
-	id  string
-	req server.JobRequest
-
-	span      *obs.Span
-	queueSpan *obs.Span
-
-	mu         sync.Mutex
-	state      string
-	shardsDone int
-	errors     []server.ShardError
-	result     *server.JobResult
-	snap       *merge.Snapshot
-	done       chan struct{}
-}
-
-func (j *cjob) status() server.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := server.JobStatus{
-		ID: j.id, State: j.state, Benchmark: j.req.Benchmark,
-		K: j.req.K, Iters: j.req.Iters, Shards: j.req.Shards, ShardsDone: j.shardsDone,
-		Errors: append([]server.ShardError(nil), j.errors...),
-	}
-	if j.result != nil {
-		r := *j.result
-		st.Result = &r
-	}
-	return st
-}
-
-// pipeEntry is a singleflight slot for one program's local pipeline (the
-// coordinator never executes it; it needs Info for degree clamping and the
-// estimator).
-type pipeEntry struct {
-	once sync.Once
-	p    *pipeline.Pipeline
-	err  error
-}
-
 // Coordinator fans profiling jobs out across the worker ring and owns the
-// authoritative fleet fold. Create with New, wire Handler into an
-// http.Server, call Start, and Drain before exit.
+// authoritative fleet fold. Its job API is the daemon's job front-end
+// (server.Front) running coordinator jobs. Create with New, wire Handler
+// into an http.Server, call Start, and Drain before exit.
 type Coordinator struct {
+	*server.Front
 	cfg     Config
 	ring    *Ring
 	mux     *http.ServeMux
-	queue   chan *cjob
 	metrics cmetrics
 	log     *slog.Logger
+	// backoff paces chunk re-dispatches.
+	backoff *server.Backoff
 
 	workersMu sync.RWMutex
 	workers   map[string]*workerClient
 
-	jobsMu  sync.RWMutex
-	jobs    map[string]*cjob
-	settled server.SettledJobs
-	nextID  int
-
-	pipesMu sync.Mutex
-	pipes   map[string]*pipeEntry
-
 	fleetMu sync.Mutex
 	fleet   map[profstore.CellKey]*cell
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	drainMu   sync.RWMutex
-	accepting bool
-	jobWG     sync.WaitGroup
-
-	runCtx    context.Context
-	cancelRun context.CancelFunc
-	runnerWG  sync.WaitGroup
 }
 
 // New builds a Coordinator over the configured initial workers. Call Start
@@ -245,19 +169,30 @@ func New(cfg Config) *Coordinator {
 		lg = obs.Logger()
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		ring:      NewRing(cfg.Vnodes),
-		queue:     make(chan *cjob, cfg.QueueCap),
-		metrics:   newCmetrics(),
-		log:       lg,
-		workers:   map[string]*workerClient{},
-		jobs:      map[string]*cjob{},
-		pipes:     map[string]*pipeEntry{},
-		fleet:     map[profstore.CellKey]*cell{},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		accepting: true,
+		cfg:     cfg,
+		ring:    NewRing(cfg.Vnodes),
+		metrics: newCmetrics(),
+		log:     lg,
+		backoff: server.NewBackoff(cfg.Seed),
+		workers: map[string]*workerClient{},
+		fleet:   map[profstore.CellKey]*cell{},
 	}
-	c.runCtx, c.cancelRun = context.WithCancel(context.Background())
+	// The front-end's pipelines only clamp degrees and estimate; the zero
+	// pipeline options suffice.
+	c.Front = server.NewFront(server.Config{
+		QueueCap: cfg.QueueCap, Runners: cfg.Runners, MaxShards: cfg.MaxShards,
+		JobTimeout: cfg.JobTimeout, Logger: lg,
+	}, server.Role{
+		Root: StageClusterJob, Queue: StageClusterQueue, IDPrefix: "c-", Log: "cjob", Noun: "coordinator",
+		Run: c.runJob,
+		// A job no member can run would only time out: refuse it.
+		Unavailable: func() error {
+			if c.ring.Len() == 0 {
+				return errors.New("no workers in the ring")
+			}
+			return nil
+		},
+	})
 	if cfg.Persist != nil {
 		// Resume the authoritative fold from the checkpoint. Cells start
 		// dirty: nothing is installed on any worker yet, so reads serve the
@@ -269,7 +204,10 @@ func New(cfg Config) *Coordinator {
 	for _, w := range cfg.Workers {
 		c.addWorkerLocked(w)
 	}
-	c.initMux()
+	c.mux = http.NewServeMux()
+	for _, rt := range routes {
+		c.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(c, w, r) })
+	}
 	return c
 }
 
@@ -285,61 +223,6 @@ func (c *Coordinator) addWorkerLocked(base string) bool {
 	c.workersMu.Unlock()
 	c.metrics.ensureWorker(base)
 	return true
-}
-
-// Start launches the runner goroutines.
-func (c *Coordinator) Start() {
-	for i := 0; i < c.cfg.Runners; i++ {
-		c.runnerWG.Add(1)
-		go func() {
-			defer c.runnerWG.Done()
-			for {
-				select {
-				case j := <-c.queue:
-					c.process(j)
-				case <-c.runCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-}
-
-// process runs one dequeued job to completion and settles it, forgetting
-// the oldest settled job beyond server.MaxSettledJobs.
-func (c *Coordinator) process(j *cjob) {
-	c.runJob(j)
-	c.jobsMu.Lock()
-	if old, ok := c.settled.Settle(j.id); ok {
-		delete(c.jobs, old)
-	}
-	c.jobsMu.Unlock()
-	c.jobWG.Done()
-}
-
-// Drain stops accepting new jobs and waits until every accepted job has
-// completed, or ctx expires.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.drainMu.Lock()
-	c.accepting = false
-	c.drainMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.jobWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Close stops the runner goroutines; Drain first for a loss-free shutdown.
-func (c *Coordinator) Close() {
-	c.cancelRun()
-	c.runnerWG.Wait()
 }
 
 // AddWorker joins a node to the ring and hands off every fleet cell whose
@@ -419,53 +302,6 @@ func (c *Coordinator) pickWorker(avoid string) *workerClient {
 	return best
 }
 
-// pipelineFor resolves (at most once per program) the coordinator's local
-// pipeline for a job's program — used for degree clamping and estimation,
-// never execution.
-func (c *Coordinator) pipelineFor(req server.JobRequest) (*pipeline.Pipeline, error) {
-	key := "bench:" + req.Benchmark
-	if req.Benchmark == "" {
-		sum := sha256.Sum256([]byte(req.Source))
-		key = "src:" + hex.EncodeToString(sum[:])
-	}
-	c.pipesMu.Lock()
-	e := c.pipes[key]
-	if e == nil {
-		e = &pipeEntry{}
-		c.pipes[key] = e
-	}
-	c.pipesMu.Unlock()
-	e.once.Do(func() {
-		opts := pipeline.Options{Engine: pipeline.EngineReg}
-		if req.Benchmark != "" {
-			b := workload.ByName(req.Benchmark)
-			prog, err := b.Compile()
-			if err != nil {
-				e.err = err
-				return
-			}
-			e.p, e.err = pipeline.New(prog, opts)
-			return
-		}
-		e.p, e.err = pipeline.Compile(req.Source, opts)
-	})
-	return e.p, e.err
-}
-
-// sleepBackoff applies the coordinator-level jittered backoff between chunk
-// dispatch attempts.
-func (c *Coordinator) sleepBackoff(ctx context.Context, attempt int) error {
-	c.rngMu.Lock()
-	d := backoff(c.rng, attempt, 5*time.Millisecond, 250*time.Millisecond)
-	c.rngMu.Unlock()
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // chunkSpec is one dispatch unit: shards [start, start+n) of the job.
 type chunkSpec struct {
 	start int
@@ -491,22 +327,20 @@ func (c *Coordinator) chunks(shards int) []chunkSpec {
 // move to another worker with jittered backoff, up to
 // MaxAttempts; every terminal error is a *ShardError blaming the worker and
 // the chunk's first shard index.
-func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) (*merge.Snapshot, int64, string, error) {
-	span := j.span.Child(StageChunk)
+func (c *Coordinator) dispatchChunk(ctx context.Context, j *server.Job, ck chunkSpec) (*merge.Snapshot, int64, string, error) {
+	span := j.Span().Child(StageChunk)
 	span.SetAttr("shard", strconv.Itoa(ck.start))
 	defer span.End()
 
-	sub := server.JobRequest{
-		Benchmark: j.req.Benchmark, Source: j.req.Source,
-		Seed: j.req.Seed + uint64(ck.start), K: j.req.K, Iters: j.req.Iters,
-		Shards: ck.n,
-	}
+	sub := j.Request()
+	sub.Seed += uint64(ck.start)
+	sub.Shards = ck.n
 	var lastErr error
 	lastWorker := ""
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.metrics.chunkRetries.Add(1)
-			if err := c.sleepBackoff(ctx, attempt-1); err != nil {
+			if err := c.backoff.Sleep(ctx, attempt-1, 5*time.Millisecond, 250*time.Millisecond); err != nil {
 				break
 			}
 		}
@@ -522,7 +356,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) 
 			return snap, steps, w.base, nil
 		}
 		lastErr = err
-		c.log.Warn("job.chunk.attempt_failed", "job_id", j.id, "shard", ck.start,
+		c.log.Warn("job.chunk.attempt_failed", "job_id", j.ID(), "shard", ck.start,
 			"worker", w.base, "attempt", attempt, "error", err.Error())
 		if ctx.Err() != nil {
 			break
@@ -539,9 +373,9 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *cjob, ck chunkSpec) 
 // per-attempt timeout, releasing the load pickWorker reserved on w when it
 // ends. The attempt span names the chunk it serves (attr shard) and holds
 // the worker's span tree from the answer.
-func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient,
+func (c *Coordinator) attemptChunk(ctx context.Context, j *server.Job, w *workerClient,
 	sub server.JobRequest, ck chunkSpec) (*merge.Snapshot, int64, error) {
-	span := j.span.Child(StageAttempt)
+	span := j.Span().Child(StageAttempt)
 	span.SetAttr("shard", strconv.Itoa(ck.start))
 	span.SetAttr("worker", w.base)
 	defer span.End()
@@ -562,51 +396,23 @@ func (c *Coordinator) attemptChunk(ctx context.Context, j *cjob, w *workerClient
 // order (streaming — only the accumulator and the chunk in hand are live),
 // estimate, fold into the authoritative fleet cell, and push the cell to
 // its ring owner.
-func (c *Coordinator) runJob(j *cjob) {
-	c.metrics.jobsInFlight.Add(1)
-	defer c.metrics.jobsInFlight.Add(-1)
-	j.queueSpan.End()
-	j.mu.Lock()
-	j.state = "running"
-	j.mu.Unlock()
-	c.log.Info("cjob.start", "job_id", j.id, "shards", j.req.Shards, "workers", c.ring.Len())
-	defer close(j.done)
-	defer j.span.End()
-
-	ctx, cancel := context.WithTimeout(c.runCtx, c.cfg.JobTimeout)
-	defer cancel()
-
-	fail := func(errs ...server.ShardError) {
-		j.mu.Lock()
-		j.state = "failed"
-		j.errors = append(j.errors, errs...)
-		j.mu.Unlock()
-		c.metrics.jobsFailed.Add(1)
-		c.log.Warn("cjob.failed", "job_id", j.id, "errors", len(errs))
-	}
-
-	planSpan := j.span.Child(StageClusterPlan)
-	p, err := c.pipelineFor(j.req)
-	planSpan.End()
-	if err != nil {
-		fail(server.ShardError{Shard: -1, Error: err.Error()})
+func (c *Coordinator) runJob(ctx context.Context, j *server.Job) {
+	req := j.Request()
+	p, k := j.Resolve(StageClusterPlan)
+	if p == nil {
 		return
-	}
-	k := j.req.K
-	if max := p.Info.MaxDegree(); k > max {
-		k = max
 	}
 
 	// Fan out. The fold accumulator starts as the identity snapshot; each
 	// finished chunk folds in under the mutex and is dropped — the
 	// coordinator never holds more than in-flight chunks + 1 snapshots.
 	acc := merge.Empty(k, len(p.Info.Funcs))
-	foldSpan := j.span.Child(StageClusterFold)
+	foldSpan := j.Span().Child(StageClusterFold)
 	var foldMu sync.Mutex
 	var steps int64
 	var failed []server.ShardError
 	var wg sync.WaitGroup
-	for _, ck := range c.chunks(j.req.Shards) {
+	for _, ck := range c.chunks(req.Shards) {
 		wg.Add(1)
 		go func(ck chunkSpec) {
 			defer wg.Done()
@@ -614,9 +420,7 @@ func (c *Coordinator) runJob(j *cjob) {
 			snap, st, worker, err := c.dispatchChunk(ctx, j, ck)
 			foldMu.Lock()
 			defer foldMu.Unlock()
-			j.mu.Lock()
-			j.shardsDone += ck.n
-			j.mu.Unlock()
+			j.AddShardsDone(ck.n)
 			if err == nil {
 				// A worker returning a snapshot from the wrong cell (degree
 				// or program shape) is a fold incompatibility, not a silent
@@ -642,44 +446,32 @@ func (c *Coordinator) runJob(j *cjob) {
 
 	if len(failed) > 0 {
 		sort.Slice(failed, func(a, b int) bool { return failed[a].Shard < failed[b].Shard })
-		fail(failed...)
+		j.FailShards(failed)
 		return
 	}
 
-	estSpan := j.span.Child(StageClusterEstimate)
-	pe, err := core.FromPipeline(p).EstimateMode(core.RunFromCounters(k, 2, acc.Counters), estimate.Paper)
-	estSpan.End()
-	if err != nil {
-		fail(server.ShardError{Shard: -1, Error: "estimating flows: " + err.Error()})
-		return
-	}
-	vars, exact := pe.Counts()
 	res := &server.JobResult{
 		Funcs: acc.NumFuncs, MaxDegree: p.Info.MaxDegree(), K: k, Iters: 2,
 		Steps: steps, Mass: acc.Mass(), MergeNs: foldSpan.Duration().Nanoseconds(),
-		Definite: pe.Definite(), Potential: pe.Potential(),
-		Vars: vars, Exact: exact, Skipped: pe.Skipped,
+	}
+	estSpan := j.Span().Child(StageClusterEstimate)
+	err := res.Estimate(p, acc)
+	estSpan.End()
+	if err != nil {
+		j.Fail(err.Error())
+		return
 	}
 
-	if j.req.Benchmark != "" {
-		pushSpan := j.span.Child(StageFleetPush)
-		err := c.foldFleet(ctx, profstore.CellKey{Bench: j.req.Benchmark, K: k}, acc)
+	if req.Benchmark != "" {
+		pushSpan := j.Span().Child(StageFleetPush)
+		err = c.foldFleet(ctx, profstore.CellKey{Bench: req.Benchmark, K: k}, acc)
 		pushSpan.End()
 		if err != nil {
-			fail(server.ShardError{Shard: -1, Error: "fleet fold: " + err.Error()})
+			j.Fail("fleet fold: " + err.Error())
 			return
 		}
 	}
-
-	j.mu.Lock()
-	j.state = "done"
-	j.result = res
-	j.snap = acc
-	j.mu.Unlock()
-	c.metrics.jobsCompleted.Add(1)
-	j.span.End()
-	c.log.Info("cjob.done", "job_id", j.id, "steps", steps, "mass", acc.Mass(),
-		"duration_ms", j.span.Duration().Milliseconds())
+	j.Done(res, acc)
 }
 
 // foldFleet merges a job snapshot into the authoritative cell and pushes
@@ -805,27 +597,4 @@ func (c *Coordinator) rebalance(ctx context.Context) {
 	if len(moves) > 0 {
 		c.log.Info("cluster.rebalance", "cells_moved", len(moves))
 	}
-}
-
-// validate mirrors the worker-side submission checks so a bad request dies
-// at the coordinator instead of fanning out.
-func (c *Coordinator) validate(req *server.JobRequest) error {
-	if (req.Benchmark == "") == (req.Source == "") {
-		return errors.New("exactly one of benchmark or source is required")
-	}
-	if req.Benchmark != "" && workload.ByName(req.Benchmark) == nil {
-		return fmt.Errorf("unknown benchmark %q", req.Benchmark)
-	}
-	if req.Shards == 0 {
-		req.Shards = 1
-	}
-	if err := errors.Join(
-		limits.Shards(req.Shards, c.cfg.MaxShards),
-		limits.K(req.K),
-		limits.Iters(req.Iters),
-	); err != nil {
-		return err
-	}
-	req.Iters = 2
-	return nil
 }

@@ -1,159 +1,47 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 
 	"pathprof/internal/core"
-	"pathprof/internal/obs"
 	"pathprof/internal/server"
 )
 
-// Endpoints lists every HTTP route the coordinator serves — the
-// client-facing part of server.Endpoints (no chunk call, install or delete)
-// plus the cluster-membership extension. DESIGN.md §14 documents each one
-// and internal/tools/docscheck keeps the two lists in sync.
-var Endpoints = []string{
-	"POST /v1/jobs",
-	"GET /v1/jobs/{id}",
-	"GET /v1/jobs/{id}/profile",
-	"GET /v1/jobs/{id}/trace",
-	"GET /v1/profiles/{benchmark}",
-	"GET /v1/pgo/{benchmark}",
-	"GET /v1/cluster",
-	"POST /v1/cluster/join",
-	"POST /v1/cluster/leave",
-	"GET /metrics",
-	"GET /healthz",
+// routes is the coordinator's HTTP surface: the client-facing part of the
+// daemon's routes (no chunk call, install or delete), served by the same
+// job front-end, plus the cluster-membership extension.
+var routes = []struct {
+	pattern string
+	handle  func(*Coordinator, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/jobs", (*Coordinator).HandleSubmit},
+	{"GET /v1/jobs/{id}", (*Coordinator).HandleJobStatus},
+	{"GET /v1/jobs/{id}/profile", (*Coordinator).HandleJobProfile},
+	{"GET /v1/jobs/{id}/trace", (*Coordinator).HandleJobTrace},
+	{"GET /v1/profiles/{benchmark}", (*Coordinator).handleFleetProfile},
+	{"GET /v1/pgo/{benchmark}", (*Coordinator).handlePGOExport},
+	{"GET /v1/cluster", (*Coordinator).handleClusterInfo},
+	{"POST /v1/cluster/join", (*Coordinator).handleJoin},
+	{"POST /v1/cluster/leave", (*Coordinator).handleLeave},
+	{"GET /metrics", (*Coordinator).handleMetrics},
+	{"GET /healthz", (*Coordinator).HandleHealthz},
 }
 
-func (c *Coordinator) initMux() {
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobStatus)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/profile", c.handleJobProfile)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleJobTrace)
-	c.mux.HandleFunc("GET /v1/profiles/{benchmark}", c.handleFleetProfile)
-	c.mux.HandleFunc("GET /v1/pgo/{benchmark}", c.handlePGOExport)
-	c.mux.HandleFunc("GET /v1/cluster", c.handleClusterInfo)
-	c.mux.HandleFunc("POST /v1/cluster/join", c.handleJoin)
-	c.mux.HandleFunc("POST /v1/cluster/leave", c.handleLeave)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-}
+// Endpoints lists every route New registers, in registration order.
+// DESIGN.md §14 documents each one and internal/tools/docscheck keeps the
+// two lists in sync.
+var Endpoints = func() []string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.pattern
+	}
+	return out
+}()
 
 // Handler returns the coordinator's HTTP handler: the same API a single
 // pathprofd serves, so clients (profload included) are topology-agnostic.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	c.drainMu.RLock()
-	accepting := c.accepting
-	c.drainMu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !accepting {
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-const maxRequestBody = 1 << 20
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req server.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed job request: "+err.Error())
-		return
-	}
-	if err := c.validate(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if c.ring.Len() == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no workers in the ring")
-		return
-	}
-
-	c.drainMu.RLock()
-	defer c.drainMu.RUnlock()
-	if !c.accepting {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-
-	c.jobsMu.Lock()
-	c.nextID++
-	j := &cjob{id: fmt.Sprintf("c-%d", c.nextID), req: req, state: "queued", done: make(chan struct{})}
-	j.span = obs.NewSpan(StageClusterJob)
-	j.span.SetAttr("job_id", j.id)
-	j.queueSpan = j.span.Child(StageClusterQueue)
-	c.jobs[j.id] = j
-	c.jobsMu.Unlock()
-
-	c.jobWG.Add(1)
-	select {
-	case c.queue <- j:
-		c.metrics.jobsAccepted.Add(1)
-		c.log.Info("cjob.accepted", "job_id", j.id, "benchmark", req.Benchmark,
-			"k", req.K, "shards", req.Shards)
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id})
-	default:
-		c.jobWG.Done()
-		c.jobsMu.Lock()
-		delete(c.jobs, j.id)
-		c.jobsMu.Unlock()
-		c.metrics.jobsRejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, "job queue is full")
-	}
-}
-
-func (c *Coordinator) lookup(id string) *cjob {
-	c.jobsMu.RLock()
-	defer c.jobsMu.RUnlock()
-	return c.jobs[id]
-}
-
-func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-func (c *Coordinator) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	j.mu.Lock()
-	snap, state := j.snap, j.state
-	j.mu.Unlock()
-	if snap == nil {
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; no merged profile", state))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	snap.Encode(w) //nolint:errcheck // client went away
-}
-
-func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, server.JobTrace{ID: j.id, State: state, Root: j.span.Tree()})
-}
 
 // handleFleetProfile serves one fleet cell. Cell selection is the
 // single daemon's (server.SelectCell); the
@@ -166,7 +54,7 @@ func (c *Coordinator) handleFleetProfile(w http.ResponseWriter, r *http.Request)
 	key, status, msg := server.SelectCell(r, r.PathValue("benchmark"), c.fleet)
 	if status != 0 {
 		c.fleetMu.Unlock()
-		writeError(w, status, msg)
+		server.WriteError(w, status, msg)
 		return
 	}
 	cl := c.fleet[key]
@@ -208,7 +96,7 @@ func (c *Coordinator) handlePGOExport(w http.ResponseWriter, r *http.Request) {
 	key, status, msg := server.SelectCell(r, r.PathValue("benchmark"), c.fleet)
 	if status != 0 {
 		c.fleetMu.Unlock()
-		writeError(w, status, msg)
+		server.WriteError(w, status, msg)
 		return
 	}
 	local := c.fleet[key].snap.Clone()
@@ -248,54 +136,46 @@ func (c *Coordinator) handleClusterInfo(w http.ResponseWriter, _ *http.Request) 
 		info.Cells[key.String()] = on
 	}
 	c.fleetMu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
-// memberRequest is the join/leave body.
-type memberRequest struct {
-	URL string `json:"url"`
+// memberURL decodes a join or leave body, {"url": ...}, and returns the
+// member's base URL; it answers 400 and reports false when none is named.
+func memberURL(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var req struct {
+		URL string `json:"url"`
+	}
+	if err := server.DecodeBody(w, r, &req); err != nil || req.URL == "" {
+		server.WriteError(w, http.StatusBadRequest, "body must be {\"url\": \"http://worker:port\"}")
+		return "", false
+	}
+	return strings.TrimRight(req.URL, "/"), true
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req memberRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil || req.URL == "" {
-		writeError(w, http.StatusBadRequest, "body must be {\"url\": \"http://worker:port\"}")
+	url, ok := memberURL(w, r)
+	if !ok {
 		return
 	}
-	if !c.AddWorker(r.Context(), strings.TrimRight(req.URL, "/")) {
-		writeError(w, http.StatusConflict, "already a member")
+	if !c.AddWorker(r.Context(), url) {
+		server.WriteError(w, http.StatusConflict, "already a member")
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterInfo{Members: c.ring.Nodes(), Vnodes: c.vnodes()})
+	server.WriteJSON(w, http.StatusOK, ClusterInfo{Members: c.ring.Nodes(), Vnodes: c.vnodes()})
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	var req memberRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil || req.URL == "" {
-		writeError(w, http.StatusBadRequest, "body must be {\"url\": \"http://worker:port\"}")
+	url, ok := memberURL(w, r)
+	if !ok {
 		return
 	}
-	if !c.RemoveWorker(r.Context(), strings.TrimRight(req.URL, "/")) {
-		writeError(w, http.StatusNotFound, "not a member")
+	if !c.RemoveWorker(r.Context(), url) {
+		server.WriteError(w, http.StatusNotFound, "not a member")
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterInfo{Members: c.ring.Nodes(), Vnodes: c.vnodes()})
+	server.WriteJSON(w, http.StatusOK, ClusterInfo{Members: c.ring.Nodes(), Vnodes: c.vnodes()})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.metricsSnapshot())
-}
-
-// writeJSON writes v as an indented JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response writer errors are the client's problem
-}
-
-// writeError writes a JSON error envelope.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	server.WriteJSON(w, http.StatusOK, c.metricsSnapshot())
 }

@@ -14,11 +14,6 @@ import (
 // received a dispatch — the per-node visibility a fleet operator needs to
 // spot one slow or flapping worker inside an otherwise healthy ring.
 type cmetrics struct {
-	jobsAccepted     atomic.Int64
-	jobsRejected     atomic.Int64
-	jobsCompleted    atomic.Int64
-	jobsFailed       atomic.Int64
-	jobsInFlight     atomic.Int64
 	chunksDispatched atomic.Int64
 	chunkRetries     atomic.Int64
 	pushFailures     atomic.Int64
@@ -141,15 +136,15 @@ type ClusterMetrics struct {
 }
 
 func (c *Coordinator) metricsSnapshot() ClusterMetrics {
-	m := &c.metrics
+	m, jc := &c.metrics, c.Counts()
 	out := ClusterMetrics{
 		Members:           c.ring.Len(),
-		JobsAccepted:      m.jobsAccepted.Load(),
-		JobsRejected:      m.jobsRejected.Load(),
-		JobsCompleted:     m.jobsCompleted.Load(),
-		JobsFailed:        m.jobsFailed.Load(),
-		JobsInFlight:      m.jobsInFlight.Load(),
-		QueueDepth:        len(c.queue),
+		JobsAccepted:      jc.Accepted,
+		JobsRejected:      jc.Rejected,
+		JobsCompleted:     jc.Completed,
+		JobsFailed:        jc.Failed,
+		JobsInFlight:      jc.InFlight,
+		QueueDepth:        jc.QueueDepth,
 		ChunksDispatched:  m.chunksDispatched.Load(),
 		ChunkRetries:      m.chunkRetries.Load(),
 		FleetPushFailures: m.pushFailures.Load(),

@@ -321,6 +321,87 @@ func TestMidLogCorruptionDoesNotRepair(t *testing.T) {
 	}
 }
 
+// TestRefusedSegmentHeaderFailsOpen: a complete header the store refuses —
+// here one naming another format version — heads records that were acked,
+// so a writable Open fails naming the segment and leaves the file
+// byte-for-byte intact, instead of resetting it as if the header were torn.
+func TestRefusedSegmentHeaderFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Config{})
+	for seed := uint64(1); seed <= 3; seed++ {
+		mustAppend(t, s, "bench.a", testSnap(1, seed))
+	}
+	s.Close()
+
+	seg := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped := bytes.Replace(data, []byte(`"version":1`), []byte(`"version":2`), 1)
+	if bytes.Equal(bumped, data) {
+		t.Fatal("segment header carries no version field")
+	}
+	if err := os.WriteFile(seg, bumped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(dir, Config{}); err == nil {
+		s2.Close()
+		t.Fatal("Open accepted a segment whose header names another version")
+	} else if !strings.Contains(err.Error(), segName(1)) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Open error %q does not name the segment and its version", err)
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, bumped) {
+		t.Fatalf("refused segment changed on disk: %d bytes, was %d", len(after), len(bumped))
+	}
+}
+
+// TestTornSegmentHeaderReset: a final segment holding only part of its
+// header line — a crash before the fresh segment's header landed — is reset
+// to empty, blamed on nothing, and written again by the next append; the
+// segments before it replay untouched.
+func TestTornSegmentHeaderReset(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Config{})
+	mustAppend(t, s, "bench.a", testSnap(1, 1))
+	s.Close()
+	seg := filepath.Join(dir, segName(2))
+	if err := os.WriteFile(seg, []byte(`{"format":"pathprof-log","ver`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Config{})
+	if info, err := os.Stat(seg); err != nil || info.Size() != 0 {
+		t.Fatalf("torn header segment not reset: %v, %v", info, err)
+	}
+	if len(s2.Corruptions()) != 0 {
+		t.Fatalf("torn header blamed: %v", s2.Corruptions())
+	}
+	key := CellKey{Bench: "bench.a", K: 1}
+	if got := snapBytes(t, requireCell(t, s2, key)); !bytes.Equal(got, snapBytes(t, testSnap(1, 1))) {
+		t.Fatal("records before the torn segment lost")
+	}
+	mustAppend(t, s2, "bench.a", testSnap(1, 2))
+	s2.Close()
+
+	s3 := mustOpen(t, dir, Config{})
+	defer s3.Close()
+	want, err := merge.MergeAll(testSnap(1, 1), testSnap(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapBytes(t, requireCell(t, s3, key)); !bytes.Equal(got, snapBytes(t, want)) {
+		t.Fatal("append after the reset did not replay")
+	}
+	if len(s3.Corruptions()) != 0 {
+		t.Fatalf("reopen after the reset blamed records: %v", s3.Corruptions())
+	}
+}
+
 func TestCompactionFoldsAndDeletesSegments(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: 1, MaxSegments: 100}) // roll every append, no auto-compact

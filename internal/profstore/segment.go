@@ -27,6 +27,10 @@ var errTorn = errors.New("profstore: torn record frame")
 // and continues with the next one.
 var errCRC = errors.New("profstore: record checksum mismatch")
 
+// errHeaderTorn marks a segment whose header line has no terminating
+// newline: what a crash leaves before a fresh segment's header landed.
+var errHeaderTorn = errors.New("profstore: segment header is unterminated")
+
 // parseFrame reads one record frame at data[off:]. It returns the payload
 // and the offset of the next frame. err is errTorn when the frame runs past
 // the end of the data, errCRC (with next still valid) when the checksum
@@ -143,18 +147,24 @@ func (s *Store) replaySegment(seq uint64, last bool) (int, error) {
 		return 0, fmt.Errorf("profstore: reading segment: %w", err)
 	}
 	off, err := checkSegmentHeader(data, seq)
-	if err != nil {
-		if last && !s.cfg.ReadOnly {
-			// The daemon died before the fresh segment's header landed;
-			// nothing in this file was ever acked, so reset it.
-			s.log.Warn("profstore.recovery.header_torn", "file", name, "error", err.Error())
-			if terr := os.Truncate(path, 0); terr != nil {
-				return 0, fmt.Errorf("profstore: truncating torn segment header: %w", terr)
-			}
-			return 0, nil
-		}
+	switch {
+	case err == nil:
+	case !last || s.cfg.ReadOnly:
 		s.blame(name, -1, err)
 		return 0, nil
+	case errors.Is(err, errHeaderTorn):
+		// The daemon died before the fresh segment's header landed;
+		// nothing in this file was ever acked, so reset it.
+		s.log.Warn("profstore.recovery.header_torn", "file", name, "error", err.Error())
+		if terr := os.Truncate(path, 0); terr != nil {
+			return 0, fmt.Errorf("profstore: truncating torn segment header: %w", terr)
+		}
+		return 0, nil
+	default:
+		// A complete header that is refused heads records that may have
+		// been acked: the store appends to this segment, so opening must
+		// fail rather than write past a header it cannot read.
+		return 0, fmt.Errorf("profstore: segment %s: %w", name, err)
 	}
 	applied := 0
 	for rec := 0; off < len(data); rec++ {
@@ -197,7 +207,7 @@ func (s *Store) replaySegment(seq uint64, last bool) (int, error) {
 func checkSegmentHeader(data []byte, seq uint64) (int, error) {
 	line, _, found := bytes.Cut(data, []byte{'\n'})
 	if !found {
-		return 0, errors.New("profstore: segment header is unterminated")
+		return 0, errHeaderTorn
 	}
 	var hdr segmentHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {

@@ -135,7 +135,7 @@ func TestChunksCountedButNeverKept(t *testing.T) {
 		t.Errorf("chunks were estimated %d times", m.EstimateMs.Count)
 	}
 	d.s.jobsMu.RLock()
-	kept, settled := len(d.s.jobs), len(d.s.settled.ids)
+	kept, settled := len(d.s.jobs), len(d.s.settled)
 	d.s.jobsMu.RUnlock()
 	if kept != 0 || settled != 0 {
 		t.Errorf("job table holds %d jobs and %d settled ids after chunks only", kept, settled)

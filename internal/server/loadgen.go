@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -199,19 +198,6 @@ feed:
 	return rep, nil
 }
 
-// retryDelay is the nth (0-based) 429 retry delay: exponential from base,
-// capped, then jittered by a uniform factor in [0.5, 1.5). Without the
-// jitter, every submitter bounced by the same full queue would sleep the
-// same deterministic 2ms, 4ms, 8ms... and re-offer the identical burst that
-// got it 429'd in the first place; the jitter spreads the herd out.
-func retryDelay(rng *rand.Rand, n int, base, cap time.Duration) time.Duration {
-	d := base << uint(n)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return time.Duration((0.5 + rng.Float64()) * float64(d))
-}
-
 // runOne pushes job i through the daemon and returns its submit-to-done
 // latency plus how often the queue bounced it with 429.
 func runOne(ctx context.Context, cfg LoadConfig, i int) (time.Duration, int, error) {
@@ -230,7 +216,7 @@ func runOne(ctx context.Context, cfg LoadConfig, i int) (time.Duration, int, err
 
 	start := time.Now()
 	rejected := 0
-	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(i)<<32))
+	backoff := NewBackoff(time.Now().UnixNano() ^ int64(i)<<32)
 	var id string
 	for attempt := 0; ; attempt++ {
 		code, resp, err := doJSON(ctx, cfg.Client, http.MethodPost, cfg.BaseURL+"/v1/jobs", body)
@@ -245,10 +231,8 @@ func runOne(ctx context.Context, cfg LoadConfig, i int) (time.Duration, int, err
 			return 0, rejected, fmt.Errorf("submit job %d: status %d", i, code)
 		}
 		rejected++
-		select {
-		case <-time.After(retryDelay(rng, attempt, 2*time.Millisecond, 200*time.Millisecond)):
-		case <-ctx.Done():
-			return 0, rejected, ctx.Err()
+		if err := backoff.Sleep(ctx, attempt, 2*time.Millisecond, 200*time.Millisecond); err != nil {
+			return 0, rejected, err
 		}
 	}
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 
@@ -50,11 +49,6 @@ var HistogramMetricNames = []string{
 // distributions for the per-stage latencies and served snapshot sizes.
 // Everything renders as one JSON object on /metrics (MetricsSnapshot).
 type Metrics struct {
-	jobsAccepted  atomic.Int64
-	jobsRejected  atomic.Int64
-	jobsCompleted atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsInFlight  atomic.Int64
 	shardsRun     atomic.Int64
 	shardErrors   atomic.Int64
 	merges        atomic.Int64
@@ -154,14 +148,14 @@ func (m *MetricsSnapshot) StageHistogram(name string) (obs.HistogramSnapshot, bo
 }
 
 func (s *Server) metricsSnapshot() MetricsSnapshot {
-	m := &s.metrics
+	m, jc := &s.metrics, s.Counts()
 	return MetricsSnapshot{
-		JobsAccepted:    m.jobsAccepted.Load(),
-		JobsRejected:    m.jobsRejected.Load(),
-		JobsCompleted:   m.jobsCompleted.Load(),
-		JobsFailed:      m.jobsFailed.Load(),
-		JobsInFlight:    m.jobsInFlight.Load(),
-		QueueDepth:      len(s.queue),
+		JobsAccepted:    jc.Accepted,
+		JobsRejected:    jc.Rejected,
+		JobsCompleted:   jc.Completed,
+		JobsFailed:      jc.Failed,
+		JobsInFlight:    jc.InFlight,
+		QueueDepth:      jc.QueueDepth,
 		ShardsExecuted:  m.shardsRun.Load(),
 		ShardErrors:     m.shardErrors.Load(),
 		Merges:          m.merges.Load(),
@@ -188,19 +182,5 @@ func (s *Server) storeMetrics() *profstore.Metrics {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
-}
-
-// writeJSON writes v as an indented JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response writer errors are the client's problem
-}
-
-// writeError writes a JSON error envelope.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	WriteJSON(w, http.StatusOK, s.metricsSnapshot())
 }

@@ -36,13 +36,13 @@
 // bounded the same way: only the newest MaxSettledJobs settled jobs stay
 // addressable, and an older id answers 404 on every /v1/jobs/{id} route.
 // Chunks share the queue but are never kept: their answer is their only
-// consumer.
+// consumer. The queue, job table, drain, validation, program cache and job
+// routes form the job front-end (Front), which the cluster coordinator
+// runs too.
 package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"pathprof/internal/core"
-	"pathprof/internal/estimate"
 	"pathprof/internal/instrument"
 	"pathprof/internal/limits"
 	"pathprof/internal/merge"
@@ -114,6 +113,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Logger == nil {
+		c.Logger = obs.Logger()
+	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
 	}
@@ -207,102 +209,30 @@ type ChunkStatus struct {
 	Trace *obs.SpanNode `json:"trace"`
 }
 
-// job is the server-side record of one queued unit of work: a job admitted
-// by POST /v1/jobs, or a chunk admitted by POST /v1/chunks.
-type job struct {
-	id  string
-	req JobRequest
-	// run is the admitting route's entry point, called by the runner that
-	// dequeues the job: Server.runJob or Server.runChunk.
-	run func(*job)
-	// span is the root of the job's trace tree (stage taxonomy in
-	// trace.go); queueSpan is its queue child, open from accept until a
-	// runner dequeues the job.
-	span      *obs.Span
-	queueSpan *obs.Span
-
-	mu         sync.Mutex
-	state      string
-	shardsDone int
-	errors     []ShardError
-	result     *JobResult
-	snap       *merge.Snapshot
-	done       chan struct{}
-}
-
-func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID: j.id, State: j.state, Benchmark: j.req.Benchmark,
-		K: j.req.K, Iters: j.req.Iters, Shards: j.req.Shards, ShardsDone: j.shardsDone,
-		Errors: append([]ShardError(nil), j.errors...),
-	}
-	if j.result != nil {
-		r := *j.result
-		st.Result = &r
-	}
-	return st
-}
-
-// pipeEntry is a singleflight slot for one program's pipeline.
-type pipeEntry struct {
-	once sync.Once
-	p    *pipeline.Pipeline
-	err  error
-}
-
-// Server is the aggregation daemon. Create with New, wire its Handler into
-// an http.Server, call Start, and Drain before exit.
+// Server is the aggregation daemon: the job front-end (Front) plus the
+// shard fan-out, chunk calls and the fleet fold. Create with New, wire its
+// Handler into an http.Server, call Start, and Drain before exit.
 type Server struct {
-	cfg     Config
+	*Front
 	mux     *http.ServeMux
-	queue   chan *job
 	metrics Metrics
-	log     *slog.Logger
-
-	jobsMu  sync.RWMutex
-	jobs    map[string]*job
-	settled SettledJobs
-	nextID  int
 	// chunkSeq numbers chunks, which never enter the job table.
 	chunkSeq atomic.Int64
 
-	pipesMu sync.Mutex
-	pipes   map[string]*pipeEntry
-
 	fleetMu sync.Mutex
 	fleet   map[profstore.CellKey]*merge.Snapshot
-
-	// drainMu serializes enqueue against the drain flip: once Drain holds
-	// the write lock, every later submission observes accepting == false,
-	// so the in-flight job WaitGroup can only shrink.
-	drainMu   sync.RWMutex
-	accepting bool
-	jobWG     sync.WaitGroup
-
-	runCtx    context.Context
-	cancelRun context.CancelFunc
-	runnerWG  sync.WaitGroup
 }
 
 // New builds a Server. Call Start to launch its job runners.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	lg := cfg.Logger
-	if lg == nil {
-		lg = obs.Logger()
-	}
 	s := &Server{
-		cfg:       cfg,
-		queue:     make(chan *job, cfg.QueueCap),
-		metrics:   newMetrics(),
-		log:       lg,
-		jobs:      map[string]*job{},
-		pipes:     map[string]*pipeEntry{},
-		fleet:     map[profstore.CellKey]*merge.Snapshot{},
-		accepting: true,
+		metrics: newMetrics(),
+		fleet:   map[profstore.CellKey]*merge.Snapshot{},
 	}
+	s.Front = NewFront(cfg, Role{
+		Root: StageJob, Queue: StageQueue, IDPrefix: "j-", Log: "job", Noun: "server", Run: s.runJob,
+	})
+	s.served = s.metrics.snapshotBytes
 	// Prime the fleet from the store's recovery replay: every cell the
 	// previous process acked is served again, byte-identical (the merge
 	// fold is associative and commutative, so the replayed order of the
@@ -310,7 +240,6 @@ func New(cfg Config) *Server {
 	if cfg.Persist != nil {
 		s.fleet = cfg.Persist.Cells()
 	}
-	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
@@ -324,17 +253,17 @@ var routes = []struct {
 	pattern string
 	handle  func(*Server, http.ResponseWriter, *http.Request)
 }{
-	{"POST /v1/jobs", (*Server).handleSubmit},
+	{"POST /v1/jobs", (*Server).HandleSubmit},
 	{"POST /v1/chunks", (*Server).handleChunk},
-	{"GET /v1/jobs/{id}", (*Server).handleJobStatus},
-	{"GET /v1/jobs/{id}/profile", (*Server).handleJobProfile},
-	{"GET /v1/jobs/{id}/trace", (*Server).handleJobTrace},
+	{"GET /v1/jobs/{id}", (*Server).HandleJobStatus},
+	{"GET /v1/jobs/{id}/profile", (*Server).HandleJobProfile},
+	{"GET /v1/jobs/{id}/trace", (*Server).HandleJobTrace},
 	{"GET /v1/profiles/{benchmark}", (*Server).handleFleetProfile},
 	{"GET /v1/pgo/{benchmark}", (*Server).handlePGOExport},
 	{"PUT /v1/profiles/{benchmark}", (*Server).handleFleetInstall},
 	{"DELETE /v1/profiles/{benchmark}", (*Server).handleFleetDelete},
 	{"GET /metrics", (*Server).handleMetrics},
-	{"GET /healthz", (*Server).handleHealthz},
+	{"GET /healthz", (*Server).HandleHealthz},
 }
 
 // Endpoints lists every route New registers, in registration order.
@@ -351,167 +280,6 @@ var Endpoints = func() []string {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start launches the runner goroutines.
-func (s *Server) Start() {
-	for i := 0; i < s.cfg.Runners; i++ {
-		s.runnerWG.Add(1)
-		go func() {
-			defer s.runnerWG.Done()
-			for {
-				select {
-				case j := <-s.queue:
-					s.process(j)
-				case <-s.runCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-}
-
-// process runs one dequeued job or chunk to completion through the entry
-// point of the route that admitted it.
-func (s *Server) process(j *job) {
-	s.metrics.jobsInFlight.Add(1)
-	j.run(j)
-	s.metrics.jobsInFlight.Add(-1)
-	s.jobWG.Done()
-}
-
-// Drain stops accepting new jobs and chunks and waits until every accepted
-// one — queued or running — has completed, or ctx expires. It does not stop
-// the runners; call Close afterwards.
-func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	s.accepting = false
-	s.drainMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.jobWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Close stops the runner goroutines. Jobs and chunks still queued are
-// abandoned (a chunk's blocked caller gets 503); Drain first for a
-// loss-free shutdown.
-func (s *Server) Close() {
-	s.cancelRun()
-	s.runnerWG.Wait()
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.drainMu.RLock()
-	accepting := s.accepting
-	s.drainMu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !accepting {
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-const maxRequestBody = 1 << 20
-
-// decodeRequest reads and validates a POST /v1/jobs or POST /v1/chunks
-// body, applying the shard and width defaults. It answers 400 and reports
-// false on a bad request.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed job request: "+err.Error())
-		return req, false
-	}
-	if (req.Benchmark == "") == (req.Source == "") {
-		writeError(w, http.StatusBadRequest, "exactly one of benchmark or source is required")
-		return req, false
-	}
-	if req.Benchmark != "" && workload.ByName(req.Benchmark) == nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", req.Benchmark))
-		return req, false
-	}
-	if req.Shards == 0 {
-		req.Shards = 1
-	}
-	for _, err := range []error{
-		limits.Shards(req.Shards, s.cfg.MaxShards),
-		limits.K(req.K),
-		limits.Iters(req.Iters),
-	} {
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return req, false
-		}
-	}
-	req.Iters = 2
-	return req, true
-}
-
-// newJob builds a queued job record whose trace starts now, with its queue
-// span open until a runner dequeues it.
-func newJob(id string, req JobRequest, run func(*job)) *job {
-	j := &job{id: id, req: req, run: run, state: "queued", done: make(chan struct{})}
-	j.span = obs.NewSpan(StageJob)
-	j.span.SetAttr("job_id", j.id)
-	j.queueSpan = j.span.Child(StageQueue)
-	return j
-}
-
-// enqueue puts j on the bounded queue, counting it into the drain
-// WaitGroup. It answers 503 while draining and 429 when the queue is full,
-// and reports whether j was accepted.
-func (s *Server) enqueue(w http.ResponseWriter, j *job) bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if !s.accepting {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return false
-	}
-	// Add before the send: a runner may dequeue (and Done) the instant the
-	// send succeeds.
-	s.jobWG.Add(1)
-	select {
-	case s.queue <- j:
-		s.metrics.jobsAccepted.Add(1)
-		s.log.Info("job.accepted", "job_id", j.id, "benchmark", j.req.Benchmark,
-			"k", j.req.K, "shards", j.req.Shards)
-		return true
-	default:
-		s.jobWG.Done()
-		s.metrics.jobsRejected.Add(1)
-		s.log.Warn("job.rejected", "benchmark", j.req.Benchmark, "reason", "queue_full")
-		writeError(w, http.StatusTooManyRequests, "job queue is full")
-		return false
-	}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRequest(w, r)
-	if !ok {
-		return
-	}
-	s.jobsMu.Lock()
-	s.nextID++
-	j := newJob(fmt.Sprintf("j-%d", s.nextID), req, s.runJob)
-	s.jobs[j.id] = j
-	s.jobsMu.Unlock()
-	if !s.enqueue(w, j) {
-		s.jobsMu.Lock()
-		delete(s.jobs, j.id)
-		s.jobsMu.Unlock()
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id})
-}
-
 // handleChunk runs one cluster chunk in a single blocking call: the sub-job
 // is queued like a job, so 429 backpressure and drain hold, and the answer
 // follows once it settles. The caller giving up does not stop the chunk;
@@ -521,7 +289,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j := newJob(fmt.Sprintf("chunk-%d", s.chunkSeq.Add(1)), req, s.runChunk)
+	j := s.newJob(fmt.Sprintf("chunk-%d", s.chunkSeq.Add(1)), req, s.runChunk)
 	if !s.enqueue(w, j) {
 		return
 	}
@@ -534,7 +302,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-j.done:
 		default:
-			writeError(w, http.StatusServiceUnavailable, "server closed")
+			WriteError(w, http.StatusServiceUnavailable, "server closed")
 			return
 		}
 	}
@@ -555,47 +323,13 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.metrics.snapshotBytes.Observe(float64(cw.n))
 }
 
-func (s *Server) lookup(id string) *job {
-	s.jobsMu.RLock()
-	defer s.jobsMu.RUnlock()
-	return s.jobs[id]
-}
-
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-func (s *Server) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	j.mu.Lock()
-	snap, state := j.snap, j.state
-	j.mu.Unlock()
-	if snap == nil {
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; no merged profile", state))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	cw := &countingWriter{w: w}
-	snap.Encode(cw) //nolint:errcheck // client went away
-	s.metrics.snapshotBytes.Observe(float64(cw.n))
-}
-
 func (s *Server) handleFleetProfile(w http.ResponseWriter, r *http.Request) {
 	bench := r.PathValue("benchmark")
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	key, status, msg := SelectCell(r, bench, s.fleet)
 	if status != 0 {
-		writeError(w, status, msg)
+		WriteError(w, status, msg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -673,7 +407,7 @@ func (s *Server) handlePGOExport(w http.ResponseWriter, r *http.Request) {
 	defer s.fleetMu.Unlock()
 	key, status, msg := SelectCell(r, bench, s.fleet)
 	if status != 0 {
-		writeError(w, status, msg)
+		WriteError(w, status, msg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -692,16 +426,16 @@ func (s *Server) handlePGOExport(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 	bench := r.PathValue("benchmark")
 	if workload.ByName(bench) == nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", bench))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown benchmark %q", bench))
 		return
 	}
 	snap, err := merge.Decode(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "malformed snapshot: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "malformed snapshot: "+err.Error())
 		return
 	}
 	if err := s.checkInstall(bench, snap); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid snapshot for %s: %v", bench, err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid snapshot for %s: %v", bench, err))
 		return
 	}
 	key := profstore.CellKey{Bench: bench, K: snap.K}
@@ -712,7 +446,7 @@ func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Persist != nil {
 		if err := s.cfg.Persist.Install(bench, snap); err != nil {
 			s.fleetMu.Unlock()
-			writeError(w, http.StatusInternalServerError, "persisting install: "+err.Error())
+			WriteError(w, http.StatusInternalServerError, "persisting install: "+err.Error())
 			return
 		}
 	}
@@ -826,11 +560,11 @@ func checkRecords(info *profile.Info, c *profile.Counters) error {
 func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.URL.Query().Get("k"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "malformed or missing k")
+		WriteError(w, http.StatusBadRequest, "malformed or missing k")
 		return
 	}
 	if err := queryIters(r.URL.Query().Get("iters")); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := profstore.CellKey{Bench: r.PathValue("benchmark"), K: k}
@@ -838,7 +572,7 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Persist != nil {
 		if err := s.cfg.Persist.Delete(key.Bench, k); err != nil {
 			s.fleetMu.Unlock()
-			writeError(w, http.StatusInternalServerError, "persisting delete: "+err.Error())
+			WriteError(w, http.StatusInternalServerError, "persisting delete: "+err.Error())
 			return
 		}
 	}
@@ -846,38 +580,6 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 	s.fleetMu.Unlock()
 	s.log.Debug("fleet.delete", "benchmark", key.Bench, "k", k)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// pipelineFor builds (at most once per program) the pipeline of a job's
-// program. Benchmarks key by name; ad-hoc sources by content hash.
-func (s *Server) pipelineFor(req JobRequest) (*pipeline.Pipeline, error) {
-	key := "bench:" + req.Benchmark
-	if req.Benchmark == "" {
-		sum := sha256.Sum256([]byte(req.Source))
-		key = "src:" + hex.EncodeToString(sum[:])
-	}
-	s.pipesMu.Lock()
-	e := s.pipes[key]
-	if e == nil {
-		e = &pipeEntry{}
-		s.pipes[key] = e
-	}
-	s.pipesMu.Unlock()
-	e.once.Do(func() {
-		opts := pipeline.Options{Store: s.cfg.Store, Engine: pipeline.EngineReg, MaxSteps: s.cfg.MaxSteps, Pool: s.pool()}
-		if req.Benchmark != "" {
-			b := workload.ByName(req.Benchmark)
-			prog, err := b.Compile()
-			if err != nil {
-				e.err = err
-				return
-			}
-			e.p, e.err = pipeline.New(prog, opts)
-			return
-		}
-		e.p, e.err = pipeline.Compile(req.Source, opts)
-	})
-	return e.p, e.err
 }
 
 func (s *Server) pool() *pipeline.Pool {
@@ -896,52 +598,21 @@ type merged struct {
 }
 
 // runJob runs a job admitted by POST /v1/jobs: the shared fan-out and
-// merge, then the job tail. It then settles the job in the job table,
-// forgetting the oldest settled job beyond MaxSettledJobs.
-func (s *Server) runJob(j *job) {
-	if m := s.fanOut(j); m != nil {
+// merge, then the job tail.
+func (s *Server) runJob(ctx context.Context, j *Job) {
+	if m := s.fanOut(ctx, j); m != nil {
 		s.jobTail(j, m)
 	}
-	j.finish()
-	s.jobsMu.Lock()
-	if old, ok := s.settled.Settle(j.id); ok {
-		delete(s.jobs, old)
-	}
-	s.jobsMu.Unlock()
 }
 
 // runChunk runs a chunk admitted by POST /v1/chunks: the shared fan-out and
 // merge only. The chunk's answer is its only consumer, and the coordinator
 // that sent it estimates, persists and folds the whole job itself, so a
 // chunk is neither estimated, persisted, folded into the fleet nor kept.
-func (s *Server) runChunk(j *job) {
-	if m := s.fanOut(j); m != nil {
-		j.mu.Lock()
-		j.state = "done"
-		j.result = &m.res
-		j.snap = m.snap
-		j.mu.Unlock()
-		s.metrics.jobsCompleted.Add(1)
-		s.log.Info("job.done", "job_id", j.id, "steps", m.res.Steps, "mass", m.res.Mass,
-			"duration_ms", j.span.Duration().Milliseconds())
+func (s *Server) runChunk(ctx context.Context, j *Job) {
+	if m := s.fanOut(ctx, j); m != nil {
+		j.Done(&m.res, m.snap)
 	}
-	j.finish()
-}
-
-// finish ends the job's trace and releases whoever waits on it.
-func (j *job) finish() {
-	j.span.End()
-	close(j.done)
-}
-
-// fail marks the job failed with a job-level error.
-func (s *Server) fail(j *job, msg string) {
-	j.mu.Lock()
-	j.state = "failed"
-	j.errors = append(j.errors, ShardError{Shard: -1, Error: msg})
-	j.mu.Unlock()
-	s.metrics.jobsFailed.Add(1)
-	s.log.Warn("job.failed", "job_id", j.id, "error", msg)
 }
 
 // fanOut is the part every job and chunk runs: resolve the program's
@@ -950,28 +621,11 @@ func (s *Server) fail(j *job, msg string) {
 // stage transition is recorded three ways — a span on the job's trace
 // tree, an observation in the stage's /metrics histogram, and a structured
 // log event — per DESIGN.md §12.
-func (s *Server) fanOut(j *job) *merged {
-	j.queueSpan.End()
-	queueWait := j.queueSpan.Duration()
-	s.metrics.queueWaitMs.Observe(float64(queueWait) / float64(time.Millisecond))
-	j.mu.Lock()
-	j.state = "running"
-	j.mu.Unlock()
-	s.log.Info("job.start", "job_id", j.id, "queue_wait_ms", queueWait.Milliseconds())
-
-	ctx, cancel := context.WithTimeout(s.runCtx, s.cfg.JobTimeout)
-	defer cancel()
-
-	resolveSpan := j.span.Child(StageResolve)
-	p, err := s.pipelineFor(j.req)
-	resolveSpan.End()
-	if err != nil {
-		s.fail(j, err.Error())
+func (s *Server) fanOut(ctx context.Context, j *Job) *merged {
+	s.metrics.queueWaitMs.Observe(float64(j.queueSpan.Duration()) / float64(time.Millisecond))
+	p, k := j.Resolve(StageResolve)
+	if p == nil {
 		return nil
-	}
-	k := j.req.K
-	if max := p.Info.MaxDegree(); k > max {
-		k = max
 	}
 	cfg := instrument.Config{K: k, Loops: k >= 0, Interproc: k >= 0}
 
@@ -1036,12 +690,7 @@ func (s *Server) fanOut(j *job) *merged {
 	}
 	if len(shardErrs) > 0 {
 		s.metrics.shardErrors.Add(int64(len(shardErrs)))
-		j.mu.Lock()
-		j.state = "failed"
-		j.errors = append(j.errors, shardErrs...)
-		j.mu.Unlock()
-		s.metrics.jobsFailed.Add(1)
-		s.log.Warn("job.failed", "job_id", j.id, "shard_errors", len(shardErrs))
+		j.FailShards(shardErrs)
 		return nil
 	}
 
@@ -1050,7 +699,7 @@ func (s *Server) fanOut(j *job) *merged {
 	mergeSpan.End()
 	mergeNs := mergeSpan.Duration().Nanoseconds()
 	if err != nil {
-		s.fail(j, "merging shard snapshots: "+err.Error())
+		j.Fail("merging shard snapshots: " + err.Error())
 		return nil
 	}
 	s.metrics.merges.Add(1)
@@ -1064,27 +713,25 @@ func (s *Server) fanOut(j *job) *merged {
 
 // failFold fails a job whose snapshot cannot fold into fleet cell key,
 // naming the cell, and counts it on fleet_fold_errors.
-func (s *Server) failFold(j *job, key profstore.CellKey, err error) {
+func (s *Server) failFold(j *Job, key profstore.CellKey, err error) {
 	s.metrics.foldErrors.Add(1)
-	s.fail(j, fmt.Sprintf("folding into fleet cell %s: %v", key, err))
+	j.Fail(fmt.Sprintf("folding into fleet cell %s: %v", key, err))
 }
 
 // jobTail finishes a merged job: estimate flows over the merged profile,
 // journal the snapshot when the daemon persists, and fold it into the fleet
 // profile of the job's benchmark.
-func (s *Server) jobTail(j *job, m *merged) {
+func (s *Server) jobTail(j *Job, m *merged) {
 	snap, res := m.snap, m.res
 	estSpan := j.span.Child(StageEstimate)
-	pe, err := core.FromPipeline(m.p).EstimateMode(core.RunFromCounters(res.K, 2, snap.Counters), estimate.Paper)
+	err := res.Estimate(m.p, snap)
 	estSpan.End()
 	s.metrics.estimateMs.Observe(float64(estSpan.Duration()) / float64(time.Millisecond))
 	if err != nil {
-		s.fail(j, "estimating flows: "+err.Error())
+		j.Fail(err.Error())
 		return
 	}
 	s.log.Debug("job.estimate", "job_id", j.id, "k", res.K)
-	res.Vars, res.Exact = pe.Counts()
-	res.Definite, res.Potential, res.Skipped = pe.Definite(), pe.Potential(), pe.Skipped
 
 	if j.req.Benchmark != "" && !s.cfg.FleetIngestOnly {
 		key := profstore.CellKey{Bench: j.req.Benchmark, K: res.K}
@@ -1111,7 +758,7 @@ func (s *Server) jobTail(j *job, m *merged) {
 			persistSpan.End()
 			s.metrics.persistMs.Observe(float64(persistSpan.Duration()) / float64(time.Millisecond))
 			if perr != nil {
-				s.fail(j, "persisting snapshot: "+perr.Error())
+				j.Fail("persisting snapshot: " + perr.Error())
 				return
 			}
 			s.log.Debug("job.persist", "job_id", j.id, "benchmark", j.req.Benchmark,
@@ -1130,13 +777,5 @@ func (s *Server) jobTail(j *job, m *merged) {
 		}
 	}
 
-	j.mu.Lock()
-	j.state = "done"
-	j.result = &res
-	j.snap = snap
-	j.mu.Unlock()
-	s.metrics.jobsCompleted.Add(1)
-	j.span.End()
-	s.log.Info("job.done", "job_id", j.id,
-		"steps", res.Steps, "mass", res.Mass, "duration_ms", j.span.Duration().Milliseconds())
+	j.Done(&res, snap)
 }

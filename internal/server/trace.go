@@ -62,19 +62,6 @@ type JobTrace struct {
 	Root *obs.SpanNode `json:"root"`
 }
 
-// handleJobTrace serves a job's span tree.
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, JobTrace{ID: j.id, State: state, Root: j.span.Tree()})
-}
-
 // countingWriter counts bytes flowing to an http.ResponseWriter so served
 // snapshot sizes feed the snapshot_bytes histogram.
 type countingWriter struct {

@@ -148,8 +148,9 @@ func CheckService(md string) []string {
 }
 
 // CheckCluster cross-references DESIGN.md's §14 against internal/cluster:
-// every coordinator endpoint (cluster.Endpoints) and every coordinator span
-// stage (cluster.SpanStages) must appear as a backticked table token, no
+// every route a coordinator serves (cluster.Endpoints, derived from the
+// table its mux registers) and every coordinator span stage
+// (cluster.SpanStages) must appear as a backticked table token, no
 // table may document a route or stage the code does not export, and the
 // section must name the `cluster.DefaultVnodes` ring constant. Adding an
 // endpoint, renaming a stage, or changing the placement scheme without

@@ -7,8 +7,8 @@
 //     differs from what internal/server exports (server.SpanStages,
 //     server.HistogramMetricNames, and MetricsSnapshot's histogram JSON
 //     tags — checked verbatim, in both directions),
-//   - DESIGN.md §14 drifts from the cluster surface (the coordinator
-//     endpoints in cluster.Endpoints, the coordinator span stages in
+//   - DESIGN.md §14 drifts from the cluster surface (the routes a
+//     coordinator serves, cluster.Endpoints, the coordinator span stages in
 //     cluster.SpanStages — both directions — or the cluster.DefaultVnodes
 //     ring constant),
 //   - DESIGN.md §15's fusion-rule table drifts from the superinstructions
