@@ -5,6 +5,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"pathprof/internal/merge"
+	"pathprof/internal/profile"
 )
 
 // Fault selects what a FaultProxy does to traffic passing through it.
@@ -26,9 +29,14 @@ const (
 	FaultTamperTruncate
 	// FaultTamperHeader rewrites the snapshot header's degree in every
 	// chunk answer, leaving its status line intact: a worker answering
-	// from the wrong profiling cell. Decodes fine; must die in the fold
-	// with ErrIncompatible.
+	// from the wrong profiling cell. Decodes fine; must be refused with
+	// ErrIncompatible.
 	FaultTamperHeader
+	// FaultTamperRecord adds a loop record naming function 999 to every
+	// chunk answer's snapshot and re-encodes it, so it decodes cleanly
+	// and fits the job's cell: only a check against the program can
+	// refuse it.
+	FaultTamperRecord
 	// FaultEvicted loses every chunk answer: the worker runs the chunk to
 	// completion, but the coordinator reads 404 "no such job", as from a
 	// worker that restarted and forgot the chunk. Every attempt on it
@@ -120,6 +128,14 @@ func (p *FaultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				snap = snap[:j+1]
 			} else {
 				snap = snap[:len(snap)/2]
+			}
+		} else if fault == FaultTamperRecord {
+			if s, err := merge.Decode(bytes.NewReader(snap)); err == nil {
+				s.Counters.Loop[profile.LoopKey{Func: 999}]++
+				var b bytes.Buffer
+				if s.Encode(&b) == nil {
+					snap = b.Bytes()
+				}
 			}
 		} else if j := bytes.Index(snap, []byte(`"k":`)); j >= 0 {
 			// Rewrite the snapshot header's degree: "k":N becomes "k":7N.

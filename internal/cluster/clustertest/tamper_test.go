@@ -1,6 +1,7 @@
 package clustertest
 
 import (
+	"bytes"
 	"net/http"
 	"regexp"
 	"strings"
@@ -70,6 +71,32 @@ func TestTamperCorruptHeaderDetected(t *testing.T) {
 		if !strings.Contains(msg, "incompatible snapshots") {
 			t.Errorf("blame line does not name the fold incompatibility: %q", msg)
 		}
+	}
+}
+
+// TestTamperBadRecordRetried plants a loop record for function 999 in one
+// worker's chunk answers. The answer decodes and fits the job's cell, so
+// only the check against the program refuses it: each such attempt fails,
+// blamed on its worker, and the chunk is retried on the clean one. The job
+// settles done, and neither its profile nor the fleet cell the coordinator
+// serves carries the record.
+func TestTamperBadRecordRetried(t *testing.T) {
+	rig := NewRig(t, 2, Options{MaxAttempts: 3})
+	rig.Workers[0].Proxy.Set(FaultTamperRecord)
+	id := rig.Client.MustSubmit(JobSpec{Benchmark: "130.li", Seed: 3, K: 1, Shards: 4}.Request())
+	if st := rig.Client.Await(id); st.State != "done" {
+		t.Fatalf("job settled %q with errors %v; want done after retries", st.State, st.Errors)
+	}
+	for name, body := range map[string][]byte{
+		"job profile": rig.Client.JobProfile(id),
+		"fleet cell":  rig.Client.FleetProfile("130.li", 1),
+	} {
+		if bytes.Contains(body, []byte(`"func":999`)) {
+			t.Errorf("%s carries the planted record for function 999", name)
+		}
+	}
+	if m := metricsOf(t, rig.Client); m.ChunkRetries < 1 {
+		t.Errorf("chunk_retries = %d; the tampering worker's answers were accepted", m.ChunkRetries)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"pathprof/internal/merge"
 	"pathprof/internal/obs"
+	"pathprof/internal/profile"
 	"pathprof/internal/profstore"
 	"pathprof/internal/server"
 )
@@ -323,11 +324,12 @@ func (c *Coordinator) chunks(shards int) []chunkSpec {
 }
 
 // dispatchChunk pushes one chunk through a worker in one blocking call
-// (with 429 retries) that returns the merged sub-profile. Failed attempts
-// move to another worker with jittered backoff, up to
+// (with 429 retries) that returns the merged sub-profile, checked against
+// the job's degree k and program info. Failed attempts — a bad answer
+// included — move to another worker with jittered backoff, up to
 // MaxAttempts; every terminal error is a *ShardError blaming the worker and
 // the chunk's first shard index.
-func (c *Coordinator) dispatchChunk(ctx context.Context, j *server.Job, ck chunkSpec) (*merge.Snapshot, int64, string, error) {
+func (c *Coordinator) dispatchChunk(ctx context.Context, j *server.Job, info *profile.Info, k int, ck chunkSpec) (*merge.Snapshot, int64, string, error) {
 	span := j.Span().Child(StageChunk)
 	span.SetAttr("shard", strconv.Itoa(ck.start))
 	defer span.End()
@@ -350,7 +352,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *server.Job, ck chunk
 				Err: errors.New("cluster: no workers in the ring")}
 		}
 		lastWorker = w.base
-		snap, steps, err := c.attemptChunk(ctx, j, w, sub, ck)
+		snap, steps, err := c.attemptChunk(ctx, j, w, sub, ck, info, k)
 		c.metrics.workerDispatch(w.base, err)
 		if err == nil {
 			return snap, steps, w.base, nil
@@ -372,9 +374,10 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *server.Job, ck chunk
 // attemptChunk is one blocking chunk call on one worker under the
 // per-attempt timeout, releasing the load pickWorker reserved on w when it
 // ends. The attempt span names the chunk it serves (attr shard) and holds
-// the worker's span tree from the answer.
+// the worker's span tree from the answer. An answer that is not a profile
+// of the job's program at degree k fails the attempt, so no fold sees it.
 func (c *Coordinator) attemptChunk(ctx context.Context, j *server.Job, w *workerClient,
-	sub server.JobRequest, ck chunkSpec) (*merge.Snapshot, int64, error) {
+	sub server.JobRequest, ck chunkSpec, info *profile.Info, k int) (*merge.Snapshot, int64, error) {
 	span := j.Span().Child(StageAttempt)
 	span.SetAttr("shard", strconv.Itoa(ck.start))
 	span.SetAttr("worker", w.base)
@@ -384,6 +387,12 @@ func (c *Coordinator) attemptChunk(ctx context.Context, j *server.Job, w *worker
 	defer w.addLoad(-1)
 
 	snap, steps, err := w.chunk(actx, sub, span)
+	if err == nil {
+		err = (&merge.Snapshot{K: k, NumFuncs: len(info.Funcs)}).Compatible(snap)
+	}
+	if err == nil {
+		err = info.CheckRecords(snap.Counters)
+	}
 	if err != nil {
 		return nil, 0, &ShardError{Worker: w.base, Shard: ck.start, Err: err}
 	}
@@ -417,14 +426,14 @@ func (c *Coordinator) runJob(ctx context.Context, j *server.Job) {
 		go func(ck chunkSpec) {
 			defer wg.Done()
 			c.metrics.chunksDispatched.Add(1)
-			snap, st, worker, err := c.dispatchChunk(ctx, j, ck)
+			snap, st, worker, err := c.dispatchChunk(ctx, j, p.Info, k, ck)
 			foldMu.Lock()
 			defer foldMu.Unlock()
 			j.AddShardsDone(ck.n)
 			if err == nil {
-				// A worker returning a snapshot from the wrong cell (degree
-				// or program shape) is a fold incompatibility, not a silent
-				// skip: blame it like any other chunk failure.
+				// Answers are checked against the job's cell before they
+				// get here, so a failing fold is an internal fault: blame
+				// it like any other chunk failure.
 				if merr := acc.Merge(snap); merr != nil {
 					err = &ShardError{Worker: worker, Shard: ck.start, Err: merr}
 				}

@@ -154,7 +154,8 @@ type ArenaStore struct {
 	typeIIOv map[TypeIIKey]uint64
 	callsOv  map[CallKey]uint64
 
-	cached *Counters
+	// cached holds the memoized materialization (nil counters: none).
+	cached NestedStore
 }
 
 // NewArenaStore sizes every region by its maximum useful degree, so the
@@ -244,7 +245,7 @@ func newTupleArena(callee int, dimA, dimB int64) *tupleArena {
 // cleared, both keeping their capacity. A *Counters materialized before
 // the reset is unaffected.
 func (s *ArenaStore) Reset() {
-	s.cached = nil
+	s.cached.c = nil
 	for f := range s.dense {
 		s.dense[f].reset()
 		clear(s.sparse[f])
@@ -338,7 +339,7 @@ func (s *ArenaStore) callCounter(k CallKey) *uint64 {
 // IncBL counts one completion of fn's Ball-Larus path, dense when the
 // function has a vector, the sparse overlay otherwise.
 func (s *ArenaStore) IncBL(fn int, path int64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.blCounter(fn, path); c != nil {
 		*c++
 		return
@@ -349,7 +350,7 @@ func (s *ArenaStore) IncBL(fn int, path int64) {
 // IncLoop counts one loop-crossing path, in the loop's perfect slot
 // mapping when the key is in range, the overflow map otherwise.
 func (s *ArenaStore) IncLoop(k LoopKey) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.loopCounter(k); c != nil {
 		*c++
 		return
@@ -360,7 +361,7 @@ func (s *ArenaStore) IncLoop(k LoopKey) {
 // IncTypeI counts one Type I path, in the call site's arena when the key
 // is in range, the overflow map otherwise.
 func (s *ArenaStore) IncTypeI(k TypeIKey) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.typeICounter(k); c != nil {
 		*c++
 		return
@@ -371,7 +372,7 @@ func (s *ArenaStore) IncTypeI(k TypeIKey) {
 // IncTypeII counts one Type II path, in the call site's arena when the
 // key is in range, the overflow map otherwise.
 func (s *ArenaStore) IncTypeII(k TypeIIKey) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.typeIICounter(k); c != nil {
 		*c++
 		return
@@ -381,7 +382,7 @@ func (s *ArenaStore) IncTypeII(k TypeIIKey) {
 
 // IncCall counts one call-site transition, dense when in range.
 func (s *ArenaStore) IncCall(k CallKey) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.callCounter(k); c != nil {
 		*c++
 		return
@@ -391,7 +392,7 @@ func (s *ArenaStore) IncCall(k CallKey) {
 
 // AddBL folds n completions of fn's Ball-Larus path in, saturating.
 func (s *ArenaStore) AddBL(fn int, path int64, n uint64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.blCounter(fn, path); c != nil {
 		*c = SatAdd(*c, n)
 		return
@@ -402,7 +403,7 @@ func (s *ArenaStore) AddBL(fn int, path int64, n uint64) {
 
 // AddLoop folds n loop-path completions in, saturating.
 func (s *ArenaStore) AddLoop(k LoopKey, n uint64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.loopCounter(k); c != nil {
 		*c = SatAdd(*c, n)
 		return
@@ -412,7 +413,7 @@ func (s *ArenaStore) AddLoop(k LoopKey, n uint64) {
 
 // AddTypeI folds n Type I path completions in, saturating.
 func (s *ArenaStore) AddTypeI(k TypeIKey, n uint64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.typeICounter(k); c != nil {
 		*c = SatAdd(*c, n)
 		return
@@ -422,7 +423,7 @@ func (s *ArenaStore) AddTypeI(k TypeIKey, n uint64) {
 
 // AddTypeII folds n Type II path completions in, saturating.
 func (s *ArenaStore) AddTypeII(k TypeIIKey, n uint64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.typeIICounter(k); c != nil {
 		*c = SatAdd(*c, n)
 		return
@@ -432,7 +433,7 @@ func (s *ArenaStore) AddTypeII(k TypeIIKey, n uint64) {
 
 // AddCall folds n call-site transitions in, saturating.
 func (s *ArenaStore) AddCall(k CallKey, n uint64) {
-	s.cached = nil
+	s.cached.c = nil
 	if c := s.callCounter(k); c != nil {
 		*c = SatAdd(*c, n)
 		return
@@ -444,15 +445,22 @@ func (s *ArenaStore) AddCall(k CallKey, n uint64) {
 // decoding arena slots back into keys; only non-zero counters appear. The
 // result is a fresh table: later increments and Reset leave it untouched.
 func (s *ArenaStore) Counters() *Counters {
-	if s.cached != nil {
-		return s.cached
+	if s.cached.c == nil {
+		s.cached.c = NewCounters(len(s.dense))
+		s.AddTo(&s.cached)
 	}
-	c := NewCounters(len(s.dense))
+	return s.cached.c
+}
+
+// AddTo folds every non-zero counter of s into dst through its saturating
+// bulk adds, decoding arena slots back into keys: the fold merge.IntoStore
+// makes from a snapshot, made here straight from the pages. s is left as it
+// was.
+func (s *ArenaStore) AddTo(dst BulkStore) {
 	for f, d := range s.dense {
-		bl := c.BL[f]
-		d.each(func(id int64, n uint64) { bl[id] = n })
+		d.each(func(id int64, n uint64) { dst.AddBL(f, id, n) })
 		for id, n := range s.sparse[f] {
-			bl[id] = SatAdd(bl[id], n)
+			dst.AddBL(f, id, n)
 		}
 	}
 	for f, las := range s.loops {
@@ -460,10 +468,7 @@ func (s *ArenaStore) Counters() *Counters {
 			if a == nil {
 				continue
 			}
-			a.slots.each(func(slot int64, n uint64) {
-				k := a.key(f, l, slot)
-				c.Loop[k] = SatAdd(c.Loop[k], n)
-			})
+			a.slots.each(func(slot int64, n uint64) { dst.AddLoop(a.key(f, l, slot), n) })
 		}
 	}
 	for f, tas := range s.typeI {
@@ -472,10 +477,10 @@ func (s *ArenaStore) Counters() *Counters {
 				continue
 			}
 			a.slots.each(func(slot int64, n uint64) {
-				c.TypeI[TypeIKey{
+				dst.AddTypeI(TypeIKey{
 					Caller: f, Site: site, Callee: a.callee,
 					Prefix: slot / a.dimB, Ext: slot % a.dimB,
-				}] += n
+				}, n)
 			})
 		}
 	}
@@ -485,10 +490,10 @@ func (s *ArenaStore) Counters() *Counters {
 				continue
 			}
 			a.slots.each(func(slot int64, n uint64) {
-				c.TypeII[TypeIIKey{
+				dst.AddTypeII(TypeIIKey{
 					Caller: f, Site: site, Callee: a.callee,
 					Path: slot / a.dimB, Ext: slot % a.dimB,
-				}] += n
+				}, n)
 			})
 		}
 	}
@@ -496,23 +501,21 @@ func (s *ArenaStore) Counters() *Counters {
 		for site, callees := range sites {
 			for callee, n := range callees {
 				if n != 0 {
-					c.Calls[CallKey{Caller: f, Site: site, Callee: callee}] += n
+					dst.AddCall(CallKey{Caller: f, Site: site, Callee: callee}, n)
 				}
 			}
 		}
 	}
 	for k, n := range s.loopOv {
-		c.Loop[k] = SatAdd(c.Loop[k], n)
+		dst.AddLoop(k, n)
 	}
 	for k, n := range s.typeIOv {
-		c.TypeI[k] = SatAdd(c.TypeI[k], n)
+		dst.AddTypeI(k, n)
 	}
 	for k, n := range s.typeIIOv {
-		c.TypeII[k] = SatAdd(c.TypeII[k], n)
+		dst.AddTypeII(k, n)
 	}
 	for k, n := range s.callsOv {
-		c.Calls[k] = SatAdd(c.Calls[k], n)
+		dst.AddCall(k, n)
 	}
-	s.cached = c
-	return c
 }

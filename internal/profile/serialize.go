@@ -93,3 +93,79 @@ func ReadCounters(r io.Reader) (*Counters, error) {
 	}
 	return c, nil
 }
+
+// CheckRecords checks every counter record of c against info's program, as
+// a boundary that receives counters from outside the process must before
+// folding or serving them: c's function count is the program's, and each
+// record names a function below it, a loop or call site the named function
+// has, and Ball-Larus path ids (a BL record's path, a loop record's base, a
+// Type II record's callee path) below the function's path count. The first
+// fault is reported.
+func (info *Info) CheckRecords(c *Counters) error {
+	nf := len(info.Funcs)
+	if len(c.BL) != nf {
+		return fmt.Errorf("counters carry %d functions, the program has %d", len(c.BL), nf)
+	}
+	fn := func(kind string, f int) error {
+		if f < 0 || f >= nf {
+			return fmt.Errorf("%s record names function %d of %d", kind, f, nf)
+		}
+		return nil
+	}
+	path := func(kind string, f int, id int64) error {
+		if n := info.Funcs[f].DAG.Total(); id < 0 || id >= n {
+			return fmt.Errorf("%s record names path %d of %d in %s", kind, id, n, info.Funcs[f].Fn.Name)
+		}
+		return nil
+	}
+	site := func(kind string, caller, s, callee int) error {
+		if err := fn(kind, caller); err != nil {
+			return err
+		}
+		if err := fn(kind, callee); err != nil {
+			return err
+		}
+		if n := len(info.Funcs[caller].CallSites); s < 0 || s >= n {
+			return fmt.Errorf("%s record names call site %d of %d in %s", kind, s, n, info.Funcs[caller].Fn.Name)
+		}
+		return nil
+	}
+	for f, m := range c.BL {
+		for id := range m {
+			if err := path("bl", f, id); err != nil {
+				return err
+			}
+		}
+	}
+	for k := range c.Loop {
+		if err := fn("loop", k.Func); err != nil {
+			return err
+		}
+		fi := info.Funcs[k.Func]
+		if k.Loop < 0 || k.Loop >= len(fi.Loops) {
+			return fmt.Errorf("loop record names loop %d of %d in %s", k.Loop, len(fi.Loops), fi.Fn.Name)
+		}
+		if err := path("loop", k.Func, k.Base); err != nil {
+			return err
+		}
+	}
+	for k := range c.TypeI {
+		if err := site("t1", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+	}
+	for k := range c.TypeII {
+		if err := site("t2", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+		if err := path("t2", k.Callee, k.Path); err != nil {
+			return err
+		}
+	}
+	for k := range c.Calls {
+		if err := site("call", k.Caller, k.Site, k.Callee); err != nil {
+			return err
+		}
+	}
+	return nil
+}

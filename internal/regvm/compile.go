@@ -46,12 +46,9 @@ func Compile(prog *ir.Program, plan *instrument.Plan) (*Program, error) {
 	return p, nil
 }
 
-// probeSeq is one edge's lowered probe work before record assembly: the
-// loop-tracker transitions plus the static tail (charges and BL increment,
-// or the backedge completion).
+// probeSeq is one edge's lowered probe work before record assembly: its
+// static charges and BL increment, or on a backedge the path completion.
 type probeSeq struct {
-	acts []probeAct
-
 	blOps   int64
 	loopOps int64
 	blInc   int64
@@ -59,13 +56,7 @@ type probeSeq struct {
 	backedge bool
 	exitVal  int64
 	entryVal int64
-	beLoop   int32
-}
-
-// static reports whether the sequence is a pure static charge, encodable
-// inline in an opCharge/opChargeJump or a branch arm with no record.
-func (s *probeSeq) static() bool {
-	return len(s.acts) == 0 && !s.backedge
+	open     int32
 }
 
 // fixup is a pending jump-target patch on an emitted instruction's b or c
@@ -194,30 +185,13 @@ func (c *fnCompiler) compile(idx int) (*compiledFunc, error) {
 	cf.code = c.code
 	cf.blkOf = c.blkOf
 
-	// Compact every record's acts into one contiguous slab so the probe
-	// slow path walks sequential memory instead of per-record allocations.
-	total := 0
-	for i := range cf.probes {
-		total += len(cf.probes[i].acts)
-	}
-	if total > 0 {
-		slab := make([]probeAct, 0, total)
-		for i := range cf.probes {
-			off := len(slab)
-			slab = append(slab, cf.probes[i].acts...)
-			cf.probes[i].acts = slab[off:len(slab):len(slab)]
-		}
-	}
-
 	if c.plan != nil {
 		if c.loopExts != nil {
-			cf.numLoops = len(c.loopExts)
-			cf.maskExact = cf.numLoops <= 64
-			cf.loopFreeze = make([]int, cf.numLoops)
-			cf.loopRoot = make([]int, cf.numLoops)
+			cf.windows = make([]*routeTable, len(c.loopExts))
 			for i, x := range c.loopExts {
-				cf.loopFreeze[i] = x.K + 1
-				cf.loopRoot[i] = x.RootDepth()
+				if c.sel.LoopOn(c.fi.Index, i) {
+					cf.windows[i] = newLoopTable(c.fi.Loops[i], x, routeTableLimit)
+				}
 			}
 		}
 		if c.entryExt != nil {
@@ -432,8 +406,7 @@ func (c *fnCompiler) term(bid int, t ir.Terminator, stepCost int64, fuseStep boo
 		fall := t.To == bid+1
 		if probe != nil {
 			step()
-			c.emitProbe(probe, 0, fall)
-			if probe.backedge || !fall {
+			if c.emitProbe(probe, fall) {
 				c.fixups = append(c.fixups, fixup{pc: int32(len(c.code) - 1), field: 1, to: t.To})
 			}
 			return nil
@@ -540,9 +513,7 @@ func (c *fnCompiler) term(bid int, t ir.Terminator, stepCost int64, fuseStep boo
 			// The resume edge's probe sits inline after the call; the
 			// return lands on it and it ends at the resume block.
 			rec.resumePC = int32(len(c.code))
-			fall := t.Next == bid+1
-			c.emitProbe(resume, 0, fall)
-			if resume.backedge || !fall {
+			if c.emitProbe(resume, t.Next == bid+1) {
 				c.fixups = append(c.fixups, fixup{pc: int32(len(c.code) - 1), field: 1, to: t.Next})
 			}
 			return nil
@@ -567,74 +538,57 @@ func (c *fnCompiler) term(bid int, t ir.Terminator, stepCost int64, fuseStep boo
 	return nil
 }
 
-// probeRecOf assembles a probe record from a lowered sequence, computing the
-// tracker masks the dispatch loop's fast path tests.
+// probeRecOf assembles a backedge's probe record.
 func (c *fnCompiler) probeRecOf(s *probeSeq) int32 {
-	var bodyMask, touchMask uint64
-	for i := range s.acts {
-		a := &s.acts[i]
-		bit := uint64(1) << uint(int(a.loop)&63)
-		if a.kind == actBody {
-			bodyMask |= bit
-		} else {
-			touchMask |= bit
-		}
-	}
 	ri := int32(len(c.cf.probes))
 	c.cf.probes = append(c.cf.probes, probeRec{
-		bodyMask: bodyMask, touchMask: touchMask,
-		blOps: s.blOps, loopOps: s.loopOps, blInc: s.blInc, acts: s.acts,
-		backedge: s.backedge, exitVal: s.exitVal, entryVal: s.entryVal, beLoop: s.beLoop,
+		blOps: s.blOps, loopOps: s.loopOps,
+		exitVal: s.exitVal, entryVal: s.entryVal, open: s.open,
 	})
 	return ri
 }
 
-// arm encodes one branch edge: nil and pure-static probes inline into the
-// arm itself; everything else references a probe record. Targets are
-// patched through armFixups.
+// arm encodes one branch edge: nil and static probes inline into the arm
+// itself; a backedge references a probe record. Targets are patched
+// through armFixups.
 func (c *fnCompiler) arm(s *probeSeq) branchArm {
 	if s == nil {
 		return branchArm{probe: -1}
 	}
-	if s.static() {
+	if !s.backedge {
 		return branchArm{probe: -1, blOps: int32(s.blOps), loopOps: int32(s.loopOps), blInc: s.blInc}
 	}
 	return branchArm{probe: c.probeRecOf(s)}
 }
 
 // emitProbe lowers one jump or call-resume edge's probe at the current
-// position: a pure static sequence becomes an opCharge (fall-through) or
-// opChargeJump, anything with dynamic work becomes a single record-driven
-// opProbe whose sub flag says whether it jumps (backedges and non-fall
-// edges; target 0 = patched later through a fixup).
-func (c *fnCompiler) emitProbe(s *probeSeq, target int32, fall bool) {
-	if !s.static() {
-		var sub uint8
-		if s.backedge || !fall {
-			sub = 1
-		} else {
-			c.p.Fusion.FallThrough++
-		}
-		c.emit(inst{op: opProbe, sub: sub, b: target, c: c.probeRecOf(s)})
+// position and reports whether the emitted instruction jumps (its target
+// is patched through a fixup): a static probe becomes an opCharge
+// (fall-through) or opChargeJump, a backedge a record-driven opProbe,
+// which always jumps.
+func (c *fnCompiler) emitProbe(s *probeSeq, fall bool) bool {
+	switch {
+	case s.backedge:
+		c.emit(inst{op: opProbe, c: c.probeRecOf(s)})
 		c.p.Fusion.Probe++
-		return
-	}
-	if fall {
+		return true
+	case fall:
 		c.emit(inst{op: opCharge, a: int32(s.blOps), c: int32(s.loopOps), imm: s.blInc})
 		c.p.Fusion.Charge++
 		c.p.Fusion.FallThrough++
-		return
+		return false
 	}
-	c.emit(inst{op: opChargeJump, a: int32(s.blOps), c: int32(s.loopOps), b: target, imm: s.blInc})
+	c.emit(inst{op: opChargeJump, a: int32(s.blOps), c: int32(s.loopOps), imm: s.blInc})
 	c.p.Fusion.ChargeJump++
+	return true
 }
 
 // probe lowers the probe of edge bid→to (nil when the program is
 // uninstrumented or the edge has no probe work at all): the Ball-Larus and
-// loop work the tree engine's instrument.Runtime does on the edge, derived
-// once at compile time as straight-line micro-ops and a static tail. Its
-// interprocedural region steps are not edge work here: they resolve at path
-// completion through the route tables (routes.go).
+// loop op charges the tree engine's instrument.Runtime makes on the edge
+// whatever the trackers' state, and on a backedge the path completion. No
+// tracker steps here: loop windows and interprocedural regions resolve at
+// path completion through the route tables (routes.go).
 func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	if c.plan == nil {
 		return nil, nil
@@ -643,7 +597,7 @@ func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	d := fi.DAG
 	e := cfg.Edge{From: cfg.NodeID(bid), To: cfg.NodeID(to)}
 	isBE := d.IsBackedge(e)
-	s := &probeSeq{beLoop: -1}
+	s := &probeSeq{open: -1}
 
 	// Ball-Larus op accounting: naive placement charges every non-zero
 	// real-edge increment and two register reloads per backedge; chord
@@ -692,69 +646,33 @@ func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 			if !c.sel.LoopOn(fi.Index, i) {
 				continue
 			}
-			x := c.loopExts[i]
 			inFrom := li.Loop.Contains(e.From)
 			inTo := li.Loop.Contains(e.To)
 			switch {
 			case isBE && li.Loop.IsBackedge(e):
-				// The loop's own backedge: handled after path
-				// completion (needs the completed id).
+				// The window reopens with the completed path as base.
+				s.loopOps += 3 * overhead.RegOp // ro = r + y; r = x; ol = 0
+				s.open = int32(i)
 			case inFrom && !inTo:
 				s.loopOps += overhead.GuardOp
-				act := probeAct{kind: actExit, loop: int32(i)}
-				if isTailOf(li, e.From) {
-					act.sub = 1
-				}
-				s.acts = append(s.acts, act)
-			case inFrom && inTo:
-				if isBE {
-					s.acts = append(s.acts, probeAct{kind: actBroken, loop: int32(i)})
-					continue
-				}
-				act := probeAct{kind: actBody, loop: int32(i)}
-				switch x.Classify(e) {
+			case inFrom && inTo && !isBE:
+				switch c.loopExts[i].Classify(e) {
 				case olpath.DI:
 					s.loopOps += overhead.RegOp
 				case olpath.PI:
 					s.loopOps += overhead.GuardOp
-					act.live = int32(overhead.RegOp)
-				}
-				val, ok := x.ValOK(e)
-				act.val = val
-				if ok {
-					act.sub |= loopHasVal
 				}
 				if d.PredicateLike(e.To) {
-					act.sub |= loopPredTo
-					s.loopOps += overhead.RegOp
+					s.loopOps += overhead.RegOp // ol++
 				}
-				s.acts = append(s.acts, act)
 			case !inFrom && inTo:
 				s.loopOps += overhead.RegOp
 			}
 		}
-		if isBE {
-			li := fi.LoopOfBackedge[e]
-			if li == nil {
-				return nil, fmt.Errorf("backedge %d->%d without loop", bid, to)
-			}
-			if c.sel.LoopOn(fi.Index, li.Index) {
-				s.beLoop = int32(li.Index)
-			}
-		}
 	}
 
-	if s.static() && s.blOps == 0 && s.loopOps == 0 && s.blInc == 0 {
+	if !s.backedge && s.blOps == 0 && s.loopOps == 0 && s.blInc == 0 {
 		return nil, nil
 	}
 	return s, nil
-}
-
-func isTailOf(li *profile.LoopInfo, v cfg.NodeID) bool {
-	for _, be := range li.Loop.Backedges {
-		if be.From == v {
-			return true
-		}
-	}
-	return false
 }

@@ -18,18 +18,6 @@ const (
 	defaultMaxDepth = 4096
 )
 
-// trk is the run-time state of one loop tracker: the paper's `ol` route
-// register (accum) and, beside it, the base register `ro` — the BL path
-// that ended at the backedge the active crossing started from.
-type trk struct {
-	active bool
-	frozen bool
-	broken bool
-	accum  int64
-	preds  int
-	base   int64
-}
-
 // suffix is one in-flight Type II region: the call site it resumes after,
 // the callee and the callee's last path id, and at, the BL register value
 // standing on the call-site block (the completed id minus at keys the
@@ -43,7 +31,7 @@ type suffix struct {
 
 // frame is one procedure activation. Frames live in a machine-owned value
 // slab; registers live in the machine's register stack at [base,
-// base+numRegs). Each slab slot keeps its loops/suffixes capacity
+// base+numRegs). Each slab slot keeps its suffixes capacity
 // across reuse, so re-activation allocates nothing once warm.
 type frame struct {
 	fn    *compiledFunc
@@ -57,14 +45,12 @@ type frame struct {
 	r      int64
 	lastID int64
 
-	// Loop trackers. activeMask and liveMask summarize the tracker states
-	// as modulo-64 loop-index bitsets (active, and active-and-unfrozen) so
-	// the dispatch loop can prove a probe record inert without walking its
-	// acts. Beyond 64 loops the masks are sticky over-approximations
-	// (set-only).
-	loops      []trk
-	activeMask uint64
-	liveMask   uint64
+	// The loop window, resolved when the frame's path completes: open is
+	// the selected loop whose backedge began the path in flight (-1 none),
+	// and openBase, the window's base register `ro`, the path that ended
+	// there.
+	open     int32
+	openBase int64
 
 	// Interprocedural regions, resolved when the frame's path completes:
 	// entryOn marks the Type I region armed by the call that pushed the
@@ -99,7 +85,12 @@ type Machine struct {
 
 	rng   uint64
 	store profile.CounterStore
-	bulk  profile.BulkStore
+	// arena is the store counts land in and tally its write view: the
+	// run's store when it is an arena, otherwise own, a machine-owned
+	// arena folded into the run's store when the run ends.
+	arena *profile.ArenaStore
+	tally *profile.ArenaWriter
+	own   *profile.ArenaStore
 
 	// shared is the read-mostly operand slab: globals in [0, numGlobals),
 	// the interned constant pool after them. Reset zeroes only the global
@@ -117,16 +108,6 @@ type Machine struct {
 	sp     int
 
 	printBuf []byte
-
-	// Pending batched counter charges: consecutive completions of the
-	// same key accumulate here and flush through bulk on key change.
-	pendBLN     uint64
-	pendBLFn    int
-	pendBLPath  int64
-	pendLoopN   uint64
-	pendLoopKey profile.LoopKey
-	pendCallN   uint64
-	pendCallKey profile.CallKey
 }
 
 // NewMachine creates a machine for p with the given deterministic RNG seed
@@ -172,9 +153,8 @@ func (m *Machine) Reset(seed uint64) {
 	m.Steps, m.BaseOps = 0, 0
 	m.BLOps, m.LoopOps, m.InterOps = 0, 0, 0
 	m.rng = seed*2685821657736338717 + 1442695040888963407
-	m.store, m.bulk = nil, nil
+	m.store, m.arena, m.tally = nil, nil, nil
 	m.top, m.sp = 0, 0
-	m.pendBLN, m.pendLoopN, m.pendCallN = 0, 0, 0
 }
 
 // Rand returns the next deterministic pseudo-random value in [0, bound)
@@ -200,7 +180,6 @@ func (m *Machine) Counters() *profile.Counters {
 	if m.store == nil {
 		return nil
 	}
-	m.flush()
 	return m.store.Counters()
 }
 
@@ -261,35 +240,51 @@ func (m *Machine) pushFrame(cf *compiledFunc, depth int) *frame {
 	m.top = int32(need)
 	fr.r, fr.lastID = 0, 0
 	fr.entryOn = false
-	fr.activeMask, fr.liveMask = 0, 0
-	if cap(fr.loops) >= cf.numLoops {
-		fr.loops = fr.loops[:cf.numLoops]
-		for i := range fr.loops {
-			fr.loops[i] = trk{}
-		}
-	} else {
-		fr.loops = make([]trk, cf.numLoops)
-	}
+	fr.open = -1
 	fr.suffixes = fr.suffixes[:0]
 	return fr
 }
 
 // Run executes main to completion, writing counters through store when the
 // program was compiled with a plan (nil store = a fresh nested store,
-// readable through Counters afterwards).
+// readable through Counters afterwards). An arena store, which must be
+// built for the program's Info, is counted into directly; any other store
+// must be a profile.BulkStore, and receives the run's counters once, when
+// the run ends (also when it fails).
 func (m *Machine) Run(store profile.CounterStore) error {
 	if m.prog.main < 0 {
 		return fmt.Errorf("interp: no main")
 	}
-	if m.prog.Plan != nil {
-		if store == nil {
-			store = profile.NewNestedStore(len(m.prog.Plan.Info.Funcs))
-		}
-		m.store = store
-		m.bulk, _ = store.(profile.BulkStore)
+	plan := m.prog.Plan
+	if plan == nil {
+		return m.run()
 	}
+	if store == nil {
+		store = profile.NewNestedStore(len(plan.Info.Funcs))
+	}
+	m.store = store
+	a, direct := store.(*profile.ArenaStore)
+	var fold profile.BulkStore
+	if !direct {
+		bs, ok := store.(profile.BulkStore)
+		if !ok {
+			return fmt.Errorf("regvm: store %T does not support bulk aggregation", store)
+		}
+		if m.own == nil {
+			k := plan.Cfg.K
+			if !plan.Cfg.Loops && !plan.Cfg.Interproc {
+				k = -1
+			}
+			m.own = profile.NewArenaStoreK(plan.Info, k)
+		}
+		a, fold = m.own, bs
+	}
+	m.arena, m.tally = a, a.Writer()
 	err := m.run()
-	m.flush()
+	if fold != nil {
+		a.AddTo(fold)
+		a.Reset()
+	}
 	return err
 }
 
@@ -303,7 +298,7 @@ func (m *Machine) run() error {
 	// The hottest mutable state lives in locals: the step/base-op and
 	// probe-op tallies and the current frame's Ball-Larus register. The
 	// locals are authoritative; helpers that read or charge m.BLOps /
-	// m.LoopOps (completePath, crossLoop) get an explicit spill/reload.
+	// m.LoopOps (completePath) get an explicit spill/reload.
 	steps, maxSteps := m.Steps, m.MaxSteps
 	baseOps := m.BaseOps
 	blOps, loopOps := m.BLOps, m.LoopOps
@@ -551,22 +546,8 @@ func (m *Machine) run() error {
 			pc = in.b
 
 		case opProbe:
-			rec := &fr.fn.probes[in.c]
-			// Inert-record fast path: no live tracker can see this
-			// record's body acts and no active tracker its exit/broken
-			// acts — the record is exactly its static charges.
-			if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
-				blOps += rec.blOps
-				loopOps += rec.loopOps
-				r += rec.blInc
-			} else {
-				r, blOps, loopOps = m.runProbe(fr, rec, r, blOps, loopOps)
-			}
-			if in.sub != 0 {
-				pc = in.b
-			} else {
-				pc++
-			}
+			r, blOps, loopOps = m.backedge(fr, &fr.fn.probes[in.c], r, blOps, loopOps)
+			pc = in.b
 
 		case opBranchProbe:
 			br := &fr.fn.branches[in.c]
@@ -575,14 +556,7 @@ func (m *Machine) run() error {
 				arm = &br.els
 			}
 			if arm.probe >= 0 {
-				rec := &fr.fn.probes[arm.probe]
-				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
-					blOps += rec.blOps
-					loopOps += rec.loopOps
-					r += rec.blInc
-				} else {
-					r, blOps, loopOps = m.runProbe(fr, rec, r, blOps, loopOps)
-				}
+				r, blOps, loopOps = m.backedge(fr, &fr.fn.probes[arm.probe], r, blOps, loopOps)
 			} else {
 				blOps += int64(arm.blOps)
 				loopOps += int64(arm.loopOps)
@@ -602,14 +576,7 @@ func (m *Machine) run() error {
 				arm = &br.els
 			}
 			if arm.probe >= 0 {
-				rec := &fr.fn.probes[arm.probe]
-				if fr.liveMask&rec.bodyMask == 0 && fr.activeMask&rec.touchMask == 0 && !rec.backedge {
-					blOps += rec.blOps
-					loopOps += rec.loopOps
-					r += rec.blInc
-				} else {
-					r, blOps, loopOps = m.runProbe(fr, rec, r, blOps, loopOps)
-				}
+				r, blOps, loopOps = m.backedge(fr, &fr.fn.probes[arm.probe], r, blOps, loopOps)
 			} else {
 				blOps += int64(arm.blOps)
 				loopOps += int64(arm.loopOps)
@@ -648,8 +615,8 @@ func (m *Machine) run() error {
 			for i, a := range rec.args {
 				m.regs[int(nf.base)+i] = ld(regs, shared, a)
 			}
-			if m.store != nil {
-				m.incCall(profile.CallKey{Caller: fr.fn.idx, Site: int(rec.site), Callee: callee.idx})
+			if m.tally != nil {
+				m.tally.Call(fr.fn.idx, int(rec.site), callee.idx)
 				if rec.siteOn {
 					m.InterOps += overhead.CallProbeOp
 					// Arm the callee-entry (Type I) region; its route
@@ -674,12 +641,12 @@ func (m *Machine) run() error {
 			if in.op == opRetVal {
 				rv = ld(regs, shared, in.a)
 			}
-			if m.store != nil {
+			if m.tally != nil {
 				// Exit completion: the walker stands at the exit
 				// block, so the completed path id is r itself.
-				m.BLOps = blOps
+				m.BLOps, m.LoopOps = blOps, loopOps
 				m.completePath(fr, r)
-				blOps = m.BLOps
+				blOps, loopOps = m.BLOps, m.LoopOps
 			}
 			m.top = fr.base
 			m.regs = m.regs[:m.top]
@@ -702,7 +669,7 @@ func (m *Machine) run() error {
 			if rec.hasDst {
 				st(regs, shared, rec.dst, rv)
 			}
-			if m.store != nil && rec.siteOn {
+			if m.tally != nil && rec.siteOn {
 				// Arm the caller-suffix (Type II) region before the resume
 				// edge fires, so a resume backedge completes it — the tree
 				// engine's OnReturn-then-OnEdge ordering. Its route, the
@@ -723,223 +690,69 @@ func (m *Machine) run() error {
 	}
 }
 
-// runProbe executes one probe record: static charges, the loop-tracker
-// transitions, and — on backedges — the Ball-Larus path completion and the
-// loop's crossing. The dispatch loop's r/blOps/loopOps locals thread
-// through as arguments and return values so the whole record costs one
-// call.
-func (m *Machine) runProbe(fr *frame, rec *probeRec, r, blOps, loopOps int64) (int64, int64, int64) {
-	blOps += rec.blOps
-	loopOps += rec.loopOps
-	for i := range rec.acts {
-		a := &rec.acts[i]
-		// The mask bit gates the tracker load: a dead act costs one shift
-		// and test. The inner tracker checks stay for the sticky-mask
-		// (> 64 loops) over-approximation.
-		bit := uint64(1) << uint(int(a.loop)&63)
-		switch a.kind {
-		case actBody:
-			if fr.liveMask&bit != 0 {
-				t := &fr.loops[a.loop]
-				if t.active && !t.frozen {
-					loopOps += int64(a.live)
-					if a.sub&loopHasVal == 0 {
-						t.frozen = true
-						m.freezeMask(fr, int(a.loop))
-					} else {
-						t.accum += a.val
-						if a.sub&loopPredTo != 0 {
-							t.preds++
-							if t.preds >= fr.fn.loopFreeze[a.loop] {
-								t.frozen = true
-								m.freezeMask(fr, int(a.loop))
-							}
-						}
-					}
-				}
-			}
-		case actExit:
-			if fr.activeMask&bit != 0 && fr.loops[a.loop].active {
-				m.LoopOps = loopOps
-				m.crossLoop(fr, int(a.loop), a.sub != 0)
-				loopOps = m.LoopOps
-			}
-		default: // actBroken
-			if fr.activeMask&bit != 0 {
-				t := &fr.loops[a.loop]
-				if t.active {
-					t.frozen = true
-					t.broken = true
-					m.freezeMask(fr, int(a.loop))
-				}
-			}
-		}
-	}
-	if !rec.backedge {
-		return r + rec.blInc, blOps, loopOps
-	}
+// backedge executes one backedge's probe record: its static charges, the
+// completion of the path that ends there, the reopening of its loop's
+// window with that path as base, and the start of the next path at the
+// loop header, whose register value it returns. The dispatch loop's
+// r/blOps/loopOps locals thread through as arguments and return values so
+// the whole record costs one call.
+func (m *Machine) backedge(fr *frame, rec *probeRec, r, blOps, loopOps int64) (int64, int64, int64) {
+	m.BLOps, m.LoopOps = blOps+rec.blOps, loopOps+rec.loopOps
 	id := r + rec.exitVal
-	m.BLOps, m.LoopOps = blOps, loopOps
 	m.completePath(fr, id)
-	if rec.beLoop >= 0 {
-		lt := &fr.loops[rec.beLoop]
-		if lt.active {
-			// Inline crossing: reactivation below overwrites the whole
-			// tracker and re-sets the mask bits, so the tracker clear and
-			// mask clears crossLoop would do are dead stores here.
-			m.incLoop(profile.LoopKey{
-				Func: fr.fn.idx, Loop: int(rec.beLoop),
-				Base: lt.base, Ext: lt.accum, Full: !lt.broken,
-			})
-			m.LoopOps += overhead.CounterOp
-		}
-		lt.active = true
-		lt.frozen = fr.fn.loopRoot[rec.beLoop] >= fr.fn.loopFreeze[rec.beLoop]
-		lt.broken = false
-		lt.accum = 0
-		lt.preds = fr.fn.loopRoot[rec.beLoop]
-		lt.base = id
-		bit := uint64(1) << uint(int(rec.beLoop)&63)
-		fr.activeMask |= bit
-		if !lt.frozen {
-			fr.liveMask |= bit
-		} else if fr.fn.maskExact {
-			fr.liveMask &^= bit
-		}
-		m.LoopOps += 3 * overhead.RegOp // ro = r + y; r = x; ol = 0
+	if rec.open >= 0 {
+		fr.open, fr.openBase = rec.open, id
 	}
 	return rec.entryVal, m.BLOps, m.LoopOps
 }
 
-// freezeMask drops loop from the frame's live-tracker mask after a freeze
-// transition (only when indices map one-to-one onto mask bits).
-func (m *Machine) freezeMask(fr *frame, loop int) {
-	if fr.fn.maskExact {
-		fr.liveMask &^= uint64(1) << uint(loop&63)
-	}
-}
-
-// crossLoop finalizes one loop-exit crossing of one loop: the tracker's
-// route, keyed by its base register, becomes one counter increment and the
-// tracker deactivates. An interrupted (broken) crossing is kept but never
-// full.
-func (m *Machine) crossLoop(fr *frame, loop int, fullIter bool) {
-	t := &fr.loops[loop]
-	m.incLoop(profile.LoopKey{Func: fr.fn.idx, Loop: loop, Base: t.base, Ext: t.accum, Full: fullIter && !t.broken})
-	m.LoopOps += overhead.CounterOp
-	*t = trk{}
-	if fr.fn.maskExact {
-		bit := uint64(1) << uint(loop&63)
-		fr.activeMask &^= bit
-		fr.liveMask &^= bit
-	}
-}
-
 // completePath handles a finished Ball-Larus path instance: the BL counter,
-// the pending Type I region, and every in-flight Type II suffix. Each region
-// walked the completed path from its root, so its route and the probe ops
-// its per-edge steps cost come from its route table: keyed by the id itself
-// for the entry region, by the id less the register value at the call site
-// for a suffix.
+// the pending Type I region, every in-flight Type II suffix, and the loop
+// window the path began in. Each region walked the completed path from its
+// root, so its route and the probe ops its per-edge steps cost come from
+// its route table: keyed by the id itself for the entry region, by the id
+// less the register value at the call site for a suffix, and by the id less
+// the header's entry value for the window.
 func (m *Machine) completePath(fr *frame, id int64) {
-	m.incBL(fr.fn.idx, id)
+	t, fn := m.tally, fr.fn.idx
+	if !t.BL(fn, id) {
+		m.arena.IncBL(fn, id)
+	}
 	m.BLOps += overhead.CounterOp
 	fr.lastID = id
 
 	if fr.entryOn {
 		fr.entryOn = false
 		rt := fr.fn.entry.at(id)
-		m.store.IncTypeI(profile.TypeIKey{
-			Caller: fr.entryCaller, Site: fr.entrySite,
-			Callee: fr.fn.idx, Prefix: fr.entryPrefix, Ext: rt.ext,
-		})
+		if !t.TypeI(fr.entryCaller, fr.entrySite, fn, fr.entryPrefix, rt.ext) {
+			m.arena.IncTypeI(profile.TypeIKey{
+				Caller: fr.entryCaller, Site: fr.entrySite,
+				Callee: fn, Prefix: fr.entryPrefix, Ext: rt.ext,
+			})
+		}
 		m.InterOps += rt.ops + overhead.TupleCounterOp
 	}
 	for i := range fr.suffixes {
 		s := &fr.suffixes[i]
 		rt := fr.fn.sites[s.site].at(id - s.at)
-		m.store.IncTypeII(profile.TypeIIKey{
-			Caller: fr.fn.idx, Site: s.site, Callee: s.callee,
-			Path: s.q, Ext: rt.ext,
-		})
+		if !t.TypeII(fn, s.site, s.callee, s.q, rt.ext) {
+			m.arena.IncTypeII(profile.TypeIIKey{
+				Caller: fn, Site: s.site, Callee: s.callee,
+				Path: s.q, Ext: rt.ext,
+			})
+		}
 		m.InterOps += rt.ops + overhead.TupleCounterOp
 	}
 	fr.suffixes = fr.suffixes[:0]
-}
 
-// incBL records one Ball-Larus path completion, batching consecutive
-// completions of the same path into one saturating bulk add.
-func (m *Machine) incBL(fn int, path int64) {
-	if m.bulk == nil {
-		m.store.IncBL(fn, path)
-		return
-	}
-	if m.pendBLN != 0 {
-		if fn == m.pendBLFn && path == m.pendBLPath {
-			m.pendBLN++
-			return
+	if l := fr.open; l >= 0 {
+		fr.open = -1
+		lt := fr.fn.windows[l]
+		rt := lt.at(id - lt.entry)
+		if !t.Loop(fn, int(l), fr.openBase, rt.ext, rt.full) {
+			m.arena.IncLoop(profile.LoopKey{Func: fn, Loop: int(l), Base: fr.openBase, Ext: rt.ext, Full: rt.full})
 		}
-		m.bulk.AddBL(m.pendBLFn, m.pendBLPath, m.pendBLN)
-	}
-	m.pendBLFn, m.pendBLPath, m.pendBLN = fn, path, 1
-}
-
-// incLoop records one overlapping loop path, batching consecutive
-// completions of the same key. The comparison is spelled field-by-field,
-// most-discriminating first, so the common mismatch (a new base path) costs
-// one compare instead of a full struct memequal.
-func (m *Machine) incLoop(k profile.LoopKey) {
-	if m.bulk == nil {
-		m.store.IncLoop(k)
-		return
-	}
-	if m.pendLoopN != 0 {
-		p := &m.pendLoopKey
-		if k.Base == p.Base && k.Ext == p.Ext && k.Full == p.Full &&
-			k.Loop == p.Loop && k.Func == p.Func {
-			m.pendLoopN++
-			return
-		}
-		m.bulk.AddLoop(m.pendLoopKey, m.pendLoopN)
-	}
-	m.pendLoopKey, m.pendLoopN = k, 1
-}
-
-// incCall records one call-site transition, batching consecutive calls
-// through the same edge.
-func (m *Machine) incCall(k profile.CallKey) {
-	if m.bulk == nil {
-		m.store.IncCall(k)
-		return
-	}
-	if m.pendCallN != 0 {
-		if k == m.pendCallKey {
-			m.pendCallN++
-			return
-		}
-		m.bulk.AddCall(m.pendCallKey, m.pendCallN)
-	}
-	m.pendCallKey, m.pendCallN = k, 1
-}
-
-// flush drains every pending batched charge into the store. Batch adds are
-// saturating and order-independent, so flushing late is byte-identical to
-// the per-increment engines.
-func (m *Machine) flush() {
-	if m.bulk == nil {
-		return
-	}
-	if m.pendBLN != 0 {
-		m.bulk.AddBL(m.pendBLFn, m.pendBLPath, m.pendBLN)
-		m.pendBLN = 0
-	}
-	if m.pendLoopN != 0 {
-		m.bulk.AddLoop(m.pendLoopKey, m.pendLoopN)
-		m.pendLoopN = 0
-	}
-	if m.pendCallN != 0 {
-		m.bulk.AddCall(m.pendCallKey, m.pendCallN)
-		m.pendCallN = 0
+		m.LoopOps += rt.ops + overhead.CounterOp
 	}
 }
 

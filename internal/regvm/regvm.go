@@ -21,28 +21,27 @@
 //     merges the hottest adjacent pairs the engine's own profiles exposed:
 //     the per-block step probe fuses into a leading assign or binary op
 //     (StepMove, StepBin) or, for body-less blocks, straight into the
-//     terminator (StepJump, StepBranch); edge probes whose work is fully
-//     static fuse into a single charge+jump (ChargeJump), and when the edge
-//     falls through to the next block the jump disappears entirely
-//     (Charge). Edges with dynamic probe work (loop trackers, backedge
-//     completions) execute in one dispatch too: the whole sequence
-//     compiles to a single record-driven Probe instruction, and probed
-//     branch terminators fuse the branch, both edges' probe work, and the
-//     jump into one BranchProbe: one dispatch for the branch and
-//     everything behind it, where a dispatch per edge plus a trampoline
-//     jump would otherwise be paid. Interprocedural (Type I/II) regions
-//     put no work on edges at all: their routes and charges resolve at
-//     path completion through compile-time route tables (routes.go).
+//     terminator (StepJump, StepBranch); edge probes fuse into a single
+//     charge+jump (ChargeJump), and when the edge falls through to the
+//     next block the jump disappears entirely (Charge). Every edge but a
+//     backedge is such a static charge: no tracker rides an edge. A
+//     backedge's completion compiles to a single record-driven Probe
+//     instruction, and probed branch terminators fuse the branch, the
+//     taken edge's charge or backedge record, and the jump into one
+//     BranchProbe.
 //
-//   - Batched counter charges and zero-alloc steady state. Consecutive
-//     completions of the same Ball-Larus path, the same loop path, and
-//     the same call edge accumulate in machine registers and flush through
-//     profile.BulkStore once per key change (and finally at run end),
-//     collapsing the hot loop's per-iteration store-interface calls.
-//     All run state — frames, register stack, loop trackers, suffix
-//     lists, print scratch — lives in machine-owned slabs that
-//     Reset reuses, so a pooled Machine executes with zero heap
-//     allocations in steady state.
+//   - Probe work at path completion, counted straight into the arena.
+//     Loop windows and the interprocedural (Type I/II) regions walk only
+//     the Ball-Larus path in flight, so their routes, op charges and how a
+//     loop window ends are functions of the completed path's key below
+//     the region's root, tabulated at compile time (routes.go) and looked
+//     up when the path completes. Completions bump the ArenaStore's paged
+//     slots through its inlined write view (profile.ArenaWriter); a run
+//     handed any other store counts into a machine-owned arena folded into
+//     that store once, at run end. All run state — frames, register stack,
+//     suffix lists, print scratch — lives in machine-owned slabs that Reset
+//     reuses, so a pooled Machine executes with zero heap allocations in
+//     steady state.
 //
 // The engine is semantics-identical to internal/interp by construction and
 // by the differential oracle: step counts, base-op and probe-op accounting,
@@ -107,7 +106,7 @@ const (
 	// a single dispatch.
 	opCharge          // static charges + BL register increment, fall-through
 	opChargeJump      // static charges + BL register increment + jump
-	opProbe           // record-driven probe (loop trackers, backedge completion) + optional jump
+	opProbe           // backedge record: static charges + path completion + jump
 	opBranchProbe     // branch + taken edge's charge or probe record + jump
 	opStepBranchProbe // step + branch + taken edge's charge or probe record + jump
 )
@@ -138,7 +137,7 @@ func Superinstructions() []string { return append([]string(nil), fusedOps...) }
 //	opCall                  c=call record index
 //	opRetVal                a=value
 //	opCharge/opChargeJump   a=blOps  c=loopOps  b=target (jump only)  imm=blInc
-//	opProbe                 c=probe record index  b=target  sub=1 when jumping
+//	opProbe                 c=probe record index  b=target
 //	opBranchProbe           a=cond  c=branch record index
 //	opStepBranchProbe       a=cond  c=branch record index  imm=cost
 type inst struct {
@@ -150,60 +149,21 @@ type inst struct {
 	imm int64
 }
 
-// probeAct body-action sub flags (probeAct.sub for actBody).
-const (
-	loopHasVal uint8 = 1 << iota
-	loopPredTo
-)
-
-// probeAct kinds.
-const (
-	actBody uint8 = iota
-	actExit
-	actBroken
-)
-
-// probeAct is one loop-tracker transition within a probe record.
-type probeAct struct {
-	// kind selects the transition; sub carries the exit's tail bit
-	// (actExit) or the body's loopHasVal|loopPredTo flags (actBody).
-	kind uint8
-	sub  uint8
-	loop int32
-	// live is the extra op charge a live (active, unfrozen) tracker pays on
-	// a body step.
-	live int32
-	// val is the body step's route increment.
-	val int64
-}
-
-// probeRec is one edge's complete probe work, executed in a single opProbe
-// (or branch-arm) dispatch: static charges, loop-tracker transitions, and —
-// on backedges — the path completion. Field order keeps the dispatch fast
-// path's loads in the record's first cache line.
+// probeRec is one backedge's probe work, executed in a single opProbe (or
+// branch-arm) dispatch: its static charges, then the path completion and,
+// when its loop is selected, the reopening of that loop's window.
 type probeRec struct {
-	// bodyMask and touchMask are modulo-64 loop-index bitsets of the
-	// record's actBody and actExit/actBroken acts. When no live tracker
-	// intersects bodyMask, no active tracker intersects touchMask, and the
-	// record is not a backedge, the whole record degenerates to its static
-	// charges and the dispatch loop applies it inline without calling
-	// runProbe.
-	bodyMask  uint64
-	touchMask uint64
-	blOps     int64
-	loopOps   int64
-	// blInc is the Ball-Larus register increment (non-backedges).
-	blInc    int64
-	backedge bool
-	acts     []probeAct
-	// beLoop is the backedge's own selected loop (-1 = none).
-	beLoop   int32
+	blOps    int64
+	loopOps  int64
 	exitVal  int64
 	entryVal int64
+	// open is the backedge's loop index when the loop is selected, -1
+	// otherwise.
+	open int32
 }
 
 // branchArm is one side of a probed branch terminator: the jump target plus
-// either an inline static charge (probe < 0) or a full probe record.
+// either an inline static charge (probe < 0) or a backedge's probe record.
 type branchArm struct {
 	pc      int32
 	probe   int32
@@ -232,9 +192,8 @@ type callRec struct {
 	calleeName string
 }
 
-// compiledFunc is one function's code plus the side tables, per-loop
-// tracker constants and interprocedural route tables its probes and
-// completions reference.
+// compiledFunc is one function's code plus the side tables and the route
+// tables its probes and completions reference.
 type compiledFunc struct {
 	fn      *ir.Func
 	idx     int
@@ -249,14 +208,9 @@ type compiledFunc struct {
 	probes   []probeRec
 	branches []branchRec
 
-	numLoops int
-	// maskExact holds when every loop index fits the 64-bit tracker masks,
-	// so frame mask bits can be cleared on deactivate/freeze; beyond 64
-	// loops the masks stay sticky over-approximations (set-only), which is
-	// still sound — a stale bit only forces the slow path.
-	maskExact  bool
-	loopFreeze []int
-	loopRoot   []int
+	// windows[i] resolves loop i's window (nil when loop profiling is off
+	// or the loop is unselected).
+	windows []*routeTable
 
 	// entry resolves the Type I region of this function as a callee (nil
 	// when interprocedural profiling is off); sites[i] resolves call site
@@ -270,9 +224,8 @@ type compiledFunc struct {
 type FusionStats struct {
 	StepMove, StepBin, StepLoad, StepJump, StepBranch int
 	Charge, ChargeJump                                int
-	// Probe counts record-driven single-dispatch probe instructions;
-	// BranchProbe counts branches fused with their edges' probe work
-	// (step-fused or not).
+	// Probe counts record-driven backedge completions; BranchProbe counts
+	// branches fused with their edges' probe work (step-fused or not).
 	Probe, BranchProbe int
 	// FallThrough counts edges whose jump was eliminated entirely because
 	// the successor block follows in the instruction stream.

@@ -449,3 +449,85 @@ func TestWalkedRouteParity(t *testing.T) {
 		})
 	}
 }
+
+// loopCasesSource exercises every way a loop window can end: an inner
+// loop's backedge (the outer window breaks), a break (truncated), a return
+// from inside the loop (the path leaves the loop and ends at the exit),
+// calls inside the body, and the loop's own backedge.
+const loopCasesSource = `
+func leaf(v) { if (v > 2) { return v - 1; } return v + 1; }
+func find(n) {
+	var i = 0;
+	while (i < 12) {
+		var j = 0;
+		while (j < 3) { if (rand(3) == 0) { j = j + 2; } else { j = j + 1; } }
+		if (i == n) { return leaf(i); }
+		if (rand(5) == 0) { break; }
+		i = i + leaf(1) - 1;
+	}
+	return 0;
+}
+func main() {
+	var s = 0;
+	var t = 0;
+	while (t < 40) { s = s + find(rand(14)); t = t + 1; }
+	print(s);
+}
+`
+
+// TestLoopWindowCaseParity runs every loop-window case on both engines at
+// every degree.
+func TestLoopWindowCaseParity(t *testing.T) {
+	prog, err := lang.Compile(loopCasesSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := profile.Analyze(prog, profile.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= info.MaxDegree(); k++ {
+		cfg := instrument.Config{K: k, Loops: true, Interproc: true}
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			assertParity(t, loopCasesSource, 3, cfg)
+		})
+	}
+}
+
+// wideLoopSource is a program whose loop body has far more Ball-Larus paths
+// below its header than a dense window table holds, so its window resolves
+// by walking the completed path.
+func wideLoopSource() string {
+	var b strings.Builder
+	b.WriteString("func main() {\n\tvar i = 0;\n\tvar x = 0;\n\twhile (i < 300) {\n")
+	for i := 0; i < 11; i++ {
+		fmt.Fprintf(&b, "\t\tif (rand(2) == 0) { x = x + %d; } else { x = x - 1; }\n", i+1)
+	}
+	b.WriteString("\t\tif (x > 1000) { break; }\n\t\ti = i + 1;\n\t}\n\tprint(x);\n}\n")
+	return b.String()
+}
+
+// TestWalkedLoopParity checks the walk that resolves windows above the dense
+// table bound against the tree engine, at every degree.
+func TestWalkedLoopParity(t *testing.T) {
+	src := wideLoopSource()
+	prog, err := lang.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := profile.Analyze(prog, profile.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := info.Funcs[prog.FuncIndex("main")]
+	// 1024 is the dense bound (routeTableLimit).
+	if n := main.DAG.NumPaths[main.Loops[0].Loop.Head]; n <= 1024 {
+		t.Fatalf("loop header has %d paths below it; want more than the dense table bound", n)
+	}
+	for k := 0; k <= info.MaxDegree(); k++ {
+		cfg := instrument.Config{K: k, Loops: true, Interproc: true}
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			assertParity(t, src, 7, cfg)
+		})
+	}
+}

@@ -463,7 +463,8 @@ func (s *Server) handleFleetInstall(w http.ResponseWriter, r *http.Request) {
 // maximum degree] (jobs clamp k to it) — the cells a job of the benchmark
 // can fold into — and every record must name
 // functions, loops, call sites and Ball-Larus paths the program has
-// (checkRecords), so the cell's profile and PGO exports stay readable.
+// (profile.Info.CheckRecords), so the cell's profile and PGO exports stay
+// readable.
 func (s *Server) checkInstall(bench string, snap *merge.Snapshot) error {
 	p, err := s.pipelineFor(JobRequest{Benchmark: bench})
 	if err != nil {
@@ -478,79 +479,7 @@ func (s *Server) checkInstall(bench string, snap *merge.Snapshot) error {
 	if max := p.Info.MaxDegree(); snap.K > max {
 		return fmt.Errorf("k=%d is above the program's maximum degree %d", snap.K, max)
 	}
-	return checkRecords(p.Info, snap.Counters)
-}
-
-// checkRecords checks the indices of every counter record against the
-// program: function indices below its function count, loop indices and
-// call-site indices within the named function, and Ball-Larus path ids (a
-// BL record's path, a loop record's base, a Type II record's callee path)
-// below the function's path count. The function count itself has already
-// been checked.
-func checkRecords(info *profile.Info, c *profile.Counters) error {
-	nf := len(info.Funcs)
-	fn := func(kind string, f int) error {
-		if f < 0 || f >= nf {
-			return fmt.Errorf("%s record names function %d of %d", kind, f, nf)
-		}
-		return nil
-	}
-	path := func(kind string, f int, id int64) error {
-		if n := info.Funcs[f].DAG.Total(); id < 0 || id >= n {
-			return fmt.Errorf("%s record names path %d of %d in %s", kind, id, n, info.Funcs[f].Fn.Name)
-		}
-		return nil
-	}
-	site := func(kind string, caller, s, callee int) error {
-		if err := fn(kind, caller); err != nil {
-			return err
-		}
-		if err := fn(kind, callee); err != nil {
-			return err
-		}
-		if n := len(info.Funcs[caller].CallSites); s < 0 || s >= n {
-			return fmt.Errorf("%s record names call site %d of %d in %s", kind, s, n, info.Funcs[caller].Fn.Name)
-		}
-		return nil
-	}
-	for f, m := range c.BL {
-		for id := range m {
-			if err := path("bl", f, id); err != nil {
-				return err
-			}
-		}
-	}
-	for k := range c.Loop {
-		if err := fn("loop", k.Func); err != nil {
-			return err
-		}
-		fi := info.Funcs[k.Func]
-		if k.Loop < 0 || k.Loop >= len(fi.Loops) {
-			return fmt.Errorf("loop record names loop %d of %d in %s", k.Loop, len(fi.Loops), fi.Fn.Name)
-		}
-		if err := path("loop", k.Func, k.Base); err != nil {
-			return err
-		}
-	}
-	for k := range c.TypeI {
-		if err := site("t1", k.Caller, k.Site, k.Callee); err != nil {
-			return err
-		}
-	}
-	for k := range c.TypeII {
-		if err := site("t2", k.Caller, k.Site, k.Callee); err != nil {
-			return err
-		}
-		if err := path("t2", k.Callee, k.Path); err != nil {
-			return err
-		}
-	}
-	for k := range c.Calls {
-		if err := site("call", k.Caller, k.Site, k.Callee); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Info.CheckRecords(snap.Counters)
 }
 
 // handleFleetDelete drops one fleet cell (?k= selects it; ?iters= may name

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"pathprof/internal/experiments"
 )
@@ -62,10 +63,7 @@ func Gate(baseline, current []experiments.BenchResult, threshold float64) []stri
 
 	var out []string
 	for k, b := range base {
-		if k.Name != "run" {
-			continue
-		}
-		if k.Engine == refKey.Engine && k.Store == refKey.Store {
+		if !gated(k) {
 			continue
 		}
 		c, ok := cur[k]
@@ -84,4 +82,31 @@ func Gate(baseline, current []experiments.BenchResult, threshold float64) []stri
 	}
 	sort.Strings(out)
 	return out
+}
+
+// gated reports whether Gate compares cell k: every "run" cell but the
+// reference. The steady, sweep and merge cells are informational.
+func gated(k cellKey) bool {
+	return k.Name == "run" && (k.Engine != refKey.Engine || k.Store != refKey.Store)
+}
+
+// gatedCells names the baseline cells Gate compares, as engine/store in sorted
+// order.
+func gatedCells(baseline []experiments.BenchResult) []string {
+	base, _ := index(baseline)
+	var out []string
+	for k := range base {
+		if gated(k) {
+			out = append(out, k.Engine+"/"+k.Store)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// passLine is what a passing gate prints: the cells it compared, and that
+// it checks each only for a slowdown of its ratio to the reference.
+func passLine(cells []string, threshold float64) string {
+	return fmt.Sprintf("benchgate: %d run cells (%s) within +%.0f%% of their committed ratio to %s/%s",
+		len(cells), strings.Join(cells, ", "), threshold*100, refKey.Engine, refKey.Store)
 }

@@ -104,3 +104,13 @@ func TestCommittedGridGatesItself(t *testing.T) {
 		t.Fatalf("committed grid's run cells are %v, want %v", runs, want)
 	}
 }
+
+// TestPassLineNamesGatedCells pins the pass message to the cells Gate
+// compares: the non-reference run cells, not the whole baseline.
+func TestPassLineNamesGatedCells(t *testing.T) {
+	got := passLine(gatedCells(grid(1)), 0.20)
+	want := "benchgate: 2 run cells (regvm/arena, tree/arena) within +20% of their committed ratio to tree/nested"
+	if got != want {
+		t.Fatalf("pass line = %q, want %q", got, want)
+	}
+}

@@ -66,6 +66,5 @@ func main() {
 	if len(complaints) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d baseline cells within %.0f%% of committed ratios\n",
-		len(base), *threshold*100)
+	fmt.Println(passLine(gatedCells(base), *threshold))
 }
